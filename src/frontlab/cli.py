@@ -16,10 +16,10 @@ from pathlib import Path
 
 from .errors import FrontLabError
 from .harness.config import parse_config
-from .harness.csvio import fmt, rows_to_text
+from .harness.csvio import fmt, write_csv
 from .harness.runner import (HYPOTHESES_HEADER, PERSISTENCE_HEADER,
-                             SPEEDS_HEADER, hypotheses_rows, persistence_rows,
-                             run_experiment, speeds_row, sweep, sweep_table)
+                             SPEEDS_HEADER, SWEEP_HEADER, persistence_rows,
+                             run_experiment, speeds_row, sweep)
 from .subsolution import construct_subsolution, verify_subsolution
 
 
@@ -32,13 +32,13 @@ def _out_dir(args, cfg_path: Path) -> Path:
 
 def _cmd_speeds(args) -> int:
     cfg = parse_config(args.config)
-    sys.stdout.write(rows_to_text(SPEEDS_HEADER, [speeds_row(cfg)]))
+    write_csv(sys.stdout, SPEEDS_HEADER, [speeds_row(cfg)])
     return 0
 
 
 def _cmd_check_hypotheses(args) -> int:
     cfg = parse_config(args.config)
-    sys.stdout.write(rows_to_text(HYPOTHESES_HEADER, hypotheses_rows(cfg)))
+    write_csv(sys.stdout, HYPOTHESES_HEADER, cfg.hypotheses.rows())
     if args.strict and not cfg.hypotheses.all_ok:
         return 2
     return 0
@@ -51,7 +51,7 @@ def _cmd_simulate(args) -> int:
     result = run_experiment(cfg, out_dir=out)
     reports = [r for r in (result.u_report, result.v_report) if r is not None]
     if reports:
-        sys.stdout.write(rows_to_text(PERSISTENCE_HEADER, persistence_rows(reports)))
+        write_csv(sys.stdout, PERSISTENCE_HEADER, persistence_rows(reports))
     sys.stdout.write(f"bundle written to {out}\n")
     if args.strict and not cfg.hypotheses.all_ok:
         return 2
@@ -66,7 +66,7 @@ def _cmd_sweep(args) -> int:
         raise FrontLabError("sweep needs at least one value")
     out = _out_dir(args, cfg_path)
     rows = sweep(cfg, args.axis, values, workers=args.workers, out_dir=out)
-    sys.stdout.write(sweep_table(rows))
+    write_csv(sys.stdout, SWEEP_HEADER, rows)
     sys.stdout.write(f"bundle written to {out}\n")
     return 0
 
@@ -94,19 +94,17 @@ def _cmd_verify_subsolution(args) -> int:
                                 n_space=vals["subsolution.n_space"],
                                 n_time=vals["subsolution.n_time"],
                                 t_check=vals["subsolution.t_check"])
-    lines = [
-        "clause,value,ok",
-        f"frame_speed,{fmt(p.frame_speed)},true",
-        f"window,{fmt(p.window)},true",
-        f"decay_rate,{fmt(p.decay)},true",
-        f"amplitude_margin,{fmt(report.amplitude_margin)},{fmt(report.amplitude_margin > 0)}",
-        f"tilt_residual,{fmt(report.tilt_residual)},{fmt(report.tilt_residual <= 1e-8)}",
-        f"min_linear,{fmt(report.min_linear)},{fmt(report.min_linear > 0)}",
-        f"min_reaction,{fmt(report.min_reaction)},{fmt(report.min_reaction > 0)}",
-    ]
+    write_csv(sys.stdout, "clause,value,ok", [
+        ("frame_speed", p.frame_speed, True),
+        ("window", p.window, True),
+        ("decay_rate", p.decay, True),
+        ("amplitude_margin", report.amplitude_margin, report.amplitude_margin > 0),
+        ("tilt_residual", report.tilt_residual, report.tilt_residual <= 1e-8),
+        ("min_linear", report.min_linear, report.min_linear > 0),
+        ("min_reaction", report.min_reaction, report.min_reaction > 0),
+    ])
     verdict = "PASS" if report.ok else "FAIL(" + ",".join(report.failures) + ")"
-    lines.append(f"{verdict} worst_margin={fmt(report.worst_margin)}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(f"{verdict} worst_margin={fmt(report.worst_margin)}\n")
     if args.strict and not report.ok:
         return 2
     return 0

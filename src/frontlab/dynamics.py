@@ -279,9 +279,10 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
     dt_used = t_final / n_steps
     stride = max(1, int(snapshot_stride))
 
-    times = [0.0]
-    us = [initial.u.copy()]
-    vs = [initial.v.copy()]
+    times = np.zeros(1 + (n_steps + stride - 1) // stride)
+    us, vs = np.empty((2, times.size, grid.n))
+    us[0], vs[0] = initial.u, initial.v
+    row = 0
     h_worst = {"u_min": float(initial.u.min()), "u_max": float(initial.u.max()),
                "v_min": float(initial.v.min()), "v_max": float(initial.v.max())}
     boundary_warning = False
@@ -310,12 +311,11 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
         h_worst["v_min"] = min(h_worst["v_min"], float(state.v.min()))
         h_worst["v_max"] = max(h_worst["v_max"], float(state.v.max()))
         if k % stride == 0 or k == n_steps:
-            # Snap recorded times to the exact multiple to keep output stable.
-            state.t = k * dt_used
+            # Snap recorded times to exact multiples, the last to t_final itself.
+            state.t = t_final if k == n_steps else k * dt_used
             check_boundary(state)
-            times.append(state.t)
-            us.append(state.u.copy())
-            vs.append(state.v.copy())
+            row += 1
+            times[row], us[row], vs[row] = state.t, state.u, state.v
 
     # For b <= 1 the predator box degenerates to {0}.
     v_cap_eff = max(params.v_cap, 0.0)
@@ -331,5 +331,5 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
         "max_boundary_fraction": max_boundary_fraction,
         "boundary_monitor": boundary_monitor,
     }
-    return Trajectory(times=np.asarray(times), u=np.asarray(us), v=np.asarray(vs),
+    return Trajectory(times=times, u=us, v=vs,
                       grid=grid, params=params, diagnostics=diagnostics)

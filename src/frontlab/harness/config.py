@@ -112,9 +112,6 @@ class ExperimentConfig:
     side: str
     hypotheses: HypothesisReport | None = field(repr=False, default=None)
 
-    def key(self, name: str):
-        return self.values[name]
-
 
 def _build_kernel(values: dict, prefix: str) -> Kernel:
     family = values[f"{prefix}.family"]
@@ -202,6 +199,22 @@ def parse_config_text(text: str) -> ExperimentConfig:
     values.setdefault("subsolution.t_check", 10.0)
     values.setdefault("subsolution.n_space", 512)
     values.setdefault("subsolution.n_time", 64)
+    for key, ok, need in (
+            ("observer.theta", 0.0 < values["observer.theta"] < 1.0, "in (0, 1)"),
+            ("observer.side", values["observer.side"] in ("left", "right"), "left or right"),
+            ("observer.window_fraction", 0.0 < values["observer.window_fraction"] <= 1.0,
+             "in (0, 1]"),
+            ("subsolution.n_space", values["subsolution.n_space"] >= 1, ">= 1"),
+            ("subsolution.n_time", values["subsolution.n_time"] >= 1, ">= 1"),
+            ("initial.u_half_width", values["initial.u_half_width"] > 0.0, "positive"),
+            ("initial.v_half_width", values["initial.v_half_width"] > 0.0, "positive"),
+            ("solver.t_final", values["solver.t_final"] > 0.0, "positive"),
+            ("solver.boundary_monitor", values["solver.boundary_monitor"] in
+             ("both", "left", "right", "none"), "both/left/right/none"),
+            ("band.mode", values["band.mode"] in ("auto", "theorem", "ahead", "none"),
+             "auto/theorem/ahead/none")):
+        if not ok:
+            raise ConfigError(f"{key} must be {need}, got {fmt(values[key])}")
 
     try:
         params = Params(d1=values["params.d1"], d2=values["params.d2"],
@@ -235,8 +248,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
             f"grid.dx={dx:g} too coarse: the resolution floor is min kernel radius / 8 = {r_min / 8.0:g}")
 
     t_final = values["solver.t_final"]
-    if not t_final > 0.0:
-        raise ConfigError("solver.t_final must be positive")
     if sp is not None:
         fast = max(sp.s_star, sp.s_lower_star, params.s)
         base_speed = sp.s_underline
@@ -278,15 +289,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if stride < 1:
         raise ConfigError("solver.snapshot_stride must be a positive integer")
     monitor = values["solver.boundary_monitor"]
-    if monitor not in ("both", "left", "right", "none"):
-        raise ConfigError("solver.boundary_monitor must be both/left/right/none")
 
     # Frame band: theorem band between s and the slower speed when it
     # exists, probe band ahead of the front otherwise.
     band: FrameBandSpec | None = None
     mode = values["band.mode"]
-    if mode not in ("auto", "theorem", "ahead", "none"):
-        raise ConfigError("band.mode must be auto/theorem/ahead/none")
     if sp is not None and mode != "none":
         s_under = sp.s_underline
         gap = s_under - params.s

@@ -12,7 +12,7 @@ from ..observers import (LevelSetSeries, PersistenceReport, frame_band_min,
                          level_set_series)
 from .config import (ExperimentConfig, echo_config, override_config_text,
                      parse_config_text, sweep_axis_key)
-from .csvio import rows_to_text, write_csv
+from .csvio import write_csv
 
 SPEEDS_HEADER = "s_star,lambda1,s_lower_star,lambda2,s_underline"
 SNAPSHOT_HEADER = "t,x,u,v"
@@ -32,25 +32,19 @@ def speeds_row(cfg: ExperimentConfig) -> tuple:
     return (sp.s_star, sp.rate1, sp.s_lower_star, sp.rate2, sp.s_underline)
 
 
-def hypotheses_rows(cfg: ExperimentConfig) -> list[tuple]:
-    return [(clause, margin, ok) for clause, margin, ok in cfg.hypotheses.rows()]
-
-
 def snapshot_rows(traj: Trajectory):
-    x = traj.grid.x
-    for i, t in enumerate(traj.times):
-        ui = traj.u[i]
-        vi = traj.v[i]
-        for j in range(x.size):
-            yield (float(t), float(x[j]), float(ui[j]), float(vi[j]))
+    """One block of ``t,x,u,v`` lines per snapshot, as ``fmt`` would print them."""
+    xs = ["%.17g" % x for x in traj.grid.x.tolist()]
+    for t, ui, vi in zip(traj.times.tolist(), traj.u, traj.v):
+        head = "%.17g," % t
+        yield "".join([f"{head}{x},{u:.17g},{v:.17g}\n"
+                       for x, u, v in zip(xs, ui.tolist(), vi.tolist())])
 
 
 def level_set_rows(series_left: LevelSetSeries, series_right: LevelSetSeries):
-    rows = []
-    for i in range(series_right.times.size):
-        rows.append((float(series_right.times[i]), series_right.theta,
-                     float(series_left.positions[i]), float(series_right.positions[i])))
-    return rows
+    theta = series_right.theta
+    return [(t, theta, xl, xr) for t, xl, xr in zip(series_right.times.tolist(),
+            series_left.positions.tolist(), series_right.positions.tolist())]
 
 
 def persistence_rows(reports: list[PersistenceReport]) -> list[tuple]:
@@ -98,20 +92,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         out_path.mkdir(parents=True, exist_ok=True)
         (out_path / "config_echo.txt").write_text(echo_config(cfg), encoding="utf-8")
         write_csv(out_path / "speeds.csv", SPEEDS_HEADER, [speeds_row(cfg)])
-        write_csv(out_path / "hypotheses.csv", HYPOTHESES_HEADER, hypotheses_rows(cfg))
+        write_csv(out_path / "hypotheses.csv", HYPOTHESES_HEADER, cfg.hypotheses.rows())
         write_csv(out_path / "snapshots.csv", SNAPSHOT_HEADER, snapshot_rows(traj))
         write_csv(out_path / "level_sets_u.csv", LEVELSET_HEADER,
                   level_set_rows(u_left, u_right))
         write_csv(out_path / "level_sets_v.csv", LEVELSET_HEADER,
                   level_set_rows(v_left, v_right))
-        reports = [r for r in (u_report, v_report) if r is not None]
-        if reports:
-            write_csv(out_path / "persistence.csv", PERSISTENCE_HEADER,
-                      persistence_rows(reports))
-        else:
-            write_csv(out_path / "persistence.csv", PERSISTENCE_HEADER,
-                      [("u", float("nan"), cfg.values["band.epsilon"], float("nan"), "unavailable"),
-                       ("v", float("nan"), cfg.values["band.epsilon"], float("nan"), "unavailable")])
+        nan, epsilon = float("nan"), cfg.values["band.epsilon"]
+        rows = (persistence_rows([r for r in (u_report, v_report) if r is not None])
+                or [(sp, nan, epsilon, nan, "unavailable") for sp in ("u", "v")])
+        write_csv(out_path / "persistence.csv", PERSISTENCE_HEADER, rows)
     return ExperimentResult(config=cfg, trajectory=traj,
                             u_series=u_right, v_series=v_right,
                             u_report=u_report, v_report=v_report,
@@ -163,10 +153,6 @@ def sweep(cfg: ExperimentConfig, axis: str, values, workers: int = 1,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, tasks))
     if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
         write_csv(out_path / "sweep.csv", SWEEP_HEADER, rows)
     return rows
 
-
-def sweep_table(rows: list[tuple]) -> str:
-    return rows_to_text(SWEEP_HEADER, rows)

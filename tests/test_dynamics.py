@@ -308,3 +308,28 @@ def test_simulate_boundary_warning_flag(unit_kernel):
                        boundary_monitor="both")
     assert traj.diagnostics["boundary_warning"]
     assert traj.diagnostics["max_boundary_fraction"] < 1e-3
+
+
+@pytest.mark.parametrize("stride", [7, 165, 1000])
+def test_simulate_snapshot_rows_for_any_stride(unit_kernel, stride):
+    # t_final = 3.3 in 165 steps of 0.02: 165 * (3.3 / 165) != 3.3 in floating point
+    params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2)
+    grid = fl.grid_from_spacing(-15, 15, 1 / 8)
+    init = fl.make_initial(fl.BumpSpec(0.0, 2.0, 0.5), fl.BumpSpec(0.0, 1.5, 0.4),
+                           grid, params)
+    kw = dict(dt=0.02, t_final=3.3, boundary_monitor="none")
+    every = fl.simulate(params, fl.constant_one(), unit_kernel, unit_kernel, grid, init,
+                        snapshot_stride=1, **kw)
+    traj = fl.simulate(params, fl.constant_one(), unit_kernel, unit_kernel, grid, init,
+                       snapshot_stride=stride, **kw)
+    n_steps = traj.diagnostics["n_steps"]
+    assert n_steps == 165
+    rows = 1 + -(-n_steps // stride)
+    assert traj.times.shape == (rows,)
+    assert traj.u.shape == traj.v.shape == (rows, grid.n)
+    assert traj.times[-1] == 3.3 and traj.t_final == 3.3
+    # every row is the stride-1 snapshot of the same step
+    steps = list(range(0, n_steps, stride)) + [n_steps]
+    assert np.array_equal(traj.times, every.times[steps])
+    assert np.array_equal(traj.u, every.u[steps])
+    assert np.array_equal(traj.v, every.v[steps])

@@ -45,6 +45,29 @@ def test_missing_required_key_named():
     assert "params.d2" in str(err.value)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("observer.theta", "1.5"),
+    ("observer.side", "banana"),
+    ("observer.window_fraction", "-3"),
+    ("subsolution.n_space", "0"),
+    ("subsolution.n_time", "0"),
+    ("initial.u_half_width", "-1"),
+    ("initial.v_half_width", "0"),
+])
+def test_out_of_range_key_rejected_and_named(key, value):
+    with pytest.raises(ConfigError) as err:
+        H.parse_config_text(DESK + f"{key} = {value}\n")
+    assert key in str(err.value)
+
+
+def test_observer_range_edges():
+    cfg = H.parse_config_text(DESK + "observer.window_fraction = 1.0\nobserver.side = left\n")
+    assert cfg.window_fraction == 1.0 and cfg.side == "left"
+    for theta in ("0.0", "1.0", "nan"):
+        with pytest.raises(ConfigError, match="observer.theta"):
+            H.parse_config_text(DESK + f"observer.theta = {theta}\n")
+
+
 def test_dt_above_stability_bound_rejected():
     with pytest.raises(ConfigError) as err:
         H.parse_config_text(DESK + "solver.dt = 0.5\n")
