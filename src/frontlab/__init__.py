@@ -7,8 +7,8 @@ sub-solution construction, and measures persistence in moving frames.
 """
 
 from .dynamics import (BumpSpec, Grid, Params, State, Trajectory, dt_max,
-                       grid_from_spacing, make_initial, nonlocal_apply,
-                       nonlocal_op, rhs, simulate, step)
+                       grid_from_spacing, make_initial, nonlocal_apply, rhs,
+                       simulate, step)
 from .habitat import (HabitatProfile, HabitatValidation, constant_one,
                       logistic, piecewise_linear)
 from .habitat import validate as validate_habitat

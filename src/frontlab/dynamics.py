@@ -139,21 +139,6 @@ def make_initial(u_spec, v_spec, grid: Grid, params: Params) -> State:
     return State(t=0.0, u=fields[0], v=fields[1])
 
 
-def nonlocal_op(stencil: Stencil, field_values: np.ndarray, index: int) -> float:
-    """(J*w - w) at one grid index, with zero extension outside the grid."""
-    h = stencil.halfwidth
-    n = field_values.size
-    if not 0 <= index < n:
-        raise IndexError("index outside grid")
-    lo = index - h
-    hi = index + h + 1
-    seg = np.zeros(2 * h + 1)
-    dst_lo = max(0, -lo)
-    dst_hi = (2 * h + 1) - max(0, hi - n)
-    seg[dst_lo:dst_hi] = field_values[max(lo, 0):min(hi, n)]
-    return float(stencil.weights @ seg * stencil.dx - field_values[index])
-
-
 def nonlocal_apply(stencil: Stencil, field_values: np.ndarray) -> np.ndarray:
     """Vectorized (J*w - w) over the whole grid (zero extension)."""
     conv = np.convolve(field_values, stencil.weights, mode="same") * stencil.dx

@@ -19,7 +19,7 @@ from ..habitat import HabitatProfile, HabitatValidation
 from ..hypotheses import HypothesisReport, check_hypotheses
 from ..kernels import (Kernel, load_tabulated, raised_cosine, smooth_bump)
 from ..observers import FrameBandSpec, ahead_band, theorem_band
-from ..speeds import SystemSpeeds, prey_speed, system_speeds
+from ..speeds import SystemSpeeds, prey_speed
 from .csvio import fmt
 
 # key -> type tag; "afloat" accepts a float or the literal "auto".
@@ -228,7 +228,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     profile = _build_profile(values)
     hval = habitat_mod.validate(profile)
 
-    sp = system_speeds(params, kernel1, kernel2) if params.b > 1.0 else None
+    hypotheses = check_hypotheses(params, profile, kernel1, kernel2, habitat_validation=hval)
+    sp = hypotheses.speeds
 
     if values["initial.v_height"] == "auto":
         values["initial.v_height"] = min(0.25, max(params.b - 1.0, 0.0) / 2.0)
@@ -318,10 +319,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         u_spec=u_spec, v_spec=v_spec, dt=dt, t_final=t_final,
         snapshot_stride=stride, boundary_monitor=monitor, band=band,
         theta=values["observer.theta"], window_fraction=values["observer.window_fraction"],
-        side=values["observer.side"],
+        side=values["observer.side"], hypotheses=hypotheses,
     )
-    cfg.hypotheses = check_hypotheses(params, profile, kernel1, kernel2,
-                                      habitat_validation=hval)
     return cfg
 
 

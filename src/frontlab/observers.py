@@ -94,7 +94,6 @@ class PersistenceReport:
     epsilon: float
     band_min: float
     verdict: str          # persists / extinct / inconclusive
-    epsilon_hat: float    # measured lower bound over the band and window
     sides: str            # "right" or "both"
     band_kind: str
     t_first: float
@@ -213,7 +212,7 @@ def frame_band_min(traj: Trajectory, band: FrameBandSpec, species: str) -> Persi
     else:
         verdict = "inconclusive"
     return PersistenceReport(species=species, eta=band.eta, epsilon=band.epsilon,
-                             band_min=band_min, verdict=verdict, epsilon_hat=band_min,
+                             band_min=band_min, verdict=verdict,
                              sides="both" if band.two_sided else "right",
                              band_kind=band.kind, t_first=float(t_first),
                              t_last=float(t_last))

@@ -29,12 +29,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .dynamics import Params
 from .errors import NoRootError, NumericFailureError
-from .kernels import Kernel, exp_integral, tilted_mean
+from .kernels import Kernel, exp_integral, quad, tilted_mean
 
 _DECAY_CEILING_OVER_R = 200.0
 
@@ -108,20 +107,6 @@ def wave_profile(p: SubsolutionParams, params: Params, x, t: float):
     return vals
 
 
-def _cos_weighted(kernel: Kernel, decay: float, window: float | None) -> float:
-    if window is None:
-        return exp_integral(kernel, decay)
-    w = float(window)
-    return exp_integral(kernel, decay, weight=lambda y: np.cos(0.5 * np.pi * y / w))
-
-
-def _sin_weighted(kernel: Kernel, decay: float, window: float | None) -> float:
-    if window is None:
-        return tilted_mean(kernel, decay)
-    w = float(window)
-    return exp_integral(kernel, decay, weight=lambda y: np.sin(0.5 * np.pi * y / w))
-
-
 def amplitude_speed_bound(decay: float, linear_rate: float, gamma: float,
                           params: Params, kernel: Kernel,
                           window: float | None = None) -> float:
@@ -132,7 +117,10 @@ def amplitude_speed_bound(decay: float, linear_rate: float, gamma: float,
     """
     if not decay > 0.0:
         raise ValueError("decay rate must be positive")
-    integral = _cos_weighted(kernel, decay, window)
+    if window is None:
+        integral = exp_integral(kernel, decay)
+    else:
+        integral = exp_integral(kernel, decay, weight=lambda y: np.cos(0.5 * np.pi * y / window))
     return (linear_rate - gamma + params.d1 * integral) / decay
 
 
@@ -148,7 +136,8 @@ def tilt_speed(decay: float, params: Params, kernel: Kernel,
         raise ValueError("decay rate must be nonnegative")
     if window is None:
         return params.d1 * tilted_mean(kernel, decay)
-    return (2.0 * window * params.d1 / np.pi) * _sin_weighted(kernel, decay, window)
+    sine = exp_integral(kernel, decay, weight=lambda y: np.sin(0.5 * np.pi * y / window))
+    return (2.0 * window * params.d1 / np.pi) * sine
 
 
 def match_decay_rate(frame_speed: float, window: float, params: Params,
@@ -232,27 +221,16 @@ class SubsolutionReport:
 
 
 def _window_convolution(kernel: Kernel, p: SubsolutionParams, z: np.ndarray) -> np.ndarray:
-    """(J * wave)(z) / (amplitude * exp(gamma*t)) for window coordinates z."""
-    R = p.window
-    rj = kernel.support_radius
-    beta = p.decay
+    """(J * wave)(z) / (amplitude * exp(gamma*t)) for window coordinates z.
 
-    def g(y):
-        return math.exp(-beta * y) * math.cos(0.5 * math.pi * y / R)
-
-    out = np.empty_like(z)
-    for i, zi in enumerate(z):
-        lo = max(-R, zi - rj)
-        hi = min(R, zi + rj)
-        if lo >= hi:
-            out[i] = 0.0
-            continue
-        val, err = quad(lambda y: kernel.evaluate(zi - y) * g(y), lo, hi,
-                        epsabs=1e-13, epsrel=1e-10, limit=200)
-        if err > max(1e-8 * abs(val), 1e-11):
-            raise NumericFailureError("window convolution quadrature failed", residual=err)
-        out[i] = val
-    return out
+    On the window the wave profile is ``Re exp(-k*y)`` with
+    ``k = decay + i*pi/(2*window)``, so the convolution is
+    ``Re[exp(-k*z) * integral of J(s) exp(k*s)]`` over ``|z - s| < window``:
+    one kernel integral whose limits vary with z.
+    """
+    k = complex(p.decay, 0.5 * math.pi / p.window)
+    tilted = quad(kernel, lambda s: np.exp(k * s), lo=z - p.window, hi=z + p.window)
+    return (np.exp(-k * z) * tilted).real
 
 
 def verify_subsolution(p: SubsolutionParams, params: Params, kernel: Kernel,

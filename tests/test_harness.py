@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import frontlab as fl
@@ -31,6 +33,25 @@ def test_minimal_config_defaults():
     assert cfg.values["solver.dt"] == pytest.approx(
         fl.dt_max(cfg.params, cfg.habitat_validation.alpha_bar))
     assert cfg.band is not None and cfg.band.kind == "theorem"
+
+
+def test_speeds_computed_once_per_parse(monkeypatch):
+    original = fl.system_speeds
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    # Count calls through every module that bound the function by name.
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("frontlab"):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    cfg = H.parse_config_text(MINIMAL)
+    assert len(calls) == 1
+    assert cfg.hypotheses.speeds is cfg.speeds
 
 
 def test_unknown_key_named():

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 import frontlab as fl
-from frontlab.errors import InvalidKernelError, ResolutionError
+from frontlab.errors import InvalidKernelError, NumericFailureError, ResolutionError
+from frontlab.kernels import exp_integral, quad
 
 from conftest import raised_cosine_mgf_closed
 
@@ -151,3 +155,49 @@ def test_load_tabulated_file(tmp_path):
     k = fl.load_tabulated(path)
     assert k.support_radius == pytest.approx(1.0)
     assert k.validate().ok
+
+
+def _bump_mgf_reference(lam: float) -> float:
+    """Smooth-bump MGF on radius 1 by tight adaptive quadrature."""
+    body = lambda u: math.exp(-1.0 / (1.0 - u * u))
+    tight = dict(epsabs=1e-17, epsrel=1e-13, limit=200)
+    mass = integrate.quad(body, -1.0, 1.0, **tight)[0]
+    return integrate.quad(lambda u: body(u) * math.exp(lam * u), -1.0, 1.0, **tight)[0] / mass
+
+
+def test_smooth_bump_mgf_against_adaptive_reference():
+    kernel = fl.smooth_bump(1.0)
+    for lam in np.linspace(-5.0, 5.0, 21):
+        assert kernel.mgf(lam) == pytest.approx(_bump_mgf_reference(lam), rel=1e-12)
+
+
+def test_smooth_bump_speed_at_steep_tilt():
+    # With small diffusion the minimum is bracketed out to lam = 16.4, where
+    # the bump's tilted mass sits in a thin layer at the support edge.
+    problem = fl.SpeedProblem(d=0.02, r=1.0, k=1.0, kernel=fl.smooth_bump(1.0))
+    res = fl.min_speed(problem)
+    assert res.bracket[1] > 16.0
+    ref = (problem.d * (_bump_mgf_reference(res.rate) - 1.0) + problem.r) / res.rate
+    assert res.speed == pytest.approx(ref, rel=1e-12)
+
+
+def test_quad_clipped_limits_broadcast_against_closed_form():
+    kernel = fl.raised_cosine(2.0)
+    cdf = lambda y: 0.5 + (y + 2.0 / np.pi * np.sin(np.pi * y / 2.0)) / 4.0
+    lo = np.array([[-3.0], [-1.2], [0.4]])
+    hi = np.array([-2.5, 0.3, 1.7, 5.0])
+    got = quad(kernel, lo=lo, hi=hi)
+    assert got.shape == (3, 4)
+    a, b = np.clip(lo, -2.0, 2.0), np.clip(hi, -2.0, 2.0)
+    np.testing.assert_allclose(got, np.maximum(cdf(b) - cdf(a), 0.0), rtol=0.0, atol=1e-15)
+    assert quad(kernel, lambda s: s * s, lo=0.5, hi=-0.5) == 0.0
+    assert isinstance(quad(kernel), float)
+
+
+def test_quad_split_panel_check_raises():
+    # A tilt beyond the rule's resolution, and a kink inside a panel: the
+    # panels and their halves disagree far above relative 1e-10.
+    with pytest.raises(NumericFailureError):
+        exp_integral(fl.smooth_bump(1.0), 600.0)
+    with pytest.raises(NumericFailureError):
+        quad(fl.raised_cosine(1.0), lambda s: np.abs(s - 0.3))

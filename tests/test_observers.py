@@ -104,7 +104,6 @@ def test_frame_band_min_synthetic_persistence():
     rep = fl.frame_band_min(traj, band, "u")
     assert rep.verdict == "persists"
     assert rep.band_min == pytest.approx(0.5)
-    assert rep.epsilon_hat == rep.band_min
     ahead = fl.FrameBandSpec(c_lo=0.3, c_hi=0.4, eta=0.05, epsilon=0.01)
     rep2 = fl.frame_band_min(traj, ahead, "u")
     assert rep2.verdict == "extinct"

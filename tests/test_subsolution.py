@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import frontlab as fl
 from frontlab.errors import NoRootError
+from frontlab.subsolution import _window_convolution
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +191,38 @@ def test_simulation_stays_above_wave(bench, unit_kernel):
     for i, t in enumerate(traj.times):
         wave = fl.wave_profile(p, params, x, float(t))
         assert float((traj.u[i] - wave).min()) >= -1e-8
+
+
+def _wave_for(kernel, frac=0.5):
+    """Acceptance parameters with the shift at ``frac`` of the slower speed."""
+    base = dict(d1=1.0, d2=1.0, r1=0.5, r2=0.4, a=0.5, b=1.5)
+    s_under = fl.system_speeds(fl.Params(**base), kernel, kernel).s_underline
+    params = fl.Params(**base, s=frac * s_under)
+    c = 0.5 * (params.s + s_under)
+    return params, fl.construct_subsolution(params, c, kernel=kernel)
+
+
+@pytest.mark.parametrize("kernel", [fl.raised_cosine(1.0), fl.smooth_bump(1.0)],
+                         ids=["raised_cosine", "smooth_bump"])
+def test_window_convolution_against_pointwise_quadrature(kernel):
+    params, p = _wave_for(kernel)
+    R, rj = p.window, kernel.support_radius
+    z = np.linspace(-R, R, 66)[1:-1]
+    g = lambda y: math.exp(-p.decay * y) * math.cos(0.5 * math.pi * y / R)
+    ref = [integrate.quad(lambda y: kernel.evaluate(zi - y) * g(y), max(-R, zi - rj),
+                          min(R, zi + rj), epsabs=1e-17, epsrel=1e-13, limit=200)[0]
+           for zi in z]
+    np.testing.assert_allclose(_window_convolution(kernel, p, z), ref, rtol=1e-13)
+
+
+@pytest.mark.parametrize("frac", [0.4, 0.6])
+def test_verify_subsolution_tabulated_kernel(frac):
+    # A raised cosine sampled at 201 points, as a kernel file would give it.
+    x = np.linspace(-1.0, 1.0, 201)
+    d = 0.5 * (1.0 + np.cos(np.pi * x))
+    d[[0, -1]] = 0.0
+    kernel = fl.tabulated(x, d)
+    params, p = _wave_for(kernel, frac)
+    rep = fl.verify_subsolution(p, params, kernel)
+    assert rep.ok, rep.failures
+    assert rep.tilt_residual <= 1e-8
