@@ -6,9 +6,11 @@ The system on a truncated uniform grid, with zero extension outside:
     dv/dt = d2*(J2*v - v) + r2*v*(-1 + b*u - v)
 
 Integration is classical RK4 with a fixed step; the nonlocal operator is
-bounded, so the step limit comes from the reaction terms.  All solution
-data of interest live in the invariant box 0 <= u <= 1, 0 <= v <= b-1,
-which is monitored along every trajectory.
+bounded, so the step limit comes from the reaction terms.  Only ``simulate``
+knows time: stage times come from the step index, and the habitat is read
+once per distinct stage time.  The step bound is checked once per run; one
+min and one max per field and step drive the roundoff clamp, the aborts and
+the record of the invariant box 0 <= u <= 1, 0 <= v <= b-1.
 """
 
 from __future__ import annotations
@@ -84,9 +86,8 @@ def grid_from_spacing(x_min: float, x_max: float, dx: float) -> Grid:
 
 @dataclass
 class State:
-    """Grid-sampled densities at one instant."""
+    """Grid-sampled initial densities; ``simulate`` starts them at t = 0."""
 
-    t: float
     u: np.ndarray
     v: np.ndarray
 
@@ -133,10 +134,10 @@ def make_initial(u_spec, v_spec, grid: Grid, params: Params) -> State:
             vals = np.asarray(spec, dtype=float).copy()
             if vals.shape != x.shape:
                 raise InvariantViolationError(f"{name}0 array does not match the grid")
-            if vals.min() < 0.0 or vals.max() > cap + 1e-12:
+            if not (vals.min() >= 0.0 and vals.max() <= cap + 1e-12):
                 raise InvariantViolationError(f"{name}0 array leaves the invariant box")
         fields.append(vals)
-    return State(t=0.0, u=fields[0], v=fields[1])
+    return State(u=fields[0], v=fields[1])
 
 
 def nonlocal_apply(stencil: Stencil, field_values: np.ndarray) -> np.ndarray:
@@ -145,11 +146,9 @@ def nonlocal_apply(stencil: Stencil, field_values: np.ndarray) -> np.ndarray:
     return conv - field_values
 
 
-def rhs(t: float, u: np.ndarray, v: np.ndarray, params: Params,
-        profile: HabitatProfile, st1: Stencil, st2: Stencil,
-        x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side of the coupled system at time ``t``."""
-    alpha = profile.alpha_shifted(x, t, params.s)
+def rhs(u: np.ndarray, v: np.ndarray, alpha: np.ndarray, params: Params,
+        st1: Stencil, st2: Stencil) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand side of the coupled system for the habitat values ``alpha`` on the grid."""
     # An identically zero species stays zero; skip its convolution.
     if u.any():
         du = params.d1 * nonlocal_apply(st1, u) + params.r1 * u * (alpha - u - params.a * v)
@@ -182,29 +181,21 @@ def _clamp_undershoot(arr: np.ndarray) -> float:
     return worst
 
 
-def step(state: State, dt: float, params: Params, profile: HabitatProfile,
-         st1: Stencil, st2: Stencil, x: np.ndarray) -> State:
-    """One RK4 step; clamps roundoff undershoot and aborts on instability."""
-    cap = dt_max(params, profile.alpha_bar)
-    if dt > cap * (1.0 + 1e-12):
-        raise InstabilityError(f"dt={dt:g} exceeds the stability bound dt_max={cap:g}")
-    if not (np.isfinite(state.u).all() and np.isfinite(state.v).all()):
-        raise NumericFailureError("non-finite values in state")
-    t, u, v = state.t, state.u, state.v
-    k1u, k1v = rhs(t, u, v, params, profile, st1, st2, x)
-    k2u, k2v = rhs(t + 0.5 * dt, u + 0.5 * dt * k1u, v + 0.5 * dt * k1v,
-                   params, profile, st1, st2, x)
-    k3u, k3v = rhs(t + 0.5 * dt, u + 0.5 * dt * k2u, v + 0.5 * dt * k2v,
-                   params, profile, st1, st2, x)
-    k4u, k4v = rhs(t + dt, u + dt * k3u, v + dt * k3v,
-                   params, profile, st1, st2, x)
-    un = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    vn = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    worst = min(_clamp_undershoot(un), _clamp_undershoot(vn))
-    if worst < _ABORT_FLOOR:
-        raise InstabilityError(
-            f"undershoot {worst:.3e} below {_ABORT_FLOOR:g} at t={t + dt:g}; reduce dt")
-    return State(t=t + dt, u=un, v=vn)
+def step(u: np.ndarray, v: np.ndarray, dt: float,
+         alphas: tuple[np.ndarray, np.ndarray, np.ndarray], params: Params,
+         st1: Stencil, st2: Stencil) -> tuple[np.ndarray, np.ndarray]:
+    """One RK4 step; ``alphas`` is the habitat on the grid at its start, midpoint and end."""
+    k1u, k1v = rhs(u, v, alphas[0], params, st1, st2)
+    k2u, k2v = rhs(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v, alphas[1], params, st1, st2)
+    k3u, k3v = rhs(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v, alphas[1], params, st1, st2)
+    k4u, k4v = rhs(u + dt * k3u, v + dt * k3v, alphas[2], params, st1, st2)
+    return (u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+            v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+
+
+def step_count(t_final: float, dt: float) -> int:
+    """Number of equal steps, none longer than ``dt`` up to roundoff, that reach ``t_final``."""
+    return max(1, int(math.ceil(t_final / dt - 1e-9)))
 
 
 @dataclass
@@ -258,10 +249,13 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
     st1 = kernel1.discretize(grid.dx)
     st2 = kernel2.discretize(grid.dx)
     x = grid.x
-    if t_final <= 0.0:
-        raise ValueError("t_final must be positive")
-    n_steps = max(1, int(math.ceil(t_final / dt - 1e-9)))
+    if not (t_final > 0.0 and dt > 0.0):
+        raise ValueError("t_final and dt must be positive")
+    n_steps = step_count(t_final, dt)
     dt_used = t_final / n_steps
+    cap = dt_max(params, profile.alpha_bar)
+    if dt_used > cap * (1.0 + 1e-12):
+        raise InstabilityError(f"dt={dt_used:g} exceeds the stability bound dt_max={cap:g}")
     stride = max(1, int(snapshot_stride))
 
     times = np.zeros(1 + (n_steps + stride - 1) // stride)
@@ -273,45 +267,52 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
     boundary_warning = False
     max_boundary_fraction = 0.0
 
-    def check_boundary(state: State):
+    def check_boundary(u: np.ndarray, v: np.ndarray, t: float):
         nonlocal boundary_warning, max_boundary_fraction
         if not sides:
             return
-        for w, name in ((state.u, "u"), (state.v, "v")):
+        for w, name in ((u, "u"), (v, "v")):
             frac = _boundary_fraction(w, sides)
             max_boundary_fraction = max(max_boundary_fraction, frac)
             if frac > 1e-3:
                 raise BoundaryContaminationError(
                     f"{name} reached {frac:.2e} of its peak at the domain edge "
-                    f"(t={state.t:g}); enlarge the grid")
+                    f"(t={t:g}); enlarge the grid")
             if frac > 1e-6:
                 boundary_warning = True
 
-    check_boundary(initial)
-    state = State(t=0.0, u=initial.u.copy(), v=initial.v.copy())
+    check_boundary(initial.u, initial.v, 0.0)
+    u, v, t = initial.u, initial.v, 0.0
+    a_end = profile.alpha_shifted(x, t, params.s)
     for k in range(1, n_steps + 1):
-        state = step(state, dt_used, params, profile, st1, st2, x)
-        h_worst["u_min"] = min(h_worst["u_min"], float(state.u.min()))
-        h_worst["u_max"] = max(h_worst["u_max"], float(state.u.max()))
-        h_worst["v_min"] = min(h_worst["v_min"], float(state.v.min()))
-        h_worst["v_max"] = max(h_worst["v_max"], float(state.v.max()))
+        a_start, a_mid = a_end, profile.alpha_shifted(x, t + 0.5 * dt_used, params.s)
+        t = t_final if k == n_steps else k * dt_used
+        a_end = profile.alpha_shifted(x, t, params.s)
+        u, v = step(u, v, dt_used, (a_start, a_mid, a_end), params, st1, st2)
+        for w, name in ((u, "u"), (v, "v")):
+            hi = float(w.max())
+            lo = _clamp_undershoot(w)
+            if not math.isfinite(lo + hi):
+                raise NumericFailureError(f"non-finite values in {name} at t={t:g}")
+            if lo < _ABORT_FLOOR:
+                raise InstabilityError(
+                    f"undershoot {lo:.3e} below {_ABORT_FLOOR:g} at t={t:g}; reduce dt")
+            h_worst[name + "_min"] = min(h_worst[name + "_min"], lo)
+            h_worst[name + "_max"] = max(h_worst[name + "_max"], hi)
         if k % stride == 0 or k == n_steps:
-            # Snap recorded times to exact multiples, the last to t_final itself.
-            state.t = t_final if k == n_steps else k * dt_used
-            check_boundary(state)
+            check_boundary(u, v, t)
             row += 1
-            times[row], us[row], vs[row] = state.t, state.u, state.v
+            times[row], us[row], vs[row] = t, u, v
 
     # For b <= 1 the predator box degenerates to {0}.
     v_cap_eff = max(params.v_cap, 0.0)
-    h_violation = max(h_worst["u_max"] - (1.0 + 1e-8),
-                      h_worst["v_max"] - (v_cap_eff + 1e-8),
+    h_violation = max(h_worst["u_max"] - 1.0, h_worst["v_max"] - v_cap_eff,
                       -h_worst["u_min"], -h_worst["v_min"])
     diagnostics = {
         "dt_used": dt_used,
         "n_steps": n_steps,
         "h_worst": h_worst,
-        "h_invariant_ok": h_violation <= 0.0,
+        "h_invariant_ok": h_violation <= 1e-8,
         "boundary_warning": boundary_warning,
         "max_boundary_fraction": max_boundary_fraction,
         "boundary_monitor": boundary_monitor,

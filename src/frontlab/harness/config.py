@@ -8,12 +8,11 @@ bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import habitat as habitat_mod
-from ..dynamics import BumpSpec, Grid, Params, dt_max, grid_from_spacing
+from ..dynamics import BumpSpec, Grid, Params, dt_max, grid_from_spacing, step_count
 from ..errors import ConfigError
 from ..habitat import HabitatProfile, HabitatValidation
 from ..hypotheses import HypothesisReport, check_hypotheses
@@ -283,9 +282,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(f"solver.dt={dt:g} exceeds the stability bound dt_max={cap:.6g}")
     if not dt > 0.0:
         raise ConfigError("solver.dt must be positive")
-    n_steps = max(1, int(math.ceil(t_final / dt - 1e-9)))
     if values["solver.snapshot_stride"] == "auto":
-        values["solver.snapshot_stride"] = max(1, n_steps // 200)
+        values["solver.snapshot_stride"] = max(1, step_count(t_final, dt) // 200)
     stride = values["solver.snapshot_stride"]
     if stride < 1:
         raise ConfigError("solver.snapshot_stride must be a positive integer")

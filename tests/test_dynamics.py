@@ -76,7 +76,7 @@ def test_nonlocal_apply_matches_pointwise(stencil):
 
 def _rhs_on(u, v, params, profile, grid, unit_kernel, t=0.0):
     st1 = unit_kernel.discretize(grid.dx)
-    return fl.rhs(t, u, v, params, profile, st1, st1, grid.x)
+    return fl.rhs(u, v, profile.alpha_shifted(grid.x, t, params.s), params, st1, st1)
 
 
 def test_rhs_extinction_fixed_point(unit_kernel):
@@ -113,28 +113,37 @@ def test_step_zero_state_stays_zero(unit_kernel):
     params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2)
     grid = fl.grid_from_spacing(-5, 5, 1 / 8)
     st1 = unit_kernel.discretize(grid.dx)
-    state = fl.State(t=0.0, u=np.zeros(grid.n), v=np.zeros(grid.n))
-    out = fl.step(state, 0.01, params, fl.constant_one(), st1, st1, grid.x)
-    assert np.all(out.u == 0.0) and np.all(out.v == 0.0) and out.t == 0.01
+    zeros, ones = np.zeros(grid.n), np.ones(grid.n)
+    u, v = fl.step(zeros, zeros, 0.01, (ones, ones, ones), params, st1, st1)
+    assert np.all(u == 0.0) and np.all(v == 0.0)
 
 
-def test_step_rejects_unstable_dt(unit_kernel):
+def _simulate_from(unit_kernel, u0, dt, grid):
+    params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2)
+    return fl.simulate(params, fl.constant_one(), unit_kernel, unit_kernel, grid,
+                       fl.State(u=u0, v=np.zeros(grid.n)), dt=dt, t_final=0.1,
+                       boundary_monitor="none")
+
+
+def test_simulate_rejects_unstable_dt(unit_kernel):
     params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2)
     grid = fl.grid_from_spacing(-5, 5, 1 / 8)
-    st1 = unit_kernel.discretize(grid.dx)
-    state = fl.State(t=0.0, u=np.zeros(grid.n), v=np.zeros(grid.n))
     cap = fl.dt_max(params, 1.0)
-    with pytest.raises(InstabilityError):
-        fl.step(state, 1.5 * cap, params, fl.constant_one(), st1, st1, grid.x)
+    with pytest.raises(InstabilityError, match="dt_max"):
+        _simulate_from(unit_kernel, np.zeros(grid.n), 1.5 * cap, grid)
 
 
-def test_step_aborts_on_real_undershoot(unit_kernel):
-    params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2)
+@pytest.mark.parametrize("dt", [0.0, -0.01, np.nan])
+def test_simulate_rejects_nonpositive_dt(unit_kernel, dt):
     grid = fl.grid_from_spacing(-5, 5, 1 / 8)
-    st1 = unit_kernel.discretize(grid.dx)
-    state = fl.State(t=0.0, u=np.full(grid.n, -5e-10), v=np.zeros(grid.n))
-    with pytest.raises(InstabilityError):
-        fl.step(state, 0.01, params, fl.constant_one(), st1, st1, grid.x)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        _simulate_from(unit_kernel, np.zeros(grid.n), dt, grid)
+
+
+def test_simulate_aborts_on_real_undershoot(unit_kernel):
+    grid = fl.grid_from_spacing(-5, 5, 1 / 8)
+    with pytest.raises(InstabilityError, match="undershoot"):
+        _simulate_from(unit_kernel, np.full(grid.n, -5e-10), 0.01, grid)
 
 
 def test_clamp_undershoot_thresholds():
@@ -144,15 +153,23 @@ def test_clamp_undershoot_thresholds():
     assert arr[1] == 0.0 and arr[0] == 0.2
 
 
-def test_step_rejects_nan_state(unit_kernel):
-    params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2)
+def test_simulate_rejects_nan_state(unit_kernel):
     grid = fl.grid_from_spacing(-5, 5, 1 / 8)
-    st1 = unit_kernel.discretize(grid.dx)
     u = np.zeros(grid.n)
     u[3] = np.nan
-    state = fl.State(t=0.0, u=u, v=np.zeros(grid.n))
     with pytest.raises(NumericFailureError):
-        fl.step(state, 0.01, params, fl.constant_one(), st1, st1, grid.x)
+        _simulate_from(unit_kernel, u, 0.01, grid)
+
+
+def test_simulate_h_worst_records_pre_clamp_minimum(unit_kernel):
+    # an isolated roundoff-scale negative grows for one step before the clamp removes it
+    grid = fl.grid_from_spacing(-5, 5, 1 / 8)
+    u = np.zeros(grid.n)
+    u[40] = -1e-12
+    traj = _simulate_from(unit_kernel, u, 0.01, grid)
+    assert traj.diagnostics["h_worst"]["u_min"] < -1e-12
+    assert traj.diagnostics["h_invariant_ok"]
+    assert np.all(traj.u[1:] >= 0.0)
 
 
 def test_step_uniform_logistic_matches_closed_form(unit_kernel):
@@ -161,14 +178,15 @@ def test_step_uniform_logistic_matches_closed_form(unit_kernel):
     grid = fl.grid_from_spacing(-30, 30, 1 / 8)
     st1 = unit_kernel.discretize(grid.dx)
     u0 = 0.2
-    state = fl.State(t=0.0, u=np.full(grid.n, u0), v=np.zeros(grid.n))
+    u, v = np.full(grid.n, u0), np.zeros(grid.n)
+    ones = np.ones(grid.n)
     dt = 0.03
     for _ in range(100):
-        state = fl.step(state, dt, params, fl.constant_one(), st1, st1, grid.x)
-    t = state.t
+        u, v = fl.step(u, v, dt, (ones, ones, ones), params, st1, st1)
+    t = 100 * dt
     exact = u0 / (u0 + (1.0 - u0) * np.exp(-params.r1 * t))
     mid = grid.n // 2
-    assert state.u[mid] == pytest.approx(exact, abs=1e-6)
+    assert u[mid] == pytest.approx(exact, abs=1e-6)
 
 
 def test_step_richardson_order(unit_kernel):
@@ -177,23 +195,20 @@ def test_step_richardson_order(unit_kernel):
     profile = fl.logistic(A=0.5, L=1.0)
     grid = fl.grid_from_spacing(-15, 15, 1 / 8)
     st1 = unit_kernel.discretize(grid.dx)
-    state = fl.State(t=0.0,
-                     u=sample_bump(fl.BumpSpec(0.0, 3.0, 0.6), grid.x),
-                     v=sample_bump(fl.BumpSpec(0.0, 2.0, 0.3), grid.x))
+
+    def advance(u, v, t0, dt, n):
+        for k in range(n):
+            t = t0 + k * dt
+            alphas = tuple(profile.alpha_shifted(grid.x, t + f * dt, params.s)
+                           for f in (0.0, 0.5, 1.0))
+            u, v = fl.step(u, v, dt, alphas, params, st1, st1)
+        return u, v
+
     # warm up so the field is smooth and generic
-    for _ in range(10):
-        state = fl.step(state, 0.02, params, profile, st1, st1, grid.x)
-
-    def advance(s0, dt, n):
-        s = s0
-        for _ in range(n):
-            s = fl.step(s, dt, params, profile, st1, st1, grid.x)
-        return np.concatenate([s.u, s.v])
-
+    u, v = advance(sample_bump(fl.BumpSpec(0.0, 3.0, 0.6), grid.x),
+                   sample_bump(fl.BumpSpec(0.0, 2.0, 0.3), grid.x), 0.0, 0.02, 10)
     dt = 0.03
-    coarse = advance(state, dt, 1)
-    medium = advance(state, dt / 2, 2)
-    fine = advance(state, dt / 4, 4)
+    coarse, medium, fine = (np.concatenate(advance(u, v, 0.2, dt / n, n)) for n in (1, 2, 4))
     ratio = np.max(np.abs(coarse - medium)) / np.max(np.abs(medium - fine))
     assert 13.0 <= ratio <= 19.0
 
@@ -218,6 +233,15 @@ def test_make_initial_height_limits():
     with pytest.raises(InvariantViolationError):
         fl.make_initial(fl.BumpSpec(0.0, 2.0, 1.5), fl.BumpSpec(0.0, 2.0, 0.0),
                         grid, params)
+
+
+def test_make_initial_rejects_nan_array():
+    params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2)
+    grid = fl.grid_from_spacing(-5, 5, 0.1)
+    zeros, nans = np.zeros(grid.n), np.full(grid.n, np.nan)
+    for u0, v0 in ((nans, zeros), (zeros, nans)):
+        with pytest.raises(InvariantViolationError):
+            fl.make_initial(u0, v0, grid, params)
 
 
 def test_make_initial_empty_support():
@@ -260,7 +284,7 @@ def test_simulate_translation_equivariance(unit_kernel):
     grid = fl.grid_from_spacing(-20, 20, 1 / 8)
     base = fl.make_initial(fl.BumpSpec(0.0, 2.0, 0.5), fl.BumpSpec(0.0, 1.5, 0.4),
                            grid, params)
-    shifted = fl.State(t=0.0, u=np.roll(base.u, 1), v=np.roll(base.v, 1))
+    shifted = fl.State(u=np.roll(base.u, 1), v=np.roll(base.v, 1))
     kw = dict(dt=0.02, t_final=3.0, snapshot_stride=25, boundary_monitor="none")
     ta = fl.simulate(params, fl.constant_one(), unit_kernel, unit_kernel, grid, base, **kw)
     tb = fl.simulate(params, fl.constant_one(), unit_kernel, unit_kernel, grid, shifted, **kw)
@@ -323,24 +347,50 @@ def test_simulate_boundary_warning_flag(unit_kernel):
 
 @pytest.mark.parametrize("stride", [7, 165, 1000])
 def test_simulate_snapshot_rows_for_any_stride(unit_kernel, stride):
-    # t_final = 3.3 in 165 steps of 0.02: 165 * (3.3 / 165) != 3.3 in floating point
-    params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2)
+    # t_final = 3.3 in 165 steps of 0.02: 165 * (3.3 / 165) != 3.3 in floating point;
+    # the shifting habitat makes every row depend on the stage times
+    grid = fl.grid_from_spacing(-15, 15, 1 / 8)
+    cases = ((fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2), fl.constant_one()),
+             (fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2, s=0.3), fl.logistic(A=0.5, L=1.0)))
+    for params, profile in cases:
+        init = fl.make_initial(fl.BumpSpec(0.0, 2.0, 0.5), fl.BumpSpec(0.0, 1.5, 0.4),
+                               grid, params)
+        kw = dict(dt=0.02, t_final=3.3, boundary_monitor="none")
+        every = fl.simulate(params, profile, unit_kernel, unit_kernel, grid, init,
+                            snapshot_stride=1, **kw)
+        traj = fl.simulate(params, profile, unit_kernel, unit_kernel, grid, init,
+                           snapshot_stride=stride, **kw)
+        n_steps = traj.diagnostics["n_steps"]
+        assert n_steps == 165
+        rows = 1 + -(-n_steps // stride)
+        assert traj.times.shape == (rows,)
+        assert traj.u.shape == traj.v.shape == (rows, grid.n)
+        assert traj.times[-1] == 3.3 and traj.t_final == 3.3
+        # every row is the stride-1 snapshot of the same step
+        steps = list(range(0, n_steps, stride)) + [n_steps]
+        assert np.array_equal(traj.times, every.times[steps])
+        assert np.array_equal(traj.u, every.u[steps])
+        assert np.array_equal(traj.v, every.v[steps])
+
+
+def test_simulate_reads_habitat_once_per_stage_time(unit_kernel, monkeypatch):
+    times = []
+    alpha_shifted = fl.HabitatProfile.alpha_shifted
+
+    def counting(self, x, t, s):
+        times.append(t)
+        return alpha_shifted(self, x, t, s)
+
+    monkeypatch.setattr(fl.HabitatProfile, "alpha_shifted", counting)
+    params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2, s=0.3)
     grid = fl.grid_from_spacing(-15, 15, 1 / 8)
     init = fl.make_initial(fl.BumpSpec(0.0, 2.0, 0.5), fl.BumpSpec(0.0, 1.5, 0.4),
                            grid, params)
-    kw = dict(dt=0.02, t_final=3.3, boundary_monitor="none")
-    every = fl.simulate(params, fl.constant_one(), unit_kernel, unit_kernel, grid, init,
-                        snapshot_stride=1, **kw)
-    traj = fl.simulate(params, fl.constant_one(), unit_kernel, unit_kernel, grid, init,
-                       snapshot_stride=stride, **kw)
-    n_steps = traj.diagnostics["n_steps"]
-    assert n_steps == 165
-    rows = 1 + -(-n_steps // stride)
-    assert traj.times.shape == (rows,)
-    assert traj.u.shape == traj.v.shape == (rows, grid.n)
-    assert traj.times[-1] == 3.3 and traj.t_final == 3.3
-    # every row is the stride-1 snapshot of the same step
-    steps = list(range(0, n_steps, stride)) + [n_steps]
-    assert np.array_equal(traj.times, every.times[steps])
-    assert np.array_equal(traj.u, every.u[steps])
-    assert np.array_equal(traj.v, every.v[steps])
+    traj = fl.simulate(params, fl.logistic(A=0.5, L=1.0), unit_kernel, unit_kernel, grid,
+                       init, dt=0.02, t_final=3.3, snapshot_stride=10,
+                       boundary_monitor="none")
+    n, h = traj.diagnostics["n_steps"], traj.diagnostics["dt_used"]
+    assert len(times) == 2 * n + 1
+    # step starts from the step index, the last end at t_final exactly
+    assert times[0::2] == [k * h for k in range(n)] + [3.3]
+    assert times[1::2] == [k * h + 0.5 * h for k in range(n)]

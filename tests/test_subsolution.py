@@ -184,7 +184,7 @@ def test_simulation_stays_above_wave(bench, unit_kernel):
     grid = fl.grid_from_spacing(-p.window - 8.0, p.window + 8.0, 1.0 / 16.0)
     x = grid.x
     u0 = fl.wave_profile(p, params, x, 0.0)
-    init = fl.State(t=0.0, u=u0.copy(), v=np.zeros_like(u0))
+    init = fl.State(u=u0.copy(), v=np.zeros_like(u0))
     traj = fl.simulate(params, prof, unit_kernel, unit_kernel, grid, init,
                        dt=fl.dt_max(params, prof.alpha_bar), t_final=5.0,
                        snapshot_stride=5, boundary_monitor="none")
