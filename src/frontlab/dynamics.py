@@ -16,6 +16,7 @@ the record of the invariant box 0 <= u <= 1, 0 <= v <= b-1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,7 +257,9 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
     cap = dt_max(params, profile.alpha_bar)
     if dt_used > cap * (1.0 + 1e-12):
         raise InstabilityError(f"dt={dt_used:g} exceeds the stability bound dt_max={cap:g}")
-    stride = max(1, int(snapshot_stride))
+    if not (isinstance(snapshot_stride, numbers.Integral) and snapshot_stride >= 1):
+        raise ValueError(f"snapshot_stride must be an integer >= 1, got {snapshot_stride!r}")
+    stride = int(snapshot_stride)
 
     times = np.zeros(1 + (n_steps + stride - 1) // stride)
     us, vs = np.empty((2, times.size, grid.n))

@@ -8,51 +8,88 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 from .. import habitat as habitat_mod
 from ..dynamics import BumpSpec, Grid, Params, dt_max, grid_from_spacing, step_count
 from ..errors import ConfigError
-from ..habitat import HabitatProfile, HabitatValidation
+from ..habitat import HabitatProfile
 from ..hypotheses import HypothesisReport, check_hypotheses
-from ..kernels import (Kernel, load_tabulated, raised_cosine, smooth_bump)
+from ..kernels import Kernel, load_tabulated, raised_cosine, smooth_bump
 from ..observers import FrameBandSpec, ahead_band, theorem_band
-from ..speeds import SystemSpeeds, prey_speed
+from ..speeds import SpeedResult, SystemSpeeds, prey_speed
 from .csvio import fmt
 
-# key -> type tag; "afloat" accepts a float or the literal "auto".
-_SCHEMA: dict[str, str] = {
-    "params.d1": "float", "params.d2": "float",
-    "params.r1": "float", "params.r2": "float",
-    "params.a": "float", "params.b": "float", "params.s": "float",
-    "kernel1.family": "str", "kernel1.radius": "float", "kernel1.file": "str",
-    "kernel2.family": "str", "kernel2.radius": "float", "kernel2.file": "str",
-    "habitat.family": "str", "habitat.A": "float", "habitat.L": "float",
-    "grid.x_min": "afloat", "grid.x_max": "afloat",
-    "grid.dx": "afloat", "grid.margin": "afloat",
-    "initial.u_center": "float", "initial.u_half_width": "float",
-    "initial.u_height": "float",
-    "initial.v_center": "float", "initial.v_half_width": "float",
-    "initial.v_height": "afloat",
-    "solver.dt": "afloat", "solver.t_final": "float",
-    "solver.snapshot_stride": "aint", "solver.boundary_monitor": "str",
-    "band.eta": "afloat", "band.epsilon": "float",
-    "band.t_window": "float", "band.two_sided": "bool", "band.mode": "str",
-    "observer.theta": "float", "observer.window_fraction": "float",
-    "observer.side": "str",
-    "subsolution.c": "afloat", "subsolution.delta1": "float",
-    "subsolution.delta2": "float", "subsolution.rate_offset": "float",
-    "subsolution.amplitude": "afloat", "subsolution.window": "afloat",
-    "subsolution.t_check": "float",
-    "subsolution.n_space": "int", "subsolution.n_time": "int",
+_POSITIVE = ("positive and finite", lambda x: 0.0 < x < math.inf)
+_NONNEGATIVE = ("nonnegative and finite", lambda x: 0.0 <= x < math.inf)
+_FINITE = ("finite", math.isfinite)
+_FRACTION = ("in (0, 1]", lambda x: 0.0 < x <= 1.0)
+_COUNT = ("an integer >= 1", lambda n: n >= 1)
+_ANY = ("any value", lambda v: True)
+
+
+def _one_of(*choices: str) -> tuple:
+    return "one of " + "/".join(choices), lambda v: v in choices
+
+
+_KERNEL_FAMILY = _one_of("raised_cosine", "smooth_bump", "tabulated")
+
+# key -> (kind, default, need, ok), in echo order.  A default of None marks
+# a required key; ``ok`` checks every value the user gives except "auto",
+# and ``need`` says what it requires.  Kinds "afloat" and "aint" accept a
+# number or the literal "auto", which parsing resolves.
+_KEYS: dict[str, tuple] = {
+    "params.d1": ("float", None, *_POSITIVE),
+    "params.d2": ("float", None, *_POSITIVE),
+    "params.r1": ("float", None, *_POSITIVE),
+    "params.r2": ("float", None, *_POSITIVE),
+    "params.a": ("float", None, *_POSITIVE),
+    "params.b": ("float", None, *_POSITIVE),
+    "params.s": ("float", 0.0, *_NONNEGATIVE),
+    "kernel1.family": ("str", "raised_cosine", *_KERNEL_FAMILY),
+    "kernel1.radius": ("float", 1.0, *_POSITIVE),
+    "kernel1.file": ("str", "", *_ANY),
+    "kernel2.family": ("str", "raised_cosine", *_KERNEL_FAMILY),
+    "kernel2.radius": ("float", 1.0, *_POSITIVE),
+    "kernel2.file": ("str", "", *_ANY),
+    "habitat.family": ("str", "logistic",
+                       *_one_of("logistic", "piecewise_linear", "constant_one")),
+    "habitat.A": ("float", 0.5, *_POSITIVE),
+    "habitat.L": ("float", 2.0, *_POSITIVE),
+    "grid.x_min": ("afloat", "auto", *_FINITE),
+    "grid.x_max": ("afloat", "auto", *_FINITE),
+    "grid.dx": ("afloat", "auto", *_POSITIVE),
+    "grid.margin": ("afloat", "auto", *_NONNEGATIVE),
+    "initial.u_center": ("float", 0.0, *_FINITE),
+    "initial.u_half_width": ("float", 5.0, *_POSITIVE),
+    "initial.u_height": ("float", 0.5, "in [0, 1]", lambda x: 0.0 <= x <= 1.0),
+    "initial.v_center": ("float", 0.0, *_FINITE),
+    "initial.v_half_width": ("float", 5.0, *_POSITIVE),
+    "initial.v_height": ("afloat", "auto", *_NONNEGATIVE),
+    "solver.dt": ("afloat", "auto", *_POSITIVE),
+    "solver.t_final": ("float", 100.0, *_POSITIVE),
+    "solver.snapshot_stride": ("aint", "auto", *_COUNT),
+    "solver.boundary_monitor": ("str", "both", *_one_of("both", "left", "right", "none")),
+    "band.eta": ("afloat", "auto", *_POSITIVE),
+    "band.epsilon": ("float", 1e-2, *_POSITIVE),
+    "band.t_window": ("float", 0.5, *_FRACTION),
+    "band.two_sided": ("bool", False, *_ANY),
+    "band.mode": ("str", "auto", *_one_of("auto", "theorem", "ahead", "none")),
+    "observer.theta": ("float", 0.1, "in (0, 1)", lambda x: 0.0 < x < 1.0),
+    "observer.window_fraction": ("float", 0.5, *_FRACTION),
+    "observer.side": ("str", "right", *_one_of("left", "right")),
+    "subsolution.c": ("afloat", "auto", *_POSITIVE),
+    "subsolution.delta1": ("float", 0.05, *_POSITIVE),
+    "subsolution.delta2": ("float", 0.05, *_POSITIVE),
+    "subsolution.rate_offset": ("float", 0.01, *_POSITIVE),
+    "subsolution.amplitude": ("afloat", "auto", *_POSITIVE),
+    "subsolution.window": ("afloat", "auto", *_POSITIVE),
+    "subsolution.t_check": ("float", 10.0, *_POSITIVE),
+    "subsolution.n_space": ("int", 512, *_COUNT),
+    "subsolution.n_time": ("int", 64, *_COUNT),
 }
-
-_REQUIRED = ("params.d1", "params.d2", "params.r1", "params.r2",
-             "params.a", "params.b")
-
-# Fixed echo order; every key appears exactly once.
-_ECHO_ORDER = list(_SCHEMA)
 
 _SWEEP_AXES = {
     "s": "params.s", "a": "params.a", "b": "params.b",
@@ -61,7 +98,7 @@ _SWEEP_AXES = {
 
 
 def _parse_value(key: str, raw: str):
-    kind = _SCHEMA[key]
+    kind = _KEYS[key][0]
     raw = raw.strip()
     try:
         if kind == "float":
@@ -96,8 +133,9 @@ class ExperimentConfig:
     kernel1: Kernel
     kernel2: Kernel
     profile: HabitatProfile
-    habitat_validation: HabitatValidation
+    hypotheses: HypothesisReport
     speeds: SystemSpeeds | None
+    prey: SpeedResult | None   # the prey speed alone, when b <= 1 leaves no speeds
     grid: Grid
     u_spec: BumpSpec
     v_spec: BumpSpec
@@ -109,37 +147,30 @@ class ExperimentConfig:
     theta: float
     window_fraction: float
     side: str
-    hypotheses: HypothesisReport | None = field(repr=False, default=None)
 
 
 def _build_kernel(values: dict, prefix: str) -> Kernel:
     family = values[f"{prefix}.family"]
-    if family == "raised_cosine":
-        return raised_cosine(values[f"{prefix}.radius"])
-    if family == "smooth_bump":
-        return smooth_bump(values[f"{prefix}.radius"])
     if family == "tabulated":
         path = values[f"{prefix}.file"]
         if not path:
             raise ConfigError(f"{prefix}.file is required for a tabulated kernel")
         return load_tabulated(path)
-    raise ConfigError(f"unknown kernel family for {prefix}: {family!r}")
+    make = raised_cosine if family == "raised_cosine" else smooth_bump
+    return make(values[f"{prefix}.radius"])
 
 
 def _build_profile(values: dict) -> HabitatProfile:
     family = values["habitat.family"]
-    if family == "logistic":
-        return habitat_mod.logistic(values["habitat.A"], values["habitat.L"])
-    if family == "piecewise_linear":
-        return habitat_mod.piecewise_linear(values["habitat.A"], values["habitat.L"])
     if family == "constant_one":
         return habitat_mod.constant_one()
-    raise ConfigError(f"unknown habitat family: {family!r}")
+    make = habitat_mod.logistic if family == "logistic" else habitat_mod.piecewise_linear
+    return make(values["habitat.A"], values["habitat.L"])
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse, fill defaults, validate, and build all model objects."""
-    values: dict = {}
+    given: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -148,86 +179,28 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'section.key = value', got {raw!r}")
         key, _, rhs = line.partition("=")
         key = key.strip()
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"unknown configuration key: {key!r}")
-        values[key] = _parse_value(key, rhs)
+        given[key] = _parse_value(key, rhs)
 
-    for key in _REQUIRED:
-        if key not in values:
-            raise ConfigError(f"missing required key: {key}")
+    values: dict = {}
+    for key, (kind, default, need, ok) in _KEYS.items():
+        if key not in given:
+            if default is None:
+                raise ConfigError(f"missing required key: {key}")
+            values[key] = default
+            continue
+        value = values[key] = given[key]
+        if not (value == "auto" and kind in ("afloat", "aint")) and not ok(value):
+            raise ConfigError(f"{key} must be {need}, got {fmt(value)}")
 
-    # Section defaults that need no model information.
-    values.setdefault("params.s", 0.0)
-    values.setdefault("kernel1.family", "raised_cosine")
-    values.setdefault("kernel1.radius", 1.0)
-    values.setdefault("kernel1.file", "")
-    values.setdefault("kernel2.family", "raised_cosine")
-    values.setdefault("kernel2.radius", 1.0)
-    values.setdefault("kernel2.file", "")
-    values.setdefault("habitat.family", "logistic")
-    values.setdefault("habitat.A", 0.5)
-    values.setdefault("habitat.L", 2.0)
-    values.setdefault("grid.x_min", "auto")
-    values.setdefault("grid.x_max", "auto")
-    values.setdefault("grid.dx", "auto")
-    values.setdefault("grid.margin", "auto")
-    values.setdefault("solver.t_final", 100.0)
-    values.setdefault("solver.dt", "auto")
-    values.setdefault("solver.snapshot_stride", "auto")
-    values.setdefault("solver.boundary_monitor", "both")
-    values.setdefault("band.eta", "auto")
-    values.setdefault("band.epsilon", 1e-2)
-    values.setdefault("band.t_window", 0.5)
-    values.setdefault("band.two_sided", False)
-    values.setdefault("band.mode", "auto")
-    values.setdefault("observer.theta", 0.1)
-    values.setdefault("observer.window_fraction", 0.5)
-    values.setdefault("observer.side", "right")
-    values.setdefault("initial.u_center", 0.0)
-    values.setdefault("initial.u_half_width", 5.0)
-    values.setdefault("initial.u_height", 0.5)
-    values.setdefault("initial.v_center", 0.0)
-    values.setdefault("initial.v_half_width", 5.0)
-    values.setdefault("initial.v_height", "auto")
-    values.setdefault("subsolution.delta1", 0.05)
-    values.setdefault("subsolution.delta2", 0.05)
-    values.setdefault("subsolution.rate_offset", 0.01)
-    values.setdefault("subsolution.amplitude", "auto")
-    values.setdefault("subsolution.window", "auto")
-    values.setdefault("subsolution.c", "auto")
-    values.setdefault("subsolution.t_check", 10.0)
-    values.setdefault("subsolution.n_space", 512)
-    values.setdefault("subsolution.n_time", 64)
-    for key, ok, need in (
-            ("observer.theta", 0.0 < values["observer.theta"] < 1.0, "in (0, 1)"),
-            ("observer.side", values["observer.side"] in ("left", "right"), "left or right"),
-            ("observer.window_fraction", 0.0 < values["observer.window_fraction"] <= 1.0,
-             "in (0, 1]"),
-            ("subsolution.n_space", values["subsolution.n_space"] >= 1, ">= 1"),
-            ("subsolution.n_time", values["subsolution.n_time"] >= 1, ">= 1"),
-            ("initial.u_half_width", values["initial.u_half_width"] > 0.0, "positive"),
-            ("initial.v_half_width", values["initial.v_half_width"] > 0.0, "positive"),
-            ("solver.t_final", values["solver.t_final"] > 0.0, "positive"),
-            ("solver.boundary_monitor", values["solver.boundary_monitor"] in
-             ("both", "left", "right", "none"), "both/left/right/none"),
-            ("band.mode", values["band.mode"] in ("auto", "theorem", "ahead", "none"),
-             "auto/theorem/ahead/none")):
-        if not ok:
-            raise ConfigError(f"{key} must be {need}, got {fmt(values[key])}")
-
-    try:
-        params = Params(d1=values["params.d1"], d2=values["params.d2"],
-                        r1=values["params.r1"], r2=values["params.r2"],
-                        a=values["params.a"], b=values["params.b"],
-                        s=values["params.s"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = Params(d1=values["params.d1"], d2=values["params.d2"],
+                    r1=values["params.r1"], r2=values["params.r2"],
+                    a=values["params.a"], b=values["params.b"], s=values["params.s"])
     kernel1 = _build_kernel(values, "kernel1")
     kernel2 = _build_kernel(values, "kernel2")
     profile = _build_profile(values)
-    hval = habitat_mod.validate(profile)
-
-    hypotheses = check_hypotheses(params, profile, kernel1, kernel2, habitat_validation=hval)
+    hypotheses = check_hypotheses(params, profile, kernel1, kernel2)
     sp = hypotheses.speeds
 
     if values["initial.v_height"] == "auto":
@@ -248,11 +221,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
             f"grid.dx={dx:g} too coarse: the resolution floor is min kernel radius / 8 = {r_min / 8.0:g}")
 
     t_final = values["solver.t_final"]
+    prey = None
     if sp is not None:
         fast = max(sp.s_star, sp.s_lower_star, params.s)
         base_speed = sp.s_underline
     else:
-        fast = max(prey_speed(params, kernel1).speed, params.s)
+        prey = prey_speed(params, kernel1)
+        fast = max(prey.speed, params.s)
         base_speed = fast
     if values["grid.margin"] == "auto":
         values["grid.margin"] = fast - base_speed + 0.05
@@ -274,20 +249,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
             f"grid.x_min={values['grid.x_min']:g} too large: need x_min <= {required_x_min:.6g}")
     grid = grid_from_spacing(values["grid.x_min"], values["grid.x_max"], dx)
 
-    cap = dt_max(params, hval.alpha_bar)
+    cap = dt_max(params, hypotheses.habitat.alpha_bar)
     if values["solver.dt"] == "auto":
         values["solver.dt"] = cap
     dt = values["solver.dt"]
     if dt > cap * (1.0 + 1e-12):
         raise ConfigError(f"solver.dt={dt:g} exceeds the stability bound dt_max={cap:.6g}")
-    if not dt > 0.0:
-        raise ConfigError("solver.dt must be positive")
     if values["solver.snapshot_stride"] == "auto":
         values["solver.snapshot_stride"] = max(1, step_count(t_final, dt) // 200)
-    stride = values["solver.snapshot_stride"]
-    if stride < 1:
-        raise ConfigError("solver.snapshot_stride must be a positive integer")
-    monitor = values["solver.boundary_monitor"]
 
     # Frame band: theorem band between s and the slower speed when it
     # exists, probe band ahead of the front otherwise.
@@ -311,15 +280,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if values["subsolution.c"] == "auto" and sp is not None:
         values["subsolution.c"] = 0.5 * (params.s + sp.s_underline)
 
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         values=values, raw_text=text, params=params, kernel1=kernel1, kernel2=kernel2,
-        profile=profile, habitat_validation=hval, speeds=sp, grid=grid,
+        profile=profile, hypotheses=hypotheses, speeds=sp, prey=prey, grid=grid,
         u_spec=u_spec, v_spec=v_spec, dt=dt, t_final=t_final,
-        snapshot_stride=stride, boundary_monitor=monitor, band=band,
+        snapshot_stride=values["solver.snapshot_stride"],
+        boundary_monitor=values["solver.boundary_monitor"], band=band,
         theta=values["observer.theta"], window_fraction=values["observer.window_fraction"],
-        side=values["observer.side"], hypotheses=hypotheses,
+        side=values["observer.side"],
     )
-    return cfg
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -333,9 +302,7 @@ def echo_config(cfg: ExperimentConfig) -> str:
     """Serialize the resolved configuration; parsing it back is identity."""
     lines = ["# resolved experiment configuration (all defaults explicit)"]
     section = None
-    for key in _ECHO_ORDER:
-        if key not in cfg.values:
-            continue
+    for key in _KEYS:
         sec = key.split(".", 1)[0]
         if sec != section:
             lines.append("")
@@ -347,7 +314,7 @@ def echo_config(cfg: ExperimentConfig) -> str:
 
 def override_config_text(text: str, key: str, value) -> str:
     """Replace (or append) one key in raw config text."""
-    if key not in _SCHEMA:
+    if key not in _KEYS:
         raise ConfigError(f"unknown configuration key: {key!r}")
     out = []
     replaced = False

@@ -26,9 +26,7 @@ SWEEP_HEADER = ("value,s_star,s_lower_star,s_underline,"
 def speeds_row(cfg: ExperimentConfig) -> tuple:
     sp = cfg.speeds
     if sp is None:
-        from ..speeds import prey_speed
-        pr = prey_speed(cfg.params, cfg.kernel1)
-        return (pr.speed, pr.rate, float("nan"), float("nan"), float("nan"))
+        return (cfg.prey.speed, cfg.prey.rate, float("nan"), float("nan"), float("nan"))
     return (sp.s_star, sp.rate1, sp.s_lower_star, sp.rate2, sp.s_underline)
 
 

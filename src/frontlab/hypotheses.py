@@ -36,7 +36,9 @@ class HypothesisReport:
     k1: float
     k2: float
     k: float
-    margins: dict
+    h1_margin: float
+    s_margin: float
+    alpha_margin: float
     speeds: SystemSpeeds | None
     habitat: HabitatValidation
 
@@ -47,19 +49,18 @@ class HypothesisReport:
     def rows(self) -> list[tuple[str, float, bool]]:
         """(clause, margin, ok) rows in a fixed order for reporting."""
         return [
-            ("h1_b_gt_1", self.margins["h1"], self.h1_ok),
+            ("h1_b_gt_1", self.h1_margin, self.h1_ok),
             ("d1_inequality", self.k1, self.d1_ok),
             ("d2_inequality", self.k2, self.d2_ok),
-            ("shift_below_speeds", self.margins["s"], self.s_ok),
-            ("habitat_assumptions", self.margins["alpha"], self.alpha_ok),
+            ("shift_below_speeds", self.s_margin, self.s_ok),
+            ("habitat_assumptions", self.alpha_margin, self.alpha_ok),
             ("k_min_constant", self.k, self.k > 0.0),
         ]
 
 
-def check_hypotheses(params: Params, profile, kernel1: Kernel, kernel2: Kernel,
-                     habitat_validation: HabitatValidation | None = None) -> HypothesisReport:
+def check_hypotheses(params: Params, profile, kernel1: Kernel, kernel2: Kernel) -> HypothesisReport:
     """Report-style check; never raises on a failed hypothesis."""
-    hv = habitat_validation if habitat_validation is not None else validate_habitat(profile)
+    hv = validate_habitat(profile)
     abar = hv.alpha_bar
     p = params
     k1 = p.d1 - p.r1 * abar - p.r1 * p.a / 2.0 - p.r2 * p.b * (p.b - 1.0) / 2.0
@@ -75,8 +76,6 @@ def check_hypotheses(params: Params, profile, kernel1: Kernel, kernel2: Kernel,
         sp = None
         s_margin = float("nan")
     alpha_margin = min(hv.slacks.values())
-
-    margins = {"h1": h1_margin, "d1": k1, "d2": k2, "s": s_margin, "alpha": alpha_margin}
     return HypothesisReport(
         h1_ok=h1_margin > 0.0,
         d1_ok=k1 > 0.0,
@@ -86,7 +85,9 @@ def check_hypotheses(params: Params, profile, kernel1: Kernel, kernel2: Kernel,
         k1=k1,
         k2=k2,
         k=k,
-        margins=margins,
+        h1_margin=h1_margin,
+        s_margin=s_margin,
+        alpha_margin=alpha_margin,
         speeds=sp,
         habitat=hv,
     )

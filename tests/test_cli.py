@@ -97,6 +97,15 @@ def test_sweep_subcommand(cfg_file, tmp_path):
     assert len([l for l in lines if l and not l.startswith(("value", "bundle"))]) == 2
 
 
+def test_out_of_range_key_fails_cleanly(tmp_path):
+    bad = tmp_path / "coarse.cfg"
+    bad.write_text(CFG + "grid.dx = 0\n")
+    proc = run_cli("speeds", str(bad))
+    assert proc.returncode == 1
+    assert "grid.dx" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_runtime_error_exit_code(tmp_path):
     bad = tmp_path / "broken.cfg"
     bad.write_text("params.d1 = 1.0\nparams.nope = 2\n")

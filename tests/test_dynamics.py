@@ -140,6 +140,16 @@ def test_simulate_rejects_nonpositive_dt(unit_kernel, dt):
         _simulate_from(unit_kernel, np.zeros(grid.n), dt, grid)
 
 
+@pytest.mark.parametrize("stride", [0, -3, 2.7])
+def test_simulate_rejects_bad_snapshot_stride(unit_kernel, stride):
+    params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2)
+    grid = fl.grid_from_spacing(-5, 5, 1 / 8)
+    init = fl.State(u=np.zeros(grid.n), v=np.zeros(grid.n))
+    with pytest.raises(ValueError, match="snapshot_stride"):
+        fl.simulate(params, fl.constant_one(), unit_kernel, unit_kernel, grid, init,
+                    dt=0.01, t_final=0.1, snapshot_stride=stride, boundary_monitor="none")
+
+
 def test_simulate_aborts_on_real_undershoot(unit_kernel):
     grid = fl.grid_from_spacing(-5, 5, 1 / 8)
     with pytest.raises(InstabilityError, match="undershoot"):

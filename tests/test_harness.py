@@ -5,6 +5,8 @@ import pytest
 import frontlab as fl
 import frontlab.harness as H
 from frontlab.errors import ConfigError
+from frontlab.harness import config, runner
+from frontlab.harness.csvio import fmt
 
 MINIMAL = """
 params.d1 = 1.0
@@ -15,12 +17,99 @@ params.a = 0.5
 params.b = 1.5
 """
 
+# The echo of MINIMAL, pinned as text: all 47 keys, their defaults and their order.
+MINIMAL_ECHO = """# resolved experiment configuration (all defaults explicit)
+
+# [params]
+params.d1 = 1
+params.d2 = 1
+params.r1 = 0.5
+params.r2 = 0.40000000000000002
+params.a = 0.5
+params.b = 1.5
+params.s = 0
+
+# [kernel1]
+kernel1.family = raised_cosine
+kernel1.radius = 1
+kernel1.file =\x20
+
+# [kernel2]
+kernel2.family = raised_cosine
+kernel2.radius = 1
+kernel2.file =\x20
+
+# [habitat]
+habitat.family = logistic
+habitat.A = 0.5
+habitat.L = 2
+
+# [grid]
+grid.x_min = -11
+grid.x_max = 60.019278180554238
+grid.dx = 0.0625
+grid.margin = 0.20336464589817532
+
+# [initial]
+initial.u_center = 0
+initial.u_half_width = 5
+initial.u_height = 0.5
+initial.v_center = 0
+initial.v_half_width = 5
+initial.v_height = 0.25
+
+# [solver]
+solver.dt = 0.060150375939849621
+solver.t_final = 100
+solver.snapshot_stride = 8
+solver.boundary_monitor = both
+
+# [band]
+band.eta = 0.023682813590736707
+band.epsilon = 0.01
+band.t_window = 0.5
+band.two_sided = false
+band.mode = auto
+
+# [observer]
+observer.theta = 0.10000000000000001
+observer.window_fraction = 0.5
+observer.side = right
+
+# [subsolution]
+subsolution.c = 0.11841406795368353
+subsolution.delta1 = 0.050000000000000003
+subsolution.delta2 = 0.050000000000000003
+subsolution.rate_offset = 0.01
+subsolution.amplitude = auto
+subsolution.window = auto
+subsolution.t_check = 10
+subsolution.n_space = 512
+subsolution.n_time = 64
+"""
+
 DESK = MINIMAL + """
 params.s = 0.1
 initial.u_height = 0.5
 initial.v_height = 0.2
 solver.t_final = 30.0
 """
+
+
+def _count_calls(monkeypatch, original) -> list:
+    """Count calls to ``original`` through every frontlab module that binds it by name."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("frontlab"):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
 
 
 def test_minimal_config_defaults():
@@ -31,24 +120,12 @@ def test_minimal_config_defaults():
     assert cfg.values["params.s"] == 0.0
     assert cfg.values["kernel1.family"] == "raised_cosine"
     assert cfg.values["solver.dt"] == pytest.approx(
-        fl.dt_max(cfg.params, cfg.habitat_validation.alpha_bar))
+        fl.dt_max(cfg.params, cfg.hypotheses.habitat.alpha_bar))
     assert cfg.band is not None and cfg.band.kind == "theorem"
 
 
 def test_speeds_computed_once_per_parse(monkeypatch):
-    original = fl.system_speeds
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    # Count calls through every module that bound the function by name.
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("frontlab"):
-            for key, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, key, counted)
+    calls = _count_calls(monkeypatch, fl.system_speeds)
     cfg = H.parse_config_text(MINIMAL)
     assert len(calls) == 1
     assert cfg.hypotheses.speeds is cfg.speeds
@@ -66,7 +143,39 @@ def test_missing_required_key_named():
     assert "params.d2" in str(err.value)
 
 
+def test_minimal_echo_golden():
+    assert H.echo_config(H.parse_config_text(MINIMAL)) == MINIMAL_ECHO
+    assert len(config._KEYS) == 47
+
+
+def test_prey_speed_computed_once_per_weak_predator_config(monkeypatch, tmp_path):
+    text = MINIMAL.replace("params.b = 1.5", "params.b = 0.8") + "solver.t_final = 8.0\n"
+    calls = _count_calls(monkeypatch, fl.min_speed)
+    cfg = H.parse_config_text(text)
+    res = H.run_experiment(cfg, out_dir=tmp_path / "weak")
+    row = runner.sweep_row(0.8, res)
+    assert len(calls) == 1
+    assert cfg.speeds is None
+    assert row[1] == cfg.prey.speed == fl.prey_speed(cfg.params, cfg.kernel1).speed
+    speeds_text = (tmp_path / "weak" / "speeds.csv").read_text().splitlines()[1]
+    assert speeds_text.split(",")[:2] == [fmt(cfg.prey.speed), fmt(cfg.prey.rate)]
+
+
 @pytest.mark.parametrize("key, value", [
+    ("grid.dx", "0"),
+    ("grid.x_max", "nan"),
+    ("initial.u_center", "nan"),
+    ("habitat.A", "-1"),
+    ("habitat.L", "0"),
+    ("grid.margin", "-100"),
+    ("kernel1.radius", "-1"),
+    ("initial.u_height", "2"),
+    ("initial.u_height", "nan"),
+    ("subsolution.delta1", "-1"),
+    ("subsolution.t_check", "-1"),
+    ("solver.snapshot_stride", "0"),
+    ("kernel2.family", "gaussian"),
+    ("habitat.family", "auto"),
     ("observer.theta", "1.5"),
     ("observer.side", "banana"),
     ("observer.window_fraction", "-3"),
@@ -79,6 +188,32 @@ def test_out_of_range_key_rejected_and_named(key, value):
     with pytest.raises(ConfigError) as err:
         H.parse_config_text(DESK + f"{key} = {value}\n")
     assert key in str(err.value)
+
+
+# Candidate values per kind; the table decides which are out of range.
+_CANDIDATES = {"float": ("-1", "0", "1", "2", "-inf", "inf", "nan"),
+               "int": ("-3", "0"), "str": ("banana", "auto"), "bool": ()}
+_CANDIDATES["afloat"], _CANDIDATES["aint"] = _CANDIDATES["float"], _CANDIDATES["int"]
+_UNRANGED = ("kernel1.file", "kernel2.file", "band.two_sided")
+
+
+@pytest.mark.parametrize("key", [k for k in config._KEYS if k not in _UNRANGED])
+def test_every_ranged_key_rejects_out_of_range_values(key):
+    kind, _, need, ok = config._KEYS[key]
+    rejected = [raw for raw in _CANDIDATES[kind] if not ok(config._parse_value(key, raw))]
+    assert rejected, f"no candidate value is out of range for {key}"
+    if kind in ("float", "afloat"):
+        assert {"nan", "inf", "-inf"} <= set(rejected)
+    for raw in rejected:
+        with pytest.raises(ConfigError) as err:
+            H.parse_config_text(DESK + f"{key} = {raw}\n")
+        assert str(err.value).startswith(f"{key} must be {need}, got "), str(err.value)
+
+
+def test_unranged_keys_accept_any_value():
+    cfg = H.parse_config_text(DESK + "kernel2.file = unused.txt\nband.two_sided = true\n")
+    assert cfg.values["kernel2.file"] == "unused.txt"
+    assert cfg.band.two_sided
 
 
 def test_observer_range_edges():

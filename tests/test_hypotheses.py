@@ -20,7 +20,7 @@ def test_h1_boundary(unit_kernel):
     params = fl.Params(d1=1, d2=1, r1=0.5, r2=0.4, a=0.5, b=1.0, s=0.0)
     rep = fl.check_hypotheses(params, fl.logistic(0.5, 1.0), unit_kernel, unit_kernel)
     assert not rep.h1_ok
-    assert rep.margins["h1"] == 0.0
+    assert rep.h1_margin == 0.0
     assert rep.speeds is None
     assert not rep.all_ok
 
@@ -30,7 +30,7 @@ def test_shift_too_fast(bench_params, bench_speeds, unit_kernel):
                        s=2.0 * bench_speeds.s_underline)
     rep = fl.check_hypotheses(params, fl.logistic(0.5, 1.0), unit_kernel, unit_kernel)
     assert not rep.s_ok
-    assert rep.margins["s"] < 0.0
+    assert rep.s_margin < 0.0
 
 
 def test_alpha_bar_uses_habitat_depth(unit_kernel):
@@ -56,9 +56,8 @@ def test_k_positive_iff_both_inequalities(d1, d2, r1, r2, a, b):
     params = fl.Params(d1=d1, d2=d2, r1=r1, r2=r2, a=a, b=b, s=0.0)
     rep = fl.check_hypotheses(params, fl.logistic(0.5, 1.0), kernel, kernel)
     assert (rep.k > 0.0) == (rep.d1_ok and rep.d2_ok)
-    # the margins are exactly the two decay constants
-    assert rep.margins["d1"] == rep.k1
-    assert rep.margins["d2"] == rep.k2
+    # the reported inequality margins are exactly the two decay constants
+    assert [row[1] for row in rep.rows()[1:3]] == [rep.k1, rep.k2]
 
 
 def test_report_rows_fixed_order(bench_params, unit_kernel):
@@ -75,4 +74,5 @@ def test_report_deterministic(bench_params, unit_kernel):
     prof = fl.logistic(0.5, 1.0)
     a = fl.check_hypotheses(bench_params, prof, unit_kernel, unit_kernel)
     b = fl.check_hypotheses(bench_params, prof, unit_kernel, unit_kernel)
-    assert a.margins == b.margins and a.rows() == b.rows()
+    assert a.rows() == b.rows()
+    assert (a.h1_margin, a.s_margin, a.alpha_margin) == (b.h1_margin, b.s_margin, b.alpha_margin)
