@@ -91,6 +91,10 @@ _KEYS: dict[str, tuple] = {
     "subsolution.n_time": ("int", 64, *_COUNT),
 }
 
+# Largest snapshot array (u and v, every snapshot, every grid point) a
+# config may ask a run to preallocate.
+_MAX_SNAPSHOT_VALUES = 2.0 ** 31
+
 _SWEEP_AXES = {
     "s": "params.s", "a": "params.a", "b": "params.b",
     "d1": "params.d1", "d2": "params.d2", "eta": "band.eta",
@@ -203,8 +207,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
     hypotheses = check_hypotheses(params, profile, kernel1, kernel2)
     sp = hypotheses.speeds
 
+    v_cap = max(params.b - 1.0, 0.0)
     if values["initial.v_height"] == "auto":
-        values["initial.v_height"] = min(0.25, max(params.b - 1.0, 0.0) / 2.0)
+        values["initial.v_height"] = min(0.25, v_cap / 2.0)
+    if values["initial.v_height"] > v_cap:
+        raise ConfigError(f"initial.v_height={values['initial.v_height']:g} exceeds the "
+                          f"predator cap max(b - 1, 0) = {v_cap:g}")
     u_spec = BumpSpec(values["initial.u_center"], values["initial.u_half_width"],
                       values["initial.u_height"])
     v_spec = BumpSpec(values["initial.v_center"], values["initial.v_half_width"],
@@ -221,6 +229,21 @@ def parse_config_text(text: str) -> ExperimentConfig:
             f"grid.dx={dx:g} too coarse: the resolution floor is min kernel radius / 8 = {r_min / 8.0:g}")
 
     t_final = values["solver.t_final"]
+    cap = dt_max(params, hypotheses.habitat.alpha_bar)
+    if values["solver.dt"] == "auto":
+        values["solver.dt"] = cap
+    dt = values["solver.dt"]
+    if dt > cap * (1.0 + 1e-12):
+        raise ConfigError(f"solver.dt={dt:g} exceeds the stability bound dt_max={cap:.6g}")
+    if not math.isfinite(t_final / dt):
+        raise ConfigError(f"solver.t_final={t_final:g} is too long: it overflows the step count "
+                          f"at solver.dt={dt:g}")
+    n_steps = step_count(t_final, dt)
+    if values["solver.snapshot_stride"] == "auto":
+        values["solver.snapshot_stride"] = max(1, n_steps // 200)
+    stride = values["solver.snapshot_stride"]
+    n_snapshots = 1 + (n_steps + stride - 1) // stride  # as simulate allocates them
+
     prey = None
     if sp is not None:
         fast = max(sp.s_star, sp.s_lower_star, params.s)
@@ -236,8 +259,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
     support_hi = max(u_spec.center + u_spec.half_width, v_spec.center + v_spec.half_width)
     required_x_max = support_hi + halo + (base_speed + margin) * t_final + 10.0
     required_x_min = support_lo - halo - 5.0
+    if not math.isfinite(required_x_max):
+        raise ConfigError(f"solver.t_final={t_final:g} and grid.margin={margin:g} put the "
+                          "grid horizon at infinity")
+    x_max_origin = ""
     if values["grid.x_max"] == "auto":
         values["grid.x_max"] = required_x_max
+        x_max_origin = " (auto, from solver.t_final and grid.margin)"
     if values["grid.x_min"] == "auto":
         values["grid.x_min"] = required_x_min
     if values["grid.x_max"] < required_x_max - 1e-9:
@@ -247,16 +275,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if values["grid.x_min"] > required_x_min + 1e-9:
         raise ConfigError(
             f"grid.x_min={values['grid.x_min']:g} too large: need x_min <= {required_x_min:.6g}")
+    n_points = (values["grid.x_max"] - values["grid.x_min"]) / dx + 1.0
+    if not 2.0 * n_snapshots * n_points <= _MAX_SNAPSHOT_VALUES:
+        raise ConfigError(
+            f"grid.x_max={values['grid.x_max']:g}{x_max_origin} and grid.dx={dx:g} give "
+            f"{n_points:.4g} grid points; {n_snapshots:.4g} snapshots "
+            f"(solver.snapshot_stride={stride:.4g}) of u and v would hold "
+            f"{2.0 * n_snapshots * n_points:.4g} values, more than 2**31")
     grid = grid_from_spacing(values["grid.x_min"], values["grid.x_max"], dx)
-
-    cap = dt_max(params, hypotheses.habitat.alpha_bar)
-    if values["solver.dt"] == "auto":
-        values["solver.dt"] = cap
-    dt = values["solver.dt"]
-    if dt > cap * (1.0 + 1e-12):
-        raise ConfigError(f"solver.dt={dt:g} exceeds the stability bound dt_max={cap:.6g}")
-    if values["solver.snapshot_stride"] == "auto":
-        values["solver.snapshot_stride"] = max(1, step_count(t_final, dt) // 200)
 
     # Frame band: theorem band between s and the slower speed when it
     # exists, probe band ahead of the front otherwise.

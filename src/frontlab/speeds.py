@@ -1,4 +1,4 @@
-"""Variational spreading speeds by one-dimensional minimization.
+"""Variational spreading speeds as the root of a tangency condition.
 
 For a scalar invasion with dispersal kernel ``J``, diffusion ``d``,
 growth rate ``r``, and carrying level ``k``, the linear spreading speed
@@ -6,26 +6,26 @@ is the infimum over decay rates ``lam > 0`` of
 
     (d * [M(lam) - 1] + r * k) / lam,
 
-where ``M`` is the kernel's moment generating function.  The candidate
-speed is smooth and unimodal on its bracket, so a derivative-free golden
-section search is used after bracketing the minimum by doubling.
+where ``M`` is the kernel's moment generating function.  Its derivative
+vanishes where ``g(lam) = d * (lam*M'(lam) - M(lam) + 1) - r*k`` does.
+``g(0) = -r*k`` and ``g'(lam) = d * lam * M''(lam) > 0``, so for ``k > 0``
+the minimizer is the only root of an increasing function: a bracket
+found by doubling and one bracketing root solve give it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from scipy.optimize import brentq
 
 from .dynamics import Params
 from .errors import BracketFailureError, HypothesisViolationError
-from .kernels import Kernel
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
+from .kernels import Kernel, exp_integral
 
 # Doubling past this ceiling signals a kernel/parameter pathology: the
 # tilted mass grows like exp(lam * R), so real minimizers sit far below.
 _LAMBDA_CEILING_OVER_R = 50.0
-_LAMBDA_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,11 @@ class SpeedProblem:
 
 @dataclass(frozen=True)
 class SpeedResult:
-    """Minimized speed with the minimizing decay rate and search metadata."""
+    """Minimized speed with the minimizing decay rate and its root bracket."""
 
     speed: float
     rate: float | None
     bracket: tuple[float, float]
-    iterations: int
     attained: bool
 
 
@@ -79,68 +78,32 @@ def candidate_speed(problem: SpeedProblem, lam: float) -> float:
     return (problem.d * (m - 1.0) + problem.r * problem.k) / lam
 
 
-def _bracket_minimum(phi, lam0: float, ceiling: float) -> tuple[float, float, float]:
-    """Return (a, mid, b) with phi(mid) <= phi(a), phi(b): a bracket of the minimum."""
-    a = lam0
-    fa = phi(a)
-    b = 2.0 * a
-    fb = phi(b)
-    if fb < fa:
-        # Walk right until the value turns back up.
-        while True:
-            c = 2.0 * b
-            if c > ceiling:
-                raise BracketFailureError(
-                    f"candidate speed still decreasing at lam={b:g} "
-                    f"(ceiling {ceiling:g}); check kernel and parameters")
-            fc = phi(c)
-            if fc >= fb:
-                return a, b, c
-            a, fa, b, fb = b, fb, c, fc
-    # Walk left: with k > 0 the candidate speed blows up as lam -> 0+.
-    while True:
-        c = 0.5 * a
-        if c < _LAMBDA_FLOOR:
-            raise BracketFailureError("no interior minimum found above the rate floor")
-        fc = phi(c)
-        if fc >= fa:
-            return c, a, b
-        b, fb, a, fa = a, fa, c, fc
-
-
-def min_speed(problem: SpeedProblem, lam0: float = 1e-3, tol: float = 1e-8) -> SpeedResult:
+def min_speed(problem: SpeedProblem) -> SpeedResult:
     """Minimize the candidate speed over decay rates.
 
     For ``k == 0`` the infimum is 0, approached as ``lam -> 0``, and is
-    reported unattained.  Otherwise the minimum is bracketed by doubling
-    from ``lam0`` and refined by golden section until the bracket is
-    shorter than ``tol``.
+    reported unattained.  Otherwise the minimizer is the root of the
+    tangency function ``g`` (module docstring), bracketed by doubling from
+    ``1/R`` and solved to brentq's tolerance of 1e-14.
     """
     if problem.k == 0.0:
-        return SpeedResult(speed=0.0, rate=None, bracket=(0.0, 0.0),
-                           iterations=0, attained=False)
-    ceiling = _LAMBDA_CEILING_OVER_R / problem.kernel.support_radius
-    phi = lambda lam: candidate_speed(problem, lam)
-    lo, _, hi = _bracket_minimum(phi, lam0, ceiling)
-    bracket = (lo, hi)
-    iterations = 0
-    m1 = hi - _INV_PHI * (hi - lo)
-    m2 = lo + _INV_PHI * (hi - lo)
-    f1 = phi(m1)
-    f2 = phi(m2)
-    while hi - lo > tol:
-        iterations += 1
-        if f1 < f2:
-            hi, m2, f2 = m2, m1, f1
-            m1 = hi - _INV_PHI * (hi - lo)
-            f1 = phi(m1)
-        else:
-            lo, m1, f1 = m1, m2, f2
-            m2 = lo + _INV_PHI * (hi - lo)
-            f2 = phi(m2)
-    rate = 0.5 * (lo + hi)
-    return SpeedResult(speed=phi(rate), rate=rate, bracket=bracket,
-                       iterations=iterations, attained=True)
+        return SpeedResult(speed=0.0, rate=None, bracket=(0.0, 0.0), attained=False)
+    d, growth = problem.d, problem.r * problem.k
+    # lam*M'(lam) - M(lam) + 1 = integral of J(y) * (exp(lam*y)*(lam*y - 1) + 1).
+    g = lambda lam: d * (exp_integral(problem.kernel, lam, weight=lambda y: lam * y - 1.0)
+                         + 1.0) - growth
+    radius = problem.kernel.support_radius
+    ceiling = _LAMBDA_CEILING_OVER_R / radius
+    hi = 1.0 / radius
+    while not g(hi) > 0.0:
+        hi *= 2.0
+        if hi > ceiling:
+            raise BracketFailureError(
+                f"candidate speed still decreasing at lam={0.5 * hi:g} "
+                f"(ceiling {ceiling:g}); check kernel and parameters")
+    rate = float(brentq(g, 0.0, hi, xtol=1e-14, rtol=8.9e-16))
+    return SpeedResult(speed=candidate_speed(problem, rate), rate=rate,
+                       bracket=(0.0, hi), attained=True)
 
 
 def prey_speed(params: Params, kernel1: Kernel) -> SpeedResult:
@@ -162,6 +125,5 @@ def system_speeds(params: Params, kernel1: Kernel, kernel2: Kernel) -> SystemSpe
     """Both species speeds; raises on (H1) violation."""
     sp = prey_speed(params, kernel1)
     sq = predator_speed(params, kernel2)
-    return SystemSpeeds(s_star=sp.speed, rate1=sp.rate if sp.rate is not None else float("nan"),
-                        s_lower_star=sq.speed,
-                        rate2=sq.rate if sq.rate is not None else float("nan"))
+    return SystemSpeeds(s_star=sp.speed, rate1=sp.rate,
+                        s_lower_star=sq.speed, rate2=sq.rate)

@@ -34,6 +34,7 @@ from scipy.optimize import brentq
 from .dynamics import Params
 from .errors import NoRootError, NumericFailureError
 from .kernels import Kernel, exp_integral, quad, tilted_mean
+from .speeds import SpeedProblem, min_speed
 
 _DECAY_CEILING_OVER_R = 200.0
 
@@ -173,34 +174,15 @@ def optimal_decay_rate(linear_rate: float, gamma: float, params: Params,
                        kernel: Kernel) -> float:
     """Minimizer of the infinite-window amplitude speed bound.
 
-    At the minimizer the bound's derivative vanishes, which happens
-    exactly where the tilt speed crosses the bound itself; that crossing
-    is found by a bracketing solve (the tilt speed is increasing).
+    The bound is the candidate speed of :func:`~frontlab.speeds.min_speed`
+    with ``d = d1`` and ``r*k = linear_rate - gamma + d1``, so its
+    minimizer is the tangency root found there, where the tilt speed
+    meets the bound.
     """
     if not linear_rate - gamma + params.d1 > 0.0:
         raise ValueError("no interior minimizer: linear_rate - gamma + d1 must be positive")
-    g = lambda beta: (tilt_speed(beta, params, kernel, None)
-                      - amplitude_speed_bound(beta, linear_rate, gamma, params, kernel, None))
-    lo = 1e-6 / kernel.support_radius
-    if g(lo) >= 0.0:
-        raise NumericFailureError("tilt speed already above the amplitude bound at tiny decay")
-    ceiling = _DECAY_CEILING_OVER_R / kernel.support_radius
-    hi = 1.0 / kernel.support_radius
-    while g(hi) <= 0.0:
-        hi *= 2.0
-        if hi > ceiling:
-            raise NoRootError("amplitude bound has no crossing below the rate ceiling")
-    return float(brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200))
-
-
-def max_frame_speed(params: Params, predator_level: float, prey_level: float,
-                    kernel: Kernel) -> float:
-    """Value of the amplitude speed bound at its optimal decay rate, using
-    the largest admissible linear rate: the ceiling on usable frame speeds."""
-    m_cap = max_linear_rate(params, predator_level, prey_level)
-    gamma = params.r1 * params.a * predator_level
-    beta = optimal_decay_rate(m_cap, gamma, params, kernel)
-    return amplitude_speed_bound(beta, m_cap, gamma, params, kernel, None)
+    problem = SpeedProblem(d=params.d1, r=linear_rate - gamma + params.d1, k=1.0, kernel=kernel)
+    return min_speed(problem).rate
 
 
 @dataclass(frozen=True)

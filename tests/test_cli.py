@@ -106,6 +106,15 @@ def test_out_of_range_key_fails_cleanly(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_overflowing_horizon_fails_cleanly(tmp_path):
+    bad = tmp_path / "endless.cfg"
+    bad.write_text(CFG + "solver.t_final = 1e308\n")
+    proc = run_cli("speeds", str(bad))
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and "solver.t_final" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_runtime_error_exit_code(tmp_path):
     bad = tmp_path / "broken.cfg"
     bad.write_text("params.d1 = 1.0\nparams.nope = 2\n")

@@ -46,9 +46,9 @@ habitat.L = 2
 
 # [grid]
 grid.x_min = -11
-grid.x_max = 60.019278180554238
+grid.x_max = 60.019278180554245
 grid.dx = 0.0625
-grid.margin = 0.20336464589817532
+grid.margin = 0.20336464589817549
 
 # [initial]
 initial.u_center = 0
@@ -65,7 +65,7 @@ solver.snapshot_stride = 8
 solver.boundary_monitor = both
 
 # [band]
-band.eta = 0.023682813590736707
+band.eta = 0.023682813590736696
 band.epsilon = 0.01
 band.t_window = 0.5
 band.two_sided = false
@@ -77,7 +77,7 @@ observer.window_fraction = 0.5
 observer.side = right
 
 # [subsolution]
-subsolution.c = 0.11841406795368353
+subsolution.c = 0.11841406795368348
 subsolution.delta1 = 0.050000000000000003
 subsolution.delta2 = 0.050000000000000003
 subsolution.rate_offset = 0.01
@@ -183,6 +183,10 @@ def test_prey_speed_computed_once_per_weak_predator_config(monkeypatch, tmp_path
     ("subsolution.n_time", "0"),
     ("initial.u_half_width", "-1"),
     ("initial.v_half_width", "0"),
+    ("solver.t_final", "1e308"),
+    ("grid.margin", "1e308"),
+    ("grid.x_max", "1e12"),
+    ("initial.v_height", "3"),
 ])
 def test_out_of_range_key_rejected_and_named(key, value):
     with pytest.raises(ConfigError) as err:

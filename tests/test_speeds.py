@@ -81,10 +81,22 @@ def test_min_speed_candidate_grows_past_minimizer(unit_kernel):
 
 
 def test_min_speed_tiny_k_goes_to_zero(unit_kernel):
-    # minimizer falls below the starting rate; the bracket must walk left
+    # the minimizer falls far below the first bracket end 1/R
     res = fl.min_speed(fl.SpeedProblem(d=1.0, r=1.0, k=1e-9, kernel=unit_kernel))
     assert res.attained
     assert 0.0 < res.speed < 1e-4
+
+
+@pytest.mark.parametrize("d, r, k, kernel", [
+    (1.0, 1.0, 1.0, fl.raised_cosine(1.0)),
+    (1.0, 0.5, 1.0, fl.raised_cosine(1.0)),
+    (1.0, 0.4, 0.5, fl.raised_cosine(1.0)),
+    (0.02, 1.0, 1.0, fl.smooth_bump(1.0)),
+])
+def test_min_speed_rate_is_tangent(d, r, k, kernel):
+    # At the minimizer the candidate speed equals its tangent slope d*M'(rate).
+    res = fl.min_speed(fl.SpeedProblem(d=d, r=r, k=k, kernel=kernel))
+    assert abs(d * fl.tilted_mean(kernel, res.rate) - res.speed) <= 1e-12 * res.speed
 
 
 def test_min_speed_bracket_failure(unit_kernel):
