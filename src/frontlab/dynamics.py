@@ -8,9 +8,21 @@ The system on a truncated uniform grid, with zero extension outside:
 Integration is classical RK4 with a fixed step; the nonlocal operator is
 bounded, so the step limit comes from the reaction terms.  Only ``simulate``
 knows time: stage times come from the step index, and the habitat is read
-once per distinct stage time.  The step bound is checked once per run; one
-min and one max per field and step drive the roundoff clamp, the aborts and
-the record of the invariant box 0 <= u <= 1, 0 <= v <= b-1.
+once per distinct stage time, or once per run when it does not move
+(``s == 0`` or the constant profile).  The step bound is checked once per
+run; one min and one max per field and step drive the roundoff clamp, the
+aborts and the record of the invariant box 0 <= u <= 1, 0 <= v <= b-1.
+
+``simulate`` steps only an active window of the grid.  The kernels have
+compact support, so one RK4 stage widens the nonzero set of u and v by at
+most ``h`` cells (the larger stencil half-width) and one step by ``4h``;
+every cell outside stays exactly +0.0.  The window is the nonzero extent
+padded by ``5h`` cells: ``4h`` for the growth within the step, and ``h``
+more so that the stencils truncated at the window edges read only zeros.
+Every cell inside the window then sums the same terms in the same order as
+a full-grid step, so the result is bit-identical to stepping the whole grid.
+The window only grows, and only the ``4h``-cell fringe just beyond the
+extent is scanned after each step, until the window covers the grid.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ import numpy as np
 
 from .errors import (BoundaryContaminationError, InstabilityError,
                      InvariantViolationError, NumericFailureError, ResolutionError)
-from .habitat import HabitatProfile
+from .habitat import CONSTANT_ONE, HabitatProfile
 from .kernels import Kernel, Stencil
 
 # Undershoot threshold: roundoff-scale negatives (~1e-12) get clamped to
@@ -142,7 +154,11 @@ def make_initial(u_spec, v_spec, grid: Grid, params: Params) -> State:
 
 
 def nonlocal_apply(stencil: Stencil, field_values: np.ndarray) -> np.ndarray:
-    """Vectorized (J*w - w) over the whole grid (zero extension)."""
+    """Vectorized (J*w - w) over ``field_values`` with zero extension past its ends.
+
+    ``simulate`` passes its active window, whose outer ``2h`` cells are zero
+    at every RK4 stage, so the result equals the full-grid one cell for cell.
+    """
     conv = np.convolve(field_values, stencil.weights, mode="same") * stencil.dx
     return conv - field_values
 
@@ -232,6 +248,12 @@ def _boundary_fraction(w: np.ndarray, sides: tuple[str, ...]) -> float:
     return edge / peak
 
 
+def _support(u: np.ndarray, v: np.ndarray, start: int, stop: int) -> tuple[int, int] | None:
+    """First and one-past-last index in ``[start, stop)`` where u or v is nonzero."""
+    hit = np.flatnonzero((u[start:stop] != 0.0) | (v[start:stop] != 0.0))
+    return (start + int(hit[0]), start + int(hit[-1]) + 1) if hit.size else None
+
+
 def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: Kernel,
              grid: Grid, initial: State, dt: float, t_final: float,
              snapshot_stride: int = 1,
@@ -241,7 +263,7 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
     The boundary monitor watches the outermost grid cells of the selected
     sides ("both", "left", "right", or "none"): density above 1e-6 of the
     species peak records a domain-too-small warning, above 1e-3 the run
-    aborts because a front has reached the wall.
+    aborts because a front has reached the wall.  ``initial`` is not modified.
     """
     if boundary_monitor not in ("both", "left", "right", "none"):
         raise ValueError("boundary_monitor must be both/left/right/none")
@@ -285,23 +307,49 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
                 boundary_warning = True
 
     check_boundary(initial.u, initial.v, 0.0)
-    u, v, t = initial.u, initial.v, 0.0
-    a_end = profile.alpha_shifted(x, t, params.s)
+
+    # Active window [lo, hi): the nonzero extent [first, last) padded by
+    # `reach` cells (see the module docstring); cells outside stay +0.0.
+    n = grid.n
+    taps = max(st1.halfwidth, st2.halfwidth)
+    grow, reach = 4 * taps, 5 * taps
+    first, last = _support(initial.u, initial.v, 0, n) or (0, 0)
+    lo, hi = max(first - reach, 0), min(last + reach, n)
+    u, v = np.zeros(n), np.zeros(n)
+    u[lo:hi], v[lo:hi] = initial.u[lo:hi], initial.v[lo:hi]
+
+    static = params.s == 0.0 or profile.family == CONSTANT_ONE
+    alpha0 = profile.alpha_shifted(x, 0.0, params.s)
+
+    def habitat(t: float) -> np.ndarray:
+        return alpha0 if static else profile.alpha_shifted(x, t, params.s)
+
+    t, a_end = 0.0, alpha0
     for k in range(1, n_steps + 1):
-        a_start, a_mid = a_end, profile.alpha_shifted(x, t + 0.5 * dt_used, params.s)
+        a_start, a_mid = a_end, habitat(t + 0.5 * dt_used)
         t = t_final if k == n_steps else k * dt_used
-        a_end = profile.alpha_shifted(x, t, params.s)
-        u, v = step(u, v, dt_used, (a_start, a_mid, a_end), params, st1, st2)
-        for w, name in ((u, "u"), (v, "v")):
-            hi = float(w.max())
-            lo = _clamp_undershoot(w)
-            if not math.isfinite(lo + hi):
+        a_end = habitat(t)
+        win = slice(lo, hi)
+        u[win], v[win] = step(u[win], v[win], dt_used,
+                              (a_start[win], a_mid[win], a_end[win]), params, st1, st2)
+        # Where the window stops short of the grid's end, its outer h cells
+        # are still +0.0, so its min and max are those of the full grid.
+        for w, name in ((u[win], "u"), (v[win], "v")):
+            w_max = float(w.max())
+            w_min = _clamp_undershoot(w)
+            if not math.isfinite(w_min + w_max):
                 raise NumericFailureError(f"non-finite values in {name} at t={t:g}")
-            if lo < _ABORT_FLOOR:
+            if w_min < _ABORT_FLOOR:
                 raise InstabilityError(
-                    f"undershoot {lo:.3e} below {_ABORT_FLOOR:g} at t={t:g}; reduce dt")
-            h_worst[name + "_min"] = min(h_worst[name + "_min"], lo)
-            h_worst[name + "_max"] = max(h_worst[name + "_max"], hi)
+                    f"undershoot {w_min:.3e} below {_ABORT_FLOOR:g} at t={t:g}; reduce dt")
+            h_worst[name + "_min"] = min(h_worst[name + "_min"], w_min)
+            h_worst[name + "_max"] = max(h_worst[name + "_max"], w_max)
+        if hi - lo < n:
+            left = _support(u, v, max(first - grow, 0), first)
+            right = _support(u, v, last, min(last + grow, n))
+            first = left[0] if left else first
+            last = right[1] if right else last
+            lo, hi = max(first - reach, 0), min(last + reach, n)
         if k % stride == 0 or k == n_steps:
             check_boundary(u, v, t)
             row += 1

@@ -9,6 +9,7 @@ bit for bit.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,7 +129,8 @@ class ExperimentConfig:
 
     ``values`` is the flat resolved key/value map (echo source);
     ``raw_text`` keeps the pre-resolution text so sweeps can override an
-    axis and re-resolve dependent defaults.
+    axis and re-resolve dependent defaults; ``base_dir`` is the absolute
+    directory its relative table paths are read from.
     """
 
     values: dict
@@ -151,14 +153,19 @@ class ExperimentConfig:
     theta: float
     window_fraction: float
     side: str
+    base_dir: str
 
 
-def _build_kernel(values: dict, prefix: str) -> Kernel:
+def _build_kernel(values: dict, prefix: str, base_dir: str) -> Kernel:
     family = values[f"{prefix}.family"]
     if family == "tabulated":
-        path = values[f"{prefix}.file"]
-        if not path:
+        if not values[f"{prefix}.file"]:
             raise ConfigError(f"{prefix}.file is required for a tabulated kernel")
+        # Stored absolute, so the echo parses from any directory.
+        path = values[f"{prefix}.file"] = os.path.normpath(
+            os.path.join(base_dir, values[f"{prefix}.file"]))
+        if not os.path.isfile(path):
+            raise ConfigError(f"{prefix}.file not found: {path}")
         return load_tabulated(path)
     make = raised_cosine if family == "raised_cosine" else smooth_bump
     return make(values[f"{prefix}.radius"])
@@ -172,8 +179,12 @@ def _build_profile(values: dict) -> HabitatProfile:
     return make(values["habitat.A"], values["habitat.L"])
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse, fill defaults, validate, and build all model objects."""
+def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
+    """Parse, fill defaults, validate, and build all model objects.
+
+    A relative ``kernelN.file`` is read from ``base_dir``.
+    """
+    base_dir = os.path.abspath(base_dir)
     given: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -201,8 +212,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     params = Params(d1=values["params.d1"], d2=values["params.d2"],
                     r1=values["params.r1"], r2=values["params.r2"],
                     a=values["params.a"], b=values["params.b"], s=values["params.s"])
-    kernel1 = _build_kernel(values, "kernel1")
-    kernel2 = _build_kernel(values, "kernel2")
+    kernel1 = _build_kernel(values, "kernel1", base_dir)
+    kernel2 = _build_kernel(values, "kernel2", base_dir)
     profile = _build_profile(values)
     hypotheses = check_hypotheses(params, profile, kernel1, kernel2)
     sp = hypotheses.speeds
@@ -313,15 +324,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
         snapshot_stride=values["solver.snapshot_stride"],
         boundary_monitor=values["solver.boundary_monitor"], band=band,
         theta=values["observer.theta"], window_fraction=values["observer.window_fraction"],
-        side=values["observer.side"],
+        side=values["observer.side"], base_dir=base_dir,
     )
 
 
 def parse_config(path) -> ExperimentConfig:
+    """Parse a config file; its table paths are relative to its directory."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(encoding="utf-8"))
+    return parse_config_text(path.read_text(encoding="utf-8"), base_dir=str(path.parent))
 
 
 def echo_config(cfg: ExperimentConfig) -> str:

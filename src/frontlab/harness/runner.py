@@ -123,9 +123,9 @@ def sweep_row(value: float, result: ExperimentResult | None,
 
 
 def _sweep_worker(task) -> tuple:
-    text, key, value, run_dir = task
+    text, base_dir, key, value, run_dir = task
     try:
-        cfg = parse_config_text(override_config_text(text, key, value))
+        cfg = parse_config_text(override_config_text(text, key, value), base_dir)
         result = run_experiment(cfg, out_dir=run_dir)
         return sweep_row(value, result)
     except FrontLabError as exc:
@@ -144,7 +144,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values, workers: int = 1,
     tasks = []
     for i, value in enumerate(values):
         run_dir = None if out_path is None else out_path / f"run_{i:03d}"
-        tasks.append((cfg.raw_text, key, float(value), run_dir))
+        tasks.append((cfg.raw_text, cfg.base_dir, key, float(value), run_dir))
     if workers <= 1:
         rows = [_sweep_worker(t) for t in tasks]
     else:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import frontlab as fl
-from frontlab.dynamics import _clamp_undershoot, sample_bump
+from frontlab.dynamics import _clamp_undershoot, sample_bump, step_count
 from frontlab.errors import (BoundaryContaminationError, InstabilityError,
                              InvariantViolationError, NumericFailureError,
                              ResolutionError)
@@ -404,3 +404,108 @@ def test_simulate_reads_habitat_once_per_stage_time(unit_kernel, monkeypatch):
     # step starts from the step index, the last end at t_final exactly
     assert times[0::2] == [k * h for k in range(n)] + [3.3]
     assert times[1::2] == [k * h + 0.5 * h for k in range(n)]
+
+
+def test_simulate_reads_static_habitat_once(unit_kernel, monkeypatch):
+    calls = []
+    alpha_shifted = fl.HabitatProfile.alpha_shifted
+
+    def counting(self, x, t, s):
+        calls.append(t)
+        return alpha_shifted(self, x, t, s)
+
+    monkeypatch.setattr(fl.HabitatProfile, "alpha_shifted", counting)
+    grid = fl.grid_from_spacing(-15, 15, 1 / 8)
+    cases = ((fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2), fl.logistic(A=0.5, L=1.0)),
+             (fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2, s=0.3), fl.constant_one()))
+    for params, profile in cases:
+        calls.clear()
+        init = fl.make_initial(fl.BumpSpec(0.0, 2.0, 0.5), fl.BumpSpec(0.0, 1.5, 0.4),
+                               grid, params)
+        fl.simulate(params, profile, unit_kernel, unit_kernel, grid, init, dt=0.02,
+                    t_final=3.3, snapshot_stride=10, boundary_monitor="none")
+        assert calls == [0.0]
+
+
+def _full_grid_reference(params, profile, kernel1, kernel2, grid, initial, dt, t_final,
+                         stride):
+    """Plain RK4 over the whole grid, clamping and recording like ``simulate``."""
+    st1, st2 = kernel1.discretize(grid.dx), kernel2.discretize(grid.dx)
+    n_steps = step_count(t_final, dt)
+    h = t_final / n_steps
+    u, v = initial.u.copy(), initial.v.copy()
+    times, us, vs = [0.0], [u.copy()], [v.copy()]
+    worst = {"u_min": float(u.min()), "u_max": float(u.max()),
+             "v_min": float(v.min()), "v_max": float(v.max())}
+    t = 0.0
+    for k in range(1, n_steps + 1):
+        t_end = t_final if k == n_steps else k * h
+        alphas = tuple(profile.alpha_shifted(grid.x, tau, params.s)
+                       for tau in (t, t + 0.5 * h, t_end))
+        u, v = fl.step(u, v, h, alphas, params, st1, st2)
+        t = t_end
+        for w, name in ((u, "u"), (v, "v")):
+            worst[name + "_max"] = max(worst[name + "_max"], float(w.max()))
+            worst[name + "_min"] = min(worst[name + "_min"], _clamp_undershoot(w))
+        if k % stride == 0 or k == n_steps:
+            times.append(t)
+            us.append(u.copy())
+            vs.append(v.copy())
+    return np.array(times), np.array(us), np.array(vs), worst
+
+
+_B = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2)
+_WINDOW_CASES = {
+    # (params, profile, kernel2 radius or None, x range, u bump, v bump, t_final);
+    # roundoff underflow, not the kernel radius, bounds the nonzero extent
+    "front_inside": (_B, fl.constant_one(), None, 100, (0.0, 2.0, 0.5), (0.0, 1.5, 0.4), 0.5),
+    "fills_both_sides": (_B, fl.constant_one(), None, 12, (0.0, 2.0, 0.5), (0.0, 1.5, 0.4), 4.0),
+    "v_zero": (_B, fl.constant_one(), None, 30, (3.0, 2.0, 0.5), (0.0, 1.5, 0.0), 3.0),
+    "moving_habitat": (fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2, s=0.3),
+                       fl.logistic(A=0.5, L=1.0), None, 25, (0.0, 2.0, 0.5),
+                       (1.0, 1.5, 0.4), 3.0),
+    "unequal_taps": (_B, fl.logistic(A=0.5, L=1.0), 1.5, 30, (-2.0, 2.0, 0.5),
+                     (2.0, 1.5, 0.4), 3.0),
+    "both_absent": (_B, fl.constant_one(), None, 20, (0.0, 2.0, 0.0), (0.0, 1.5, 0.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
+def test_simulate_window_is_bit_identical_to_full_grid(unit_kernel, case):
+    params, profile, radius2, half, u_bump, v_bump, t_final = _WINDOW_CASES[case]
+    kernel2 = unit_kernel if radius2 is None else fl.smooth_bump(radius2)
+    grid = fl.grid_from_spacing(-half, half, 1 / 8)
+    init = fl.make_initial(fl.BumpSpec(*u_bump), fl.BumpSpec(*v_bump), grid, params)
+    traj = fl.simulate(params, profile, unit_kernel, kernel2, grid, init, dt=0.02,
+                       t_final=t_final, snapshot_stride=7, boundary_monitor="none")
+    times, us, vs, worst = _full_grid_reference(params, profile, unit_kernel, kernel2,
+                                                grid, init, 0.02, t_final, 7)
+    assert np.array_equal(traj.times, times)
+    assert traj.u.tobytes() == us.tobytes() and traj.v.tobytes() == vs.tobytes()
+    assert traj.diagnostics["h_worst"] == worst
+    ends = traj.u[-1, [0, -1]] + traj.v[-1, [0, -1]]
+    if case == "front_inside":
+        assert np.all(ends == 0.0)
+    if case == "fills_both_sides":
+        assert np.all(ends > 0.0)
+
+
+def test_simulate_leaves_initial_state_untouched(unit_kernel):
+    params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2)
+    grid = fl.grid_from_spacing(-20, 20, 1 / 8)
+    init = fl.make_initial(fl.BumpSpec(0.0, 2.0, 0.5), fl.BumpSpec(0.0, 1.5, 0.4),
+                           grid, params)
+    u0, v0 = init.u.copy(), init.v.copy()
+    fl.simulate(params, fl.constant_one(), unit_kernel, unit_kernel, grid, init,
+                dt=0.02, t_final=2.0, snapshot_stride=10, boundary_monitor="none")
+    assert init.u.tobytes() == u0.tobytes() and init.v.tobytes() == v0.tobytes()
+
+
+def test_simulate_aborts_on_undershoot_inside_narrow_window(unit_kernel):
+    # nonzero extent [-2, 10] plus a 5-unit reach: the window [-7, 15] is
+    # narrower than the grid when the isolated negative cell trips the abort
+    grid = fl.grid_from_spacing(-30, 30, 1 / 8)
+    u = sample_bump(fl.BumpSpec(0.0, 2.0, 0.5), grid.x)
+    u[np.searchsorted(grid.x, 10.0)] = -5e-10
+    with pytest.raises(InstabilityError, match="undershoot"):
+        _simulate_from(unit_kernel, u, 0.01, grid)

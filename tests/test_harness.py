@@ -1,5 +1,7 @@
+import os
 import sys
 
+import numpy as np
 import pytest
 
 import frontlab as fl
@@ -365,3 +367,27 @@ def test_identical_configs_identical_bundles(tmp_path):
                  "level_sets_u.csv", "level_sets_v.csv", "persistence.csv"):
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes()), name
+
+
+def test_relative_kernel_table_read_from_config_directory(tmp_path, monkeypatch):
+    (tmp_path / "cfgs" / "tables").mkdir(parents=True)
+    (tmp_path / "elsewhere").mkdir()
+    x = np.linspace(-1.0, 1.0, 401)
+    rows = zip(x, (1.0 + np.cos(np.pi * x)) / 2.0)
+    (tmp_path / "cfgs" / "tables" / "rc.txt").write_text(
+        "".join(f"{a:.17g} {d:.17g}\n" for a, d in rows))
+    (tmp_path / "cfgs" / "exp.cfg").write_text(
+        DESK + "solver.t_final = 2.0\nkernel1.family = tabulated\nkernel1.file = tables/rc.txt\n")
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    cfg = H.parse_config("../cfgs/exp.cfg")
+    assert cfg.kernel1.family == "tabulated"
+    assert os.path.samefile(cfg.values["kernel1.file"], tmp_path / "cfgs" / "tables" / "rc.txt")
+    row, = H.sweep(cfg, "s", [0.1], workers=1)
+    assert not row[-1].startswith("error"), row
+    # the echo names the table wherever it is parsed
+    echo = H.echo_config(cfg)
+    monkeypatch.chdir(tmp_path)
+    assert H.echo_config(H.parse_config_text(echo)) == echo
+    # text parsed without a file reads relative tables from the working directory
+    with pytest.raises(ConfigError, match="kernel1.file not found"):
+        H.parse_config_text((tmp_path / "cfgs" / "exp.cfg").read_text())
