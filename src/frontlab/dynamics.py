@@ -5,24 +5,36 @@ The system on a truncated uniform grid, with zero extension outside:
     du/dt = d1*(J1*u - u) + r1*u*(alpha(x - s*t) - u - a*v)
     dv/dt = d2*(J2*v - v) + r2*v*(-1 + b*u - v)
 
-Integration is classical RK4 with a fixed step; the nonlocal operator is
-bounded, so the step limit comes from the reaction terms.  Only ``simulate``
-knows time: stage times come from the step index, and the habitat is read
-once per distinct stage time, or once per run when it does not move
-(``s == 0`` or the constant profile).  The step bound is checked once per
-run; one min and one max per field and step drive the roundoff clamp, the
-aborts and the record of the invariant box 0 <= u <= 1, 0 <= v <= b-1.
+Integration is the Dormand-Prince 5(4) pair (Dormand & Prince 1980) with
+first-same-as-last stages: each step gives a 5th-order solution and an
+embedded error estimate, and the last stage of an accepted step is the
+first stage of the next.  ``simulate`` accepts a step when
+``max |err| / (ATOL + RTOL * max(|y_old|, |y_new|)) <= 1`` over both fields
+(``RTOL = 1e-6``, ``ATOL = 1e-9``) and multiplies the step by
+``min(5, max(0.2, 0.9 * norm**(-1/5)))`` for the next attempt.  ``dt``,
+shortened to ``t_final / step_count(t_final, dt)`` and checked once per run
+against the stability bound, is the snapshot clock and the first trial
+step: snapshots fall at ``k * stride * dt`` and at ``t_final`` exactly,
+steps are clipped to land on them, and after a clipped step the unclipped
+proposal resumes.  Only ``simulate`` knows time: the habitat is read once
+per distinct stage time (five new reads per attempted step), or once per
+run when it does not move (``s == 0`` or the constant profile).  On accepted steps only, one min and one max per field
+drive the roundoff clamp, the aborts and the record of the invariant box
+0 <= u <= 1, 0 <= v <= b-1.
 
 ``simulate`` steps only an active window of the grid.  The kernels have
-compact support, so one RK4 stage widens the nonzero set of u and v by at
-most ``h`` cells (the larger stencil half-width) and one step by ``4h``;
-every cell outside stays exactly +0.0.  The window is the nonzero extent
-padded by ``5h`` cells: ``4h`` for the growth within the step, and ``h``
-more so that the stencils truncated at the window edges read only zeros.
-Every cell inside the window then sums the same terms in the same order as
-a full-grid step, so the result is bit-identical to stepping the whole grid.
-The window only grows, and only the ``4h``-cell fringe just beyond the
-extent is scanned after each step, until the window covers the grid.
+compact support, so one stage widens the nonzero set of u and v by at most
+``h`` cells (the larger stencil half-width) and one step by ``6h``; every
+cell outside stays exactly +0.0.  The window is the nonzero extent padded
+by ``7h`` cells: ``6h`` for the growth within the step, and ``h`` more so
+that the stencils truncated at the window edges read only zeros.  Every
+cell inside the window then sums the same terms in the same order as a
+full-grid step, and the error norm over the window equals the full-grid
+one, so the result is bit-identical to stepping the whole grid.  The
+window only grows, and only the ``6h``-cell fringe just beyond the extent
+is scanned after each accepted step, until the window covers the grid.
+When it grows, the cells it gains are +0.0 and read only zeros, so the
+carried last stage is extended by zeros, not recomputed.
 """
 
 from __future__ import annotations
@@ -41,6 +53,24 @@ from .kernels import Kernel, Stencil
 # Undershoot threshold: roundoff-scale negatives (~1e-12) get clamped to
 # zero; anything below this aborts as an instability.
 _ABORT_FLOOR = -1e-10
+
+# Step controller tolerances: a step is accepted when
+# max |err| / (ATOL + RTOL * max(|y_old|, |y_new|)) <= 1 over both fields.
+RTOL = 1e-6
+ATOL = 1e-9
+
+# Dormand & Prince (1980) 5(4) pair: the distinct stage nodes, the rows of
+# the stage matrix for stages 2..7 (the last row is the 5th-order weights,
+# so stage 7 is the right-hand side at the solution and the next step's
+# first stage), and the error weights (5th minus embedded 4th order).
+_NODES = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = ((1 / 5,),
+      (3 / 40, 9 / 40),
+      (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+      (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
 @dataclass(frozen=True)
@@ -156,8 +186,8 @@ def make_initial(u_spec, v_spec, grid: Grid, params: Params) -> State:
 def nonlocal_apply(stencil: Stencil, field_values: np.ndarray) -> np.ndarray:
     """Vectorized (J*w - w) over ``field_values`` with zero extension past its ends.
 
-    ``simulate`` passes its active window, whose outer ``2h`` cells are zero
-    at every RK4 stage, so the result equals the full-grid one cell for cell.
+    ``simulate`` passes its active window, whose outer ``h`` cells are zero
+    at every stage, so the result equals the full-grid one cell for cell.
     """
     conv = np.convolve(field_values, stencil.weights, mode="same") * stencil.dx
     return conv - field_values
@@ -198,20 +228,44 @@ def _clamp_undershoot(arr: np.ndarray) -> float:
     return worst
 
 
-def step(u: np.ndarray, v: np.ndarray, dt: float,
-         alphas: tuple[np.ndarray, np.ndarray, np.ndarray], params: Params,
-         st1: Stencil, st2: Stencil) -> tuple[np.ndarray, np.ndarray]:
-    """One RK4 step; ``alphas`` is the habitat on the grid at its start, midpoint and end."""
-    k1u, k1v = rhs(u, v, alphas[0], params, st1, st2)
-    k2u, k2v = rhs(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v, alphas[1], params, st1, st2)
-    k3u, k3v = rhs(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v, alphas[1], params, st1, st2)
-    k4u, k4v = rhs(u + dt * k3u, v + dt * k3v, alphas[2], params, st1, st2)
-    return (u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
-            v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+def _combine(coefs: tuple[float, ...], ks: list[np.ndarray], dt: float) -> np.ndarray:
+    """``dt * sum(c * k)`` over the nonzero coefficients, in tableau order."""
+    acc = None
+    for c, k in zip(coefs, ks):
+        if c:
+            term = (dt * c) * k
+            if acc is None:
+                acc = term
+            else:
+                acc += term
+    return acc
+
+
+def step(y: np.ndarray, dt: float, alphas: tuple[np.ndarray, ...], params: Params,
+         st1: Stencil, st2: Stencil,
+         k1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Dormand-Prince 5(4) step of the stacked state ``y = (u, v)``.
+
+    ``alphas`` is the habitat on the grid at the six distinct stage times
+    ``t + c*dt``, ``c`` in ``(0, 1/5, 3/10, 4/5, 8/9, 1)``, and ``k1`` the
+    stacked right-hand side at ``y`` and ``alphas[0]``.  Returns the
+    5th-order solution, its error estimate (5th minus embedded 4th order)
+    and the right-hand side at the solution and ``alphas[-1]``, which is
+    the next step's ``k1``.
+    """
+    ks = [k1]
+    for row, alpha in zip(_A, alphas[1:] + alphas[-1:]):
+        stage = y + _combine(row, ks, dt)
+        ks.append(np.array(rhs(stage[0], stage[1], alpha, params, st1, st2)))
+    # The last row of _A holds the 5th-order weights: the last stage state is the solution.
+    return stage, _combine(_E, ks, dt), ks[-1]
 
 
 def step_count(t_final: float, dt: float) -> int:
-    """Number of equal steps, none longer than ``dt`` up to roundoff, that reach ``t_final``."""
+    """Number of equal ticks, none longer than ``dt`` up to roundoff, that reach ``t_final``.
+
+    ``simulate`` takes a snapshot every ``snapshot_stride`` ticks and at ``t_final``.
+    """
     return max(1, int(math.ceil(t_final / dt - 1e-9)))
 
 
@@ -258,9 +312,12 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
              grid: Grid, initial: State, dt: float, t_final: float,
              snapshot_stride: int = 1,
              boundary_monitor: str = "both") -> Trajectory:
-    """Integrate to ``t_final`` and collect snapshots every ``snapshot_stride`` steps.
+    """Integrate to ``t_final`` with snapshots every ``snapshot_stride`` ticks of ``dt``.
 
-    The boundary monitor watches the outermost grid cells of the selected
+    ``dt`` is shortened to ``t_final / step_count(t_final, dt)``; it is the
+    snapshot clock and the first trial step, after which the controller
+    picks the steps and clips them to land on every snapshot time.  The
+    boundary monitor watches the outermost grid cells of the selected
     sides ("both", "left", "right", or "none"): density above 1e-6 of the
     species peak records a domain-too-small warning, above 1e-3 the run
     aborts because a front has reached the wall.  ``initial`` is not modified.
@@ -274,8 +331,8 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
     x = grid.x
     if not (t_final > 0.0 and dt > 0.0):
         raise ValueError("t_final and dt must be positive")
-    n_steps = step_count(t_final, dt)
-    dt_used = t_final / n_steps
+    n_ticks = step_count(t_final, dt)
+    dt_used = t_final / n_ticks
     cap = dt_max(params, profile.alpha_bar)
     if dt_used > cap * (1.0 + 1e-12):
         raise InstabilityError(f"dt={dt_used:g} exceeds the stability bound dt_max={cap:g}")
@@ -283,10 +340,9 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
         raise ValueError(f"snapshot_stride must be an integer >= 1, got {snapshot_stride!r}")
     stride = int(snapshot_stride)
 
-    times = np.zeros(1 + (n_steps + stride - 1) // stride)
+    times = np.zeros(1 + (n_ticks + stride - 1) // stride)
     us, vs = np.empty((2, times.size, grid.n))
     us[0], vs[0] = initial.u, initial.v
-    row = 0
     h_worst = {"u_min": float(initial.u.min()), "u_max": float(initial.u.max()),
                "v_min": float(initial.v.min()), "v_max": float(initial.v.max())}
     boundary_warning = False
@@ -312,11 +368,15 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
     # `reach` cells (see the module docstring); cells outside stay +0.0.
     n = grid.n
     taps = max(st1.halfwidth, st2.halfwidth)
-    grow, reach = 4 * taps, 5 * taps
+    grow, reach = 6 * taps, 7 * taps
     first, last = _support(initial.u, initial.v, 0, n) or (0, 0)
     lo, hi = max(first - reach, 0), min(last + reach, n)
-    u, v = np.zeros(n), np.zeros(n)
-    u[lo:hi], v[lo:hi] = initial.u[lo:hi], initial.v[lo:hi]
+    y = np.zeros((2, n))
+    y[:, lo:hi] = initial.u[lo:hi], initial.v[lo:hi]
+    # The first stage of the next step: the last stage of the accepted one,
+    # zero outside the window, which is exact where the window grows.
+    k1 = np.zeros((2, n))
+    have_k1 = False
 
     static = params.s == 0.0 or profile.family == CONSTANT_ONE
     alpha0 = profile.alpha_shifted(x, 0.0, params.s)
@@ -324,36 +384,61 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
     def habitat(t: float) -> np.ndarray:
         return alpha0 if static else profile.alpha_shifted(x, t, params.s)
 
-    t, a_end = 0.0, alpha0
-    for k in range(1, n_steps + 1):
-        a_start, a_mid = a_end, habitat(t + 0.5 * dt_used)
-        t = t_final if k == n_steps else k * dt_used
-        a_end = habitat(t)
-        win = slice(lo, hi)
-        u[win], v[win] = step(u[win], v[win], dt_used,
-                              (a_start[win], a_mid[win], a_end[win]), params, st1, st2)
-        # Where the window stops short of the grid's end, its outer h cells
-        # are still +0.0, so its min and max are those of the full grid.
-        for w, name in ((u[win], "u"), (v[win], "v")):
-            w_max = float(w.max())
-            w_min = _clamp_undershoot(w)
-            if not math.isfinite(w_min + w_max):
-                raise NumericFailureError(f"non-finite values in {name} at t={t:g}")
-            if w_min < _ABORT_FLOOR:
-                raise InstabilityError(
-                    f"undershoot {w_min:.3e} below {_ABORT_FLOOR:g} at t={t:g}; reduce dt")
-            h_worst[name + "_min"] = min(h_worst[name + "_min"], w_min)
-            h_worst[name + "_max"] = max(h_worst[name + "_max"], w_max)
-        if hi - lo < n:
-            left = _support(u, v, max(first - grow, 0), first)
-            right = _support(u, v, last, min(last + grow, n))
-            first = left[0] if left else first
-            last = right[1] if right else last
-            lo, hi = max(first - reach, 0), min(last + reach, n)
-        if k % stride == 0 or k == n_steps:
-            check_boundary(u, v, t)
-            row += 1
-            times[row], us[row], vs[row] = t, u, v
+    t, h, a_start = 0.0, dt_used, alpha0
+    n_steps = n_rejected = 0
+    max_error_norm = 0.0
+    for row in range(1, times.size):
+        target = t_final if row * stride >= n_ticks else row * stride * dt_used
+        while t < target:
+            clipped = t + h >= target
+            h_try = target - t if clipped else h
+            t_end = target if clipped else t + h
+            alphas = (a_start, *(habitat(t + c * h_try) for c in _NODES[1:-1]), habitat(t_end))
+            win = slice(lo, hi)
+            y_old = y[:, win]
+            if not have_k1:
+                k1[:, win] = rhs(y_old[0], y_old[1], a_start[win], params, st1, st2)
+                have_k1 = True
+            y_new, err, k7 = step(y_old, h_try, tuple(a[win] for a in alphas), params,
+                                  st1, st2, k1[:, win])
+            scale = ATOL + RTOL * np.maximum(np.abs(y_old), np.abs(y_new))
+            norm = float(np.max(np.abs(err) / scale))
+            if not math.isfinite(norm):
+                raise NumericFailureError(f"non-finite values in u or v at t={t:g}")
+            factor = min(5.0, max(0.2, 0.9 * norm ** -0.2)) if norm > 0.0 else 5.0
+            if norm > 1.0:
+                n_rejected += 1
+                h = h_try * factor
+                continue
+            # Where the window stops short of the grid's end, its outer h cells
+            # are still +0.0, so its min and max are those of the full grid.
+            for w, name in ((y_new[0], "u"), (y_new[1], "v")):
+                w_max = float(w.max())
+                w_min = _clamp_undershoot(w)
+                if not math.isfinite(w_min + w_max):
+                    raise NumericFailureError(f"non-finite values in {name} at t={t_end:g}")
+                if w_min < _ABORT_FLOOR:
+                    raise InstabilityError(
+                        f"undershoot {w_min:.3e} below {_ABORT_FLOOR:g} at t={t_end:g}")
+                # A clamped state no longer matches the last stage.
+                have_k1 = have_k1 and w_min >= 0.0
+                h_worst[name + "_min"] = min(h_worst[name + "_min"], w_min)
+                h_worst[name + "_max"] = max(h_worst[name + "_max"], w_max)
+            y[:, win], k1[:, win] = y_new, k7
+            t, a_start = t_end, alphas[-1]
+            n_steps += 1
+            max_error_norm = max(max_error_norm, norm)
+            if not clipped:
+                # After a clipped step the unclipped proposal h stands.
+                h = h_try * factor
+            if hi - lo < n:
+                left = _support(y[0], y[1], max(first - grow, 0), first)
+                right = _support(y[0], y[1], last, min(last + grow, n))
+                first = left[0] if left else first
+                last = right[1] if right else last
+                lo, hi = max(first - reach, 0), min(last + reach, n)
+        check_boundary(y[0], y[1], t)
+        times[row], us[row], vs[row] = t, y[0], y[1]
 
     # For b <= 1 the predator box degenerates to {0}.
     v_cap_eff = max(params.v_cap, 0.0)
@@ -362,6 +447,8 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
     diagnostics = {
         "dt_used": dt_used,
         "n_steps": n_steps,
+        "n_rejected": n_rejected,
+        "max_error_norm": max_error_norm,
         "h_worst": h_worst,
         "h_invariant_ok": h_violation <= 1e-8,
         "boundary_warning": boundary_warning,

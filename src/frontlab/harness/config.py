@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .. import habitat as habitat_mod
 from ..dynamics import BumpSpec, Grid, Params, dt_max, grid_from_spacing, step_count
-from ..errors import ConfigError
+from ..errors import ConfigError, InvalidKernelError
 from ..habitat import HabitatProfile
 from ..hypotheses import HypothesisReport, check_hypotheses
 from ..kernels import Kernel, load_tabulated, raised_cosine, smooth_bump
@@ -166,7 +166,10 @@ def _build_kernel(values: dict, prefix: str, base_dir: str) -> Kernel:
             os.path.join(base_dir, values[f"{prefix}.file"]))
         if not os.path.isfile(path):
             raise ConfigError(f"{prefix}.file not found: {path}")
-        return load_tabulated(path)
+        try:
+            return load_tabulated(path)
+        except InvalidKernelError as exc:
+            raise InvalidKernelError(f"{prefix}.file: {exc}") from None
     make = raised_cosine if family == "raised_cosine" else smooth_bump
     return make(values[f"{prefix}.radius"])
 

@@ -237,15 +237,17 @@ def load_tabulated(path) -> Kernel:
     xs: list[float] = []
     ds: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise InvalidKernelError(f"bad kernel table line: {raw.rstrip()!r}")
-            xs.append(float(parts[0]))
-            ds.append(float(parts[1]))
+            try:
+                x, d = map(float, line.split())
+            except ValueError:
+                raise InvalidKernelError(f"{path}, line {lineno}: expected two numbers, "
+                                         f"got {raw.rstrip()!r}") from None
+            xs.append(x)
+            ds.append(d)
     return tabulated(np.asarray(xs), np.asarray(ds))
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import frontlab as fl
+from frontlab import dynamics
 from frontlab.dynamics import _clamp_undershoot, sample_bump, step_count
 from frontlab.errors import (BoundaryContaminationError, InstabilityError,
                              InvariantViolationError, NumericFailureError,
@@ -113,9 +114,10 @@ def test_step_zero_state_stays_zero(unit_kernel):
     params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2)
     grid = fl.grid_from_spacing(-5, 5, 1 / 8)
     st1 = unit_kernel.discretize(grid.dx)
-    zeros, ones = np.zeros(grid.n), np.ones(grid.n)
-    u, v = fl.step(zeros, zeros, 0.01, (ones, ones, ones), params, st1, st1)
-    assert np.all(u == 0.0) and np.all(v == 0.0)
+    zeros, ones = np.zeros((2, grid.n)), np.ones(grid.n)
+    y, err, k_last = fl.step(zeros, 0.01, (ones,) * 6, params, st1, st1,
+                             np.array(fl.rhs(zeros[0], zeros[1], ones, params, st1, st1)))
+    assert np.all(y == 0.0) and np.all(err == 0.0) and np.all(k_last == 0.0)
 
 
 def _simulate_from(unit_kernel, u0, dt, grid):
@@ -188,39 +190,65 @@ def test_step_uniform_logistic_matches_closed_form(unit_kernel):
     grid = fl.grid_from_spacing(-30, 30, 1 / 8)
     st1 = unit_kernel.discretize(grid.dx)
     u0 = 0.2
-    u, v = np.full(grid.n, u0), np.zeros(grid.n)
+    y = np.stack((np.full(grid.n, u0), np.zeros(grid.n)))
     ones = np.ones(grid.n)
-    dt = 0.03
+    dt, k1 = 0.03, np.array(fl.rhs(y[0], y[1], ones, params, st1, st1))
     for _ in range(100):
-        u, v = fl.step(u, v, dt, (ones, ones, ones), params, st1, st1)
+        y, _, k1 = fl.step(y, dt, (ones,) * 6, params, st1, st1, k1)
     t = 100 * dt
     exact = u0 / (u0 + (1.0 - u0) * np.exp(-params.r1 * t))
     mid = grid.n // 2
-    assert u[mid] == pytest.approx(exact, abs=1e-6)
+    assert y[0, mid] == pytest.approx(exact, abs=1e-9)
+    assert np.all(y[1] == 0.0)
+
+
+def test_simulate_uniform_logistic_matches_closed_form(unit_kernel):
+    # the controller's 12 steps, clipped to the snapshot times, follow the logistic
+    # ODE (1.0e-8 off here)
+    params = fl.Params(d1=1, d2=1, r1=1, r2=0.5, a=0.5, b=2)
+    grid = fl.grid_from_spacing(-30, 30, 1 / 8)
+    u0 = 0.2
+    traj = fl.simulate(params, fl.constant_one(), unit_kernel, unit_kernel, grid,
+                       fl.State(u=np.full(grid.n, u0), v=np.zeros(grid.n)), dt=0.02,
+                       t_final=3.0, snapshot_stride=15, boundary_monitor="none")
+    assert traj.diagnostics["n_steps"] < step_count(3.0, 0.02)
+    exact = u0 / (u0 + (1.0 - u0) * np.exp(-params.r1 * traj.times))
+    mid = grid.n // 2
+    assert np.max(np.abs(traj.u[:, mid] - exact)) <= 1e-7
 
 
 def test_step_richardson_order(unit_kernel):
-    # RK4: halving dt cuts the one-interval error by about 2^4
+    # DP5(4): halving dt cuts the one-interval error of the solution by about 2^5
+    # (the ratio falls toward 32 as dt shrinks: 56, 44, 38 at dt = 0.2, 0.1, 0.05),
+    # and the one-step error estimate, of the embedded 4th-order solution, by 2^5
     params = fl.Params(d1=1, d2=1, r1=1, r2=0.5, a=0.5, b=2, s=0.3)
     profile = fl.logistic(A=0.5, L=1.0)
     grid = fl.grid_from_spacing(-15, 15, 1 / 8)
     st1 = unit_kernel.discretize(grid.dx)
 
-    def advance(u, v, t0, dt, n):
+    def alphas_at(t, dt):
+        return tuple(profile.alpha_shifted(grid.x, t + c * dt, params.s)
+                     for c in (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0))
+
+    def one_step(y, t, dt):
+        alphas = alphas_at(t, dt)
+        k1 = np.array(fl.rhs(y[0], y[1], alphas[0], params, st1, st1))
+        return fl.step(y, dt, alphas, params, st1, st1, k1)
+
+    def advance(y, t0, dt, n):
         for k in range(n):
-            t = t0 + k * dt
-            alphas = tuple(profile.alpha_shifted(grid.x, t + f * dt, params.s)
-                           for f in (0.0, 0.5, 1.0))
-            u, v = fl.step(u, v, dt, alphas, params, st1, st1)
-        return u, v
+            y = one_step(y, t0 + k * dt, dt)[0]
+        return y
 
     # warm up so the field is smooth and generic
-    u, v = advance(sample_bump(fl.BumpSpec(0.0, 3.0, 0.6), grid.x),
-                   sample_bump(fl.BumpSpec(0.0, 2.0, 0.3), grid.x), 0.0, 0.02, 10)
-    dt = 0.03
-    coarse, medium, fine = (np.concatenate(advance(u, v, 0.2, dt / n, n)) for n in (1, 2, 4))
+    y = advance(np.stack((sample_bump(fl.BumpSpec(0.0, 3.0, 0.6), grid.x),
+                          sample_bump(fl.BumpSpec(0.0, 2.0, 0.3), grid.x))), 0.0, 0.02, 10)
+    coarse, medium, fine = (advance(y, 0.2, 0.4 / n, n) for n in (8, 16, 32))
     ratio = np.max(np.abs(coarse - medium)) / np.max(np.abs(medium - fine))
-    assert 13.0 <= ratio <= 19.0
+    assert 30.0 <= ratio <= 42.0
+    errs = [np.max(np.abs(one_step(y, 0.2, dt)[1])) for dt in (0.1, 0.05, 0.025)]
+    for big, small in zip(errs, errs[1:]):
+        assert 29.0 <= big / small <= 35.0
 
 
 def test_make_initial_bump_geometry():
@@ -357,11 +385,13 @@ def test_simulate_boundary_warning_flag(unit_kernel):
 
 @pytest.mark.parametrize("stride", [7, 165, 1000])
 def test_simulate_snapshot_rows_for_any_stride(unit_kernel, stride):
-    # t_final = 3.3 in 165 steps of 0.02: 165 * (3.3 / 165) != 3.3 in floating point;
+    # t_final = 3.3 in 165 ticks of 0.02: 165 * (3.3 / 165) != 3.3 in floating point;
     # the shifting habitat makes every row depend on the stage times
     grid = fl.grid_from_spacing(-15, 15, 1 / 8)
     cases = ((fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2), fl.constant_one()),
              (fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2, s=0.3), fl.logistic(A=0.5, L=1.0)))
+    n_ticks = step_count(3.3, 0.02)
+    assert n_ticks == 165
     for params, profile in cases:
         init = fl.make_initial(fl.BumpSpec(0.0, 2.0, 0.5), fl.BumpSpec(0.0, 1.5, 0.4),
                                grid, params)
@@ -370,17 +400,17 @@ def test_simulate_snapshot_rows_for_any_stride(unit_kernel, stride):
                             snapshot_stride=1, **kw)
         traj = fl.simulate(params, profile, unit_kernel, unit_kernel, grid, init,
                            snapshot_stride=stride, **kw)
-        n_steps = traj.diagnostics["n_steps"]
-        assert n_steps == 165
-        rows = 1 + -(-n_steps // stride)
+        rows = 1 + -(-n_ticks // stride)
         assert traj.times.shape == (rows,)
         assert traj.u.shape == traj.v.shape == (rows, grid.n)
         assert traj.times[-1] == 3.3 and traj.t_final == 3.3
-        # every row is the stride-1 snapshot of the same step
-        steps = list(range(0, n_steps, stride)) + [n_steps]
-        assert np.array_equal(traj.times, every.times[steps])
-        assert np.array_equal(traj.u, every.u[steps])
-        assert np.array_equal(traj.v, every.v[steps])
+        # every row is taken at the time of the same tick as with stride 1; clipping
+        # the steps to other snapshot times moves it (8.3e-9 at most here)
+        ticks = list(range(0, n_ticks, stride)) + [n_ticks]
+        assert np.array_equal(traj.times, every.times[ticks])
+        gap = max(np.max(np.abs(traj.u - every.u[ticks])),
+                  np.max(np.abs(traj.v - every.v[ticks])))
+        assert gap <= 1e-7
 
 
 def test_simulate_reads_habitat_once_per_stage_time(unit_kernel, monkeypatch):
@@ -391,19 +421,50 @@ def test_simulate_reads_habitat_once_per_stage_time(unit_kernel, monkeypatch):
         times.append(t)
         return alpha_shifted(self, x, t, s)
 
+    rhs_calls = []
+    rhs = dynamics.rhs
+
+    def counting_rhs(*args):
+        rhs_calls.append(1)
+        return rhs(*args)
+
     monkeypatch.setattr(fl.HabitatProfile, "alpha_shifted", counting)
+    monkeypatch.setattr(dynamics, "rhs", counting_rhs)
     params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2, s=0.3)
     grid = fl.grid_from_spacing(-15, 15, 1 / 8)
     init = fl.make_initial(fl.BumpSpec(0.0, 2.0, 0.5), fl.BumpSpec(0.0, 1.5, 0.4),
                            grid, params)
-    traj = fl.simulate(params, fl.logistic(A=0.5, L=1.0), unit_kernel, unit_kernel, grid,
-                       init, dt=0.02, t_final=3.3, snapshot_stride=10,
-                       boundary_monitor="none")
-    n, h = traj.diagnostics["n_steps"], traj.diagnostics["dt_used"]
-    assert len(times) == 2 * n + 1
-    # step starts from the step index, the last end at t_final exactly
-    assert times[0::2] == [k * h for k in range(n)] + [3.3]
-    assert times[1::2] == [k * h + 0.5 * h for k in range(n)]
+    # the default tolerances, then tight ones that reject steps
+    for rtol, atol in ((dynamics.RTOL, dynamics.ATOL), (1e-10, 1e-13)):
+        monkeypatch.setattr(dynamics, "RTOL", rtol)
+        monkeypatch.setattr(dynamics, "ATOL", atol)
+        times.clear()
+        rhs_calls.clear()
+        traj = fl.simulate(params, fl.logistic(A=0.5, L=1.0), unit_kernel, unit_kernel,
+                           grid, init, dt=0.02, t_final=3.3, snapshot_stride=10,
+                           boundary_monitor="none")
+        accepted, rejected = traj.diagnostics["n_steps"], traj.diagnostics["n_rejected"]
+        assert rejected > 0 or rtol == dynamics.RTOL
+        # nothing is clamped, so the last stage of each accepted step, extended
+        # by zeros where the window grows, is the first stage of the next
+        assert traj.diagnostics["h_worst"]["u_min"] == traj.diagnostics["h_worst"]["v_min"] == 0.0
+        assert len(rhs_calls) == 1 + 6 * (accepted + rejected)
+        # t = 0 once, then the five new stage times of each attempt; the start
+        # of an attempt is the end of the last accepted one and is not read again
+        assert times[0] == 0.0 and len(times) == 1 + 5 * (accepted + rejected)
+        assert len(set(times)) == len(times)
+        start, ends = 0.0, []
+        for i, stage in enumerate(np.reshape(times[1:], (-1, 5))):
+            dt = stage[-1] - start
+            assert dt > 0.0
+            assert np.allclose(stage, start + dt * np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0]),
+                               rtol=0.0, atol=1e-12)
+            if i + 1 == accepted + rejected or times[1 + 5 * (i + 1)] > stage[-1]:
+                start = stage[-1]
+                ends.append(start)
+        assert len(ends) == accepted
+        # every snapshot after t = 0 is the exact end of an accepted step
+        assert set(traj.times[1:].tolist()) <= set(ends) and ends[-1] == 3.3
 
 
 def test_simulate_reads_static_habitat_once(unit_kernel, monkeypatch):
@@ -427,33 +488,6 @@ def test_simulate_reads_static_habitat_once(unit_kernel, monkeypatch):
         assert calls == [0.0]
 
 
-def _full_grid_reference(params, profile, kernel1, kernel2, grid, initial, dt, t_final,
-                         stride):
-    """Plain RK4 over the whole grid, clamping and recording like ``simulate``."""
-    st1, st2 = kernel1.discretize(grid.dx), kernel2.discretize(grid.dx)
-    n_steps = step_count(t_final, dt)
-    h = t_final / n_steps
-    u, v = initial.u.copy(), initial.v.copy()
-    times, us, vs = [0.0], [u.copy()], [v.copy()]
-    worst = {"u_min": float(u.min()), "u_max": float(u.max()),
-             "v_min": float(v.min()), "v_max": float(v.max())}
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        t_end = t_final if k == n_steps else k * h
-        alphas = tuple(profile.alpha_shifted(grid.x, tau, params.s)
-                       for tau in (t, t + 0.5 * h, t_end))
-        u, v = fl.step(u, v, h, alphas, params, st1, st2)
-        t = t_end
-        for w, name in ((u, "u"), (v, "v")):
-            worst[name + "_max"] = max(worst[name + "_max"], float(w.max()))
-            worst[name + "_min"] = min(worst[name + "_min"], _clamp_undershoot(w))
-        if k % stride == 0 or k == n_steps:
-            times.append(t)
-            us.append(u.copy())
-            vs.append(v.copy())
-    return np.array(times), np.array(us), np.array(vs), worst
-
-
 _B = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2)
 _WINDOW_CASES = {
     # (params, profile, kernel2 radius or None, x range, u bump, v bump, t_final);
@@ -471,23 +505,52 @@ _WINDOW_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
-def test_simulate_window_is_bit_identical_to_full_grid(unit_kernel, case):
+def test_simulate_window_is_bit_identical_to_full_grid(unit_kernel, case, monkeypatch):
     params, profile, radius2, half, u_bump, v_bump, t_final = _WINDOW_CASES[case]
     kernel2 = unit_kernel if radius2 is None else fl.smooth_bump(radius2)
     grid = fl.grid_from_spacing(-half, half, 1 / 8)
     init = fl.make_initial(fl.BumpSpec(*u_bump), fl.BumpSpec(*v_bump), grid, params)
-    traj = fl.simulate(params, profile, unit_kernel, kernel2, grid, init, dt=0.02,
-                       t_final=t_final, snapshot_stride=7, boundary_monitor="none")
-    times, us, vs, worst = _full_grid_reference(params, profile, unit_kernel, kernel2,
-                                                grid, init, 0.02, t_final, 7)
-    assert np.array_equal(traj.times, times)
-    assert traj.u.tobytes() == us.tobytes() and traj.v.tobytes() == vs.tobytes()
-    assert traj.diagnostics["h_worst"] == worst
+
+    def run():
+        return fl.simulate(params, profile, unit_kernel, kernel2, grid, init, dt=0.02,
+                           t_final=t_final, snapshot_stride=7, boundary_monitor="none")
+
+    traj = run()
+    # the reference steps the whole grid: its window starts as the grid
+    monkeypatch.setattr(dynamics, "_support", lambda u, v, start, stop: (0, u.size))
+    ref = run()
+    assert np.array_equal(traj.times, ref.times)
+    assert traj.u.tobytes() == ref.u.tobytes() and traj.v.tobytes() == ref.v.tobytes()
+    assert traj.diagnostics == ref.diagnostics
     ends = traj.u[-1, [0, -1]] + traj.v[-1, [0, -1]]
     if case == "front_inside":
         assert np.all(ends == 0.0)
     if case == "fills_both_sides":
         assert np.all(ends > 0.0)
+
+
+def test_simulate_error_against_tight_tolerance_on_shifting_front(unit_kernel, monkeypatch):
+    # both species spread behind a moving habitat edge; the run at 1e-4 times the
+    # tolerances stands in for the exact solution (9.8e-7 apart here, mostly in u)
+    params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2, s=0.2)
+    grid = fl.grid_from_spacing(-20, 40, 1 / 8)
+    init = fl.make_initial(fl.BumpSpec(0.0, 3.0, 0.6), fl.BumpSpec(0.0, 2.0, 0.3),
+                           grid, params)
+
+    def run():
+        return fl.simulate(params, fl.logistic(A=0.5, L=1.0), unit_kernel, unit_kernel,
+                           grid, init, dt=0.02, t_final=20.0, snapshot_stride=50,
+                           boundary_monitor="both")
+
+    base = run()
+    monkeypatch.setattr(dynamics, "RTOL", 1e-4 * dynamics.RTOL)
+    monkeypatch.setattr(dynamics, "ATOL", 1e-4 * dynamics.ATOL)
+    tight = run()
+    assert tight.diagnostics["n_steps"] > 5 * base.diagnostics["n_steps"]
+    assert base.v[-1].max() > 0.1
+    assert np.array_equal(base.times, tight.times)
+    gap = max(np.max(np.abs(base.u - tight.u)), np.max(np.abs(base.v - tight.v)))
+    assert gap <= 2e-6
 
 
 def test_simulate_leaves_initial_state_untouched(unit_kernel):

@@ -6,7 +6,7 @@ import pytest
 
 import frontlab as fl
 import frontlab.harness as H
-from frontlab.errors import ConfigError
+from frontlab.errors import ConfigError, InvalidKernelError
 from frontlab.harness import config, runner
 from frontlab.harness.csvio import fmt
 
@@ -391,3 +391,11 @@ def test_relative_kernel_table_read_from_config_directory(tmp_path, monkeypatch)
     # text parsed without a file reads relative tables from the working directory
     with pytest.raises(ConfigError, match="kernel1.file not found"):
         H.parse_config_text((tmp_path / "cfgs" / "exp.cfg").read_text())
+
+
+def test_bad_kernel_table_row_names_the_key(tmp_path):
+    table = tmp_path / "rc.txt"
+    table.write_text("-1.0 0.0\nnp.float64(0.0) np.float64(1.0)\n1.0 0.0\n")
+    text = DESK + f"kernel1.family = tabulated\nkernel1.file = {table}\n"
+    with pytest.raises(InvalidKernelError, match=r"kernel1\.file: .*rc\.txt, line 2"):
+        H.parse_config_text(text)

@@ -157,6 +157,14 @@ def test_load_tabulated_file(tmp_path):
     assert k.validate().ok
 
 
+@pytest.mark.parametrize("bad", ["np.float64(-1.0) np.float64(0.0)", "0.5", "0.1 0.2 0.3"])
+def test_load_tabulated_names_file_and_line_of_a_bad_row(tmp_path, bad):
+    path = tmp_path / "kernel.txt"
+    path.write_text(f"# x density\n-1.0 0.0\n{bad}\n1.0 0.0\n")
+    with pytest.raises(InvalidKernelError, match=r"kernel\.txt, line 3: expected two numbers"):
+        fl.load_tabulated(path)
+
+
 def _bump_mgf_reference(lam: float) -> float:
     """Smooth-bump MGF on radius 1 by tight adaptive quadrature."""
     body = lambda u: math.exp(-1.0 / (1.0 - u * u))
