@@ -311,7 +311,8 @@ def _support(u: np.ndarray, v: np.ndarray, start: int, stop: int) -> tuple[int, 
 def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: Kernel,
              grid: Grid, initial: State, dt: float, t_final: float,
              snapshot_stride: int = 1,
-             boundary_monitor: str = "both") -> Trajectory:
+             boundary_monitor: str = "both",
+             on_snapshot=None) -> Trajectory:
     """Integrate to ``t_final`` with snapshots every ``snapshot_stride`` ticks of ``dt``.
 
     ``dt`` is shortened to ``t_final / step_count(t_final, dt)``; it is the
@@ -321,6 +322,12 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
     sides ("both", "left", "right", or "none"): density above 1e-6 of the
     species peak records a domain-too-small warning, above 1e-3 the run
     aborts because a front has reached the wall.  ``initial`` is not modified.
+
+    ``on_snapshot(t, u_row, v_row)``, when given, is called once for every
+    stored snapshot, in order and as soon as it is stored, starting with
+    row 0 at ``t = 0``; ``u_row`` and ``v_row`` are the rows of the
+    returned ``Trajectory.u`` and ``.v``, which the callback must not
+    modify.  An exception it raises ends the run.
     """
     if boundary_monitor not in ("both", "left", "right", "none"):
         raise ValueError("boundary_monitor must be both/left/right/none")
@@ -363,6 +370,8 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
                 boundary_warning = True
 
     check_boundary(initial.u, initial.v, 0.0)
+    if on_snapshot is not None:
+        on_snapshot(0.0, us[0], vs[0])
 
     # Active window [lo, hi): the nonzero extent [first, last) padded by
     # `reach` cells (see the module docstring); cells outside stay +0.0.
@@ -439,6 +448,8 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
                 lo, hi = max(first - reach, 0), min(last + reach, n)
         check_boundary(y[0], y[1], t)
         times[row], us[row], vs[row] = t, y[0], y[1]
+        if on_snapshot is not None:
+            on_snapshot(t, us[row], vs[row])
 
     # For b <= 1 the predator box degenerates to {0}.
     v_cap_eff = max(params.v_cap, 0.0)

@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 import os
+import struct
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
+
+_WRITER_SCRIPT = Path(__file__).with_name("_snapshot_writer.py")
 
 
 def fmt(value) -> str:
@@ -19,6 +26,12 @@ def _stream(out, header: str, rows) -> None:
         out.write(row if isinstance(row, str) else ",".join(map(fmt, row)) + "\n")
 
 
+def _temp_sibling(path: Path) -> Path:
+    """The temporary file a write to ``path`` goes to before it is renamed."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
 def write_csv(path, header: str, rows):
     """Stream ``header`` and ``rows`` to ``path`` or to an open text stream.
 
@@ -30,8 +43,7 @@ def write_csv(path, header: str, rows):
         _stream(path, header, rows)
         return path
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = _temp_sibling(path)
     try:
         with open(tmp, "w", encoding="utf-8") as out:
             _stream(out, header, rows)
@@ -40,3 +52,74 @@ def write_csv(path, header: str, rows):
         tmp.unlink(missing_ok=True)
         raise
     return path
+
+
+class SnapshotWriter:
+    """Writes ``header`` and ``t,x,u,v`` lines to ``path`` from a child process.
+
+    The child formats while the caller goes on computing.  The grid ``x``
+    is sent once, then each :meth:`write` sends ``t, u, v`` as raw float64
+    over a pipe, whose backpressure holds memory to about one snapshot on
+    each side.  The child writes a sibling temporary file; :meth:`close`
+    waits for it and renames the file to ``path``.  After an exception,
+    from this writer or from the caller, call :meth:`abort`: it stops the
+    child and removes the file.  A failed child makes :meth:`write` or
+    :meth:`close` raise an ``OSError`` with its exit status and stderr.
+    The text equals ``fmt`` of every value.
+    """
+
+    def __init__(self, path, header: str, x: np.ndarray):
+        self.path = Path(path)
+        self.tmp = _temp_sibling(self.path)
+        self._proc = subprocess.Popen(
+            [sys.executable, "-I", "-S", str(_WRITER_SCRIPT), str(self.tmp), header],
+            stdin=subprocess.PIPE, stderr=subprocess.PIPE)
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        self._send(struct.pack("=q", x.size), x)
+
+    def _send(self, *chunks) -> None:
+        try:
+            for chunk in chunks:
+                self._proc.stdin.write(chunk)
+        except BrokenPipeError:
+            status, err = self._reap()
+            raise self._failure(status, err or "it stopped reading") from None
+
+    def write(self, t: float, u: np.ndarray, v: np.ndarray) -> None:
+        self._send(struct.pack("=d", t), np.ascontiguousarray(u, dtype=np.float64),
+                   np.ascontiguousarray(v, dtype=np.float64))
+
+    def _reap(self) -> tuple[int, str]:
+        """Close the pipe and wait for the child: its exit status and stderr."""
+        proc = self._proc
+        try:
+            proc.stdin.close()
+        except BrokenPipeError:
+            pass
+        err = proc.stderr.read().decode("utf-8", "replace").strip()
+        proc.stderr.close()
+        return proc.wait(), err
+
+    def _failure(self, status: int, err: str) -> OSError:
+        return OSError(f"{self.path.name} writer exited with status {status}: {err}")
+
+    def close(self) -> Path:
+        """Wait for the child, then move the finished file to ``path``."""
+        status, err = self._reap()
+        if status != 0:
+            raise self._failure(status, err)
+        os.replace(self.tmp, self.path)
+        return self.path
+
+    def abort(self) -> None:
+        """Stop and reap the child and remove the temporary file; ``path`` is untouched."""
+        proc = self._proc
+        if proc.returncode is None:
+            proc.kill()
+        for pipe in (proc.stdin, proc.stderr):
+            try:
+                pipe.close()
+            except BrokenPipeError:
+                pass
+        proc.wait()
+        self.tmp.unlink(missing_ok=True)

@@ -7,12 +7,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..dynamics import Trajectory, make_initial, simulate
-from ..errors import FrontLabError
 from ..observers import (LevelSetSeries, PersistenceReport, frame_band_min,
                          level_set_series)
 from .config import (ExperimentConfig, echo_config, override_config_text,
                      parse_config_text, sweep_axis_key)
-from .csvio import write_csv
+from .csvio import SnapshotWriter, write_csv
 
 SPEEDS_HEADER = "s_star,lambda1,s_lower_star,lambda2,s_underline"
 SNAPSHOT_HEADER = "t,x,u,v"
@@ -28,15 +27,6 @@ def speeds_row(cfg: ExperimentConfig) -> tuple:
     if sp is None:
         return (cfg.prey.speed, cfg.prey.rate, float("nan"), float("nan"), float("nan"))
     return (sp.s_star, sp.rate1, sp.s_lower_star, sp.rate2, sp.s_underline)
-
-
-def snapshot_rows(traj: Trajectory):
-    """One block of ``t,x,u,v`` lines per snapshot, as ``fmt`` would print them."""
-    xs = ["%.17g" % x for x in traj.grid.x.tolist()]
-    for t, ui, vi in zip(traj.times.tolist(), traj.u, traj.v):
-        head = "%.17g," % t
-        yield "".join([f"{head}{x},{u:.17g},{v:.17g}\n"
-                       for x, u, v in zip(xs, ui.tolist(), vi.tolist())])
 
 
 def level_set_rows(series_left: LevelSetSeries, series_right: LevelSetSeries):
@@ -66,40 +56,50 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Simulate one configuration and emit the artifact bundle.
 
     Bundle: config echo, speeds CSV, snapshots CSV, one level-set CSV per
-    species, persistence CSV, hypotheses CSV.  Pass ``out_dir=None`` to
-    skip writing and keep everything in memory.
+    species, persistence CSV, hypotheses CSV.  ``snapshots.csv`` is
+    formatted by a :class:`SnapshotWriter` child while the run integrates;
+    if the run fails, the child is stopped and no ``snapshots.csv`` is
+    written.  Pass ``out_dir=None`` to skip writing and keep everything
+    in memory.
     """
     initial = make_initial(cfg.u_spec, cfg.v_spec, cfg.grid, cfg.params)
-    traj = simulate(cfg.params, cfg.profile, cfg.kernel1, cfg.kernel2, cfg.grid,
-                    initial, dt=cfg.dt, t_final=cfg.t_final,
-                    snapshot_stride=cfg.snapshot_stride,
-                    boundary_monitor=cfg.boundary_monitor)
-    u_left = level_set_series(traj, cfg.theta, "u", "left")
-    u_right = level_set_series(traj, cfg.theta, "u", "right")
-    v_left = level_set_series(traj, cfg.theta, "v", "left")
-    v_right = level_set_series(traj, cfg.theta, "v", "right")
-
-    u_report = v_report = None
-    if cfg.band is not None:
-        u_report = frame_band_min(traj, cfg.band, "u")
-        v_report = frame_band_min(traj, cfg.band, "v")
-
-    out_path = None
+    out_path = writer = None
     if out_dir is not None:
         out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
-        (out_path / "config_echo.txt").write_text(echo_config(cfg), encoding="utf-8")
-        write_csv(out_path / "speeds.csv", SPEEDS_HEADER, [speeds_row(cfg)])
-        write_csv(out_path / "hypotheses.csv", HYPOTHESES_HEADER, cfg.hypotheses.rows())
-        write_csv(out_path / "snapshots.csv", SNAPSHOT_HEADER, snapshot_rows(traj))
-        write_csv(out_path / "level_sets_u.csv", LEVELSET_HEADER,
-                  level_set_rows(u_left, u_right))
-        write_csv(out_path / "level_sets_v.csv", LEVELSET_HEADER,
-                  level_set_rows(v_left, v_right))
-        nan, epsilon = float("nan"), cfg.values["band.epsilon"]
-        rows = (persistence_rows([r for r in (u_report, v_report) if r is not None])
-                or [(sp, nan, epsilon, nan, "unavailable") for sp in ("u", "v")])
-        write_csv(out_path / "persistence.csv", PERSISTENCE_HEADER, rows)
+        writer = SnapshotWriter(out_path / "snapshots.csv", SNAPSHOT_HEADER, cfg.grid.x)
+    try:
+        traj = simulate(cfg.params, cfg.profile, cfg.kernel1, cfg.kernel2, cfg.grid,
+                        initial, dt=cfg.dt, t_final=cfg.t_final,
+                        snapshot_stride=cfg.snapshot_stride,
+                        boundary_monitor=cfg.boundary_monitor,
+                        on_snapshot=None if writer is None else writer.write)
+        u_left = level_set_series(traj, cfg.theta, "u", "left")
+        u_right = level_set_series(traj, cfg.theta, "u", "right")
+        v_left = level_set_series(traj, cfg.theta, "v", "left")
+        v_right = level_set_series(traj, cfg.theta, "v", "right")
+
+        u_report = v_report = None
+        if cfg.band is not None:
+            u_report = frame_band_min(traj, cfg.band, "u")
+            v_report = frame_band_min(traj, cfg.band, "v")
+
+        if out_path is not None:
+            (out_path / "config_echo.txt").write_text(echo_config(cfg), encoding="utf-8")
+            write_csv(out_path / "speeds.csv", SPEEDS_HEADER, [speeds_row(cfg)])
+            write_csv(out_path / "hypotheses.csv", HYPOTHESES_HEADER, cfg.hypotheses.rows())
+            write_csv(out_path / "level_sets_u.csv", LEVELSET_HEADER,
+                      level_set_rows(u_left, u_right))
+            write_csv(out_path / "level_sets_v.csv", LEVELSET_HEADER,
+                      level_set_rows(v_left, v_right))
+            nan, epsilon = float("nan"), cfg.values["band.epsilon"]
+            rows = (persistence_rows([r for r in (u_report, v_report) if r is not None])
+                    or [(sp, nan, epsilon, nan, "unavailable") for sp in ("u", "v")])
+            write_csv(out_path / "persistence.csv", PERSISTENCE_HEADER, rows)
+            writer.close()
+    except BaseException:
+        if writer is not None:
+            writer.abort()
+        raise
     return ExperimentResult(config=cfg, trajectory=traj,
                             u_series=u_right, v_series=v_right,
                             u_report=u_report, v_report=v_report,
@@ -128,7 +128,7 @@ def _sweep_worker(task) -> tuple:
         cfg = parse_config_text(override_config_text(text, key, value), base_dir)
         result = run_experiment(cfg, out_dir=run_dir)
         return sweep_row(value, result)
-    except FrontLabError as exc:
+    except Exception as exc:
         return sweep_row(value, None, error=type(exc).__name__)
 
 

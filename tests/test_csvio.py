@@ -1,5 +1,6 @@
 import io
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 
 import frontlab as fl
 import frontlab.harness as H
-from frontlab.harness.csvio import fmt, write_csv
-from frontlab.harness.runner import SNAPSHOT_HEADER, snapshot_rows
+from frontlab.errors import InstabilityError
+from frontlab.harness import csvio, runner
+from frontlab.harness.csvio import SnapshotWriter, fmt, write_csv
+from frontlab.harness.runner import SNAPSHOT_HEADER
 
 SMALL_RUN = """
 params.d1 = 1.0
@@ -79,24 +82,71 @@ def _synthetic_trajectory(n_times: int, n_grid: int, u=None) -> fl.Trajectory:
                          params=fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2))
 
 
+def _write_snapshots(path, traj):
+    writer = SnapshotWriter(path, SNAPSHOT_HEADER, traj.grid.x)
+    try:
+        for t, u, v in zip(traj.times.tolist(), traj.u, traj.v):
+            writer.write(t, u, v)
+    except BaseException:
+        writer.abort()
+        raise
+    return writer.close()
+
+
 def test_snapshot_blocks_cover_special_values(tmp_path):
     specials = np.array([[float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 0.1]])
     traj = _synthetic_trajectory(1, 6, u=specials)
-    write_csv(tmp_path / "s.csv", SNAPSHOT_HEADER, snapshot_rows(traj))
-    assert (tmp_path / "s.csv").read_text() == _reference_snapshots(traj)
+    _write_snapshots(tmp_path / "s.csv", traj)
+    assert (tmp_path / "s.csv").read_bytes() == _reference_snapshots(traj).encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
 
 
 def test_snapshot_writer_memory_is_bounded_by_one_snapshot(tmp_path):
     traj = _synthetic_trajectory(200, 2000)
     tracemalloc.start()
     try:
-        write_csv(tmp_path / "snapshots.csv", SNAPSHOT_HEADER, snapshot_rows(traj))
+        _write_snapshots(tmp_path / "snapshots.csv", traj)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     size = (tmp_path / "snapshots.csv").stat().st_size
     assert size > 10_000_000
     assert peak < 2_000_000, f"peak {peak} B while writing {size} B"
+
+
+def test_failed_run_stops_the_snapshot_writer(tmp_path, monkeypatch):
+    children = []
+
+    def failing_simulate(*args, on_snapshot, **kwargs):
+        initial = args[5]
+        on_snapshot(0.0, initial.u, initial.v)
+        writer = on_snapshot.__self__
+        children.append(writer._proc)
+        deadline = time.monotonic() + 30.0
+        while not writer.tmp.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)  # let the child create its file, so removing it is tested
+        assert writer.tmp.exists()
+        raise InstabilityError("injected failure after the first snapshot")
+
+    monkeypatch.setattr(runner, "simulate", failing_simulate)
+    out = tmp_path / "run"
+    with pytest.raises(InstabilityError, match="injected failure"):
+        H.run_experiment(H.parse_config_text(SMALL_RUN), out_dir=out)
+    child, = children
+    assert child.returncode is not None
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("reads", ["", "sys.stdin.buffer.read()\n"],
+                         ids=["exits-at-once", "reads-all-input"])
+def test_failed_snapshot_writer_raises_with_its_status(tmp_path, monkeypatch, reads):
+    script = tmp_path / "failing_writer.py"
+    script.write_text(f"import sys\n{reads}sys.stderr.write('no space left')\nsys.exit(3)\n")
+    monkeypatch.setattr(csvio, "_WRITER_SCRIPT", script)
+    out = tmp_path / "run"
+    with pytest.raises(OSError, match=r"snapshots\.csv writer exited with status 3: no space left"):
+        H.run_experiment(H.parse_config_text(SMALL_RUN), out_dir=out)
+    assert not [p for p in out.iterdir() if "snapshots" in p.name]
 
 
 def test_write_csv_to_stream():

@@ -398,9 +398,16 @@ def test_simulate_snapshot_rows_for_any_stride(unit_kernel, stride):
         kw = dict(dt=0.02, t_final=3.3, boundary_monitor="none")
         every = fl.simulate(params, profile, unit_kernel, unit_kernel, grid, init,
                             snapshot_stride=1, **kw)
+        seen = []
         traj = fl.simulate(params, profile, unit_kernel, unit_kernel, grid, init,
-                           snapshot_stride=stride, **kw)
+                           snapshot_stride=stride,
+                           on_snapshot=lambda t, u, v: seen.append((t, u, v, u.copy())), **kw)
         rows = 1 + -(-n_ticks // stride)
+        # on_snapshot gets every stored row, row 0 included, when it is stored
+        assert [t for t, *_ in seen] == traj.times.tolist()
+        for i, (_, u, v, u_then) in enumerate(seen):
+            assert np.shares_memory(u, traj.u[i]) and np.shares_memory(v, traj.v[i])
+            assert np.array_equal(u_then, traj.u[i])
         assert traj.times.shape == (rows,)
         assert traj.u.shape == traj.v.shape == (rows, grid.n)
         assert traj.times[-1] == 3.3 and traj.t_final == 3.3

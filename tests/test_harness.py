@@ -353,6 +353,19 @@ def test_sweep_records_failures_and_continues(tmp_path):
     assert rows[2][6] in ("persists", "inconclusive", "extinct")
 
 
+def test_sweep_records_any_member_exception_and_continues(tmp_path):
+    cfg = H.parse_config_text(DESK + "solver.t_final = 8.0\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "run_001").write_text("a file where a bundle directory should go\n")
+    rows = H.sweep(cfg, "s", [0.05, 0.1, 0.15], workers=1, out_dir=out)
+    assert rows[1][6:] == ("error:FileExistsError", "error:FileExistsError")
+    for i in (0, 2):
+        assert rows[i][6] in ("persists", "inconclusive", "extinct")
+        assert len(list((out / f"run_{i:03d}").iterdir())) == 7
+    assert (out / "sweep.csv").exists()
+
+
 def test_sweep_rejects_unknown_axis():
     cfg = H.parse_config_text(DESK)
     with pytest.raises(ConfigError):
