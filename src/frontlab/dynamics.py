@@ -18,9 +18,33 @@ step: snapshots fall at ``k * stride * dt`` and at ``t_final`` exactly,
 steps are clipped to land on them, and after a clipped step the unclipped
 proposal resumes.  Only ``simulate`` knows time: the habitat is read once
 per distinct stage time (five new reads per attempted step), or once per
-run when it does not move (``s == 0`` or the constant profile).  On accepted steps only, one min and one max per field
-drive the roundoff clamp, the aborts and the record of the invariant box
-0 <= u <= 1, 0 <= v <= b-1.
+run when it does not move (``s == 0`` or the constant profile).  On
+accepted steps only, one min and one max per field drive the aborts and
+the record of the invariant box 0 <= u <= 1, 0 <= v <= b-1, and one pass
+per field sets every cell below ``TAIL_FLOOR`` to +0.0: roundoff
+negatives, and the leading edge of a front where it falls below 1e-250.
+
+The floor keeps the arithmetic off subnormal numbers (below 2.2e-308),
+which x86 processes in microcode, many times slower than normal ones.  No
+observer looks anywhere near it (the smallest threshold is ``ATOL``), and
+a cutoff at level eps moves a pulled front's speed by O(1/ln^2 eps)
+(Brunet & Derrida 1997); float64 underflow already imposes one near
+5e-324.  It sits at 1e-250, not at the subnormal limit, because the
+stages multiply an edge value by stencil weights and ``dt`` up to six
+times beyond the support, and from a floor of 1e-300 that still makes
+subnormals.  The carried last stage survives a flush of positive cells:
+it was evaluated at the unflushed state, which differs from the stored
+one by less than ``TAIL_FLOOR`` per cell, so the first stage is off by
+less than ``TAIL_FLOOR * (d + r)`` per cell.  A clamped negative, a real
+change of sign, still forces a fresh first stage.
+
+A species that is identically zero at t = 0 has an identically zero
+right-hand side and stays +0.0, so ``simulate`` leaves it out: stage
+combinations, error norms, the floor and the support scans run over the
+live species' rows only, and ``rhs`` drops the absent one's terms, which
+would add and multiply exact zeros.  The error norm and the steps are
+those of stepping both, since a zero row adds 0 to the norm.  When both
+species are absent, u's zero row is stepped to keep the step sequence.
 
 ``simulate`` steps only an active window of the grid.  The kernels have
 compact support, so one stage widens the nonzero set of u and v by at most
@@ -30,11 +54,13 @@ by ``7h`` cells: ``6h`` for the growth within the step, and ``h`` more so
 that the stencils truncated at the window edges read only zeros.  Every
 cell inside the window then sums the same terms in the same order as a
 full-grid step, and the error norm over the window equals the full-grid
-one, so the result is bit-identical to stepping the whole grid.  The
-window only grows, and only the ``6h``-cell fringe just beyond the extent
-is scanned after each accepted step, until the window covers the grid.
-When it grows, the cells it gains are +0.0 and read only zeros, so the
-carried last stage is extended by zeros, not recomputed.
+one, so the result is bit-identical to stepping the whole grid.  After the
+floor, the nonzero cells are those at or above ``TAIL_FLOOR``, and the
+argument is unchanged.  The window only grows, and only the ``6h``-cell
+fringe just beyond the extent is scanned after each accepted step, until
+the window covers the grid.  When it grows, the cells it gains are +0.0
+and read only zeros, so the carried last stage is extended by zeros, not
+recomputed.
 """
 
 from __future__ import annotations
@@ -53,6 +79,10 @@ from .kernels import Kernel, Stencil
 # Undershoot threshold: roundoff-scale negatives (~1e-12) get clamped to
 # zero; anything below this aborts as an instability.
 _ABORT_FLOOR = -1e-10
+
+# After each accepted step, every cell below this becomes +0.0 (see the
+# module docstring for why 1e-250).
+TAIL_FLOOR = 1e-250
 
 # Step controller tolerances: a step is accepted when
 # max |err| / (ATOL + RTOL * max(|y_old|, |y_new|)) <= 1 over both fields.
@@ -193,19 +223,38 @@ def nonlocal_apply(stencil: Stencil, field_values: np.ndarray) -> np.ndarray:
     return conv - field_values
 
 
-def rhs(u: np.ndarray, v: np.ndarray, alpha: np.ndarray, params: Params,
-        st1: Stencil, st2: Stencil) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side of the coupled system for the habitat values ``alpha`` on the grid."""
-    # An identically zero species stays zero; skip its convolution.
-    if u.any():
-        du = params.d1 * nonlocal_apply(st1, u) + params.r1 * u * (alpha - u - params.a * v)
-    else:
-        du = np.zeros_like(u)
-    if v.any():
-        dv = params.d2 * nonlocal_apply(st2, v) + params.r2 * v * (-1.0 + params.b * u - v)
-    else:
-        dv = np.zeros_like(v)
+def rhs(u: np.ndarray | None, v: np.ndarray | None, alpha: np.ndarray, params: Params,
+        st1: Stencil, st2: Stencil) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Right-hand side of the coupled system for the habitat values ``alpha`` on the grid.
+
+    ``None`` stands for an absent species, identically zero: its rate is
+    ``None`` and its terms drop out of the other's, which is exact.
+    """
+    du = dv = None
+    if u is not None:
+        # An identically zero species stays zero; skip its convolution.
+        if u.any():
+            pressure = alpha - u if v is None else alpha - u - params.a * v
+            du = params.d1 * nonlocal_apply(st1, u) + params.r1 * u * pressure
+        else:
+            du = np.zeros_like(u)
+    if v is not None:
+        if v.any():
+            pressure = -1.0 - v if u is None else -1.0 + params.b * u - v
+            dv = params.d2 * nonlocal_apply(st2, v) + params.r2 * v * pressure
+        else:
+            dv = np.zeros_like(v)
     return du, dv
+
+
+def _live_rhs(y: np.ndarray, live: tuple[int, ...], alpha: np.ndarray, params: Params,
+              st1: Stencil, st2: Stencil) -> np.ndarray:
+    """``rhs`` of the stacked rows ``y`` of the ``live`` species (0 for u, 1 for v), stacked."""
+    fields = [None, None]
+    for i, w in zip(live, y):
+        fields[i] = w
+    rates = rhs(*fields, alpha, params, st1, st2)
+    return np.array([rates[i] for i in live])
 
 
 def dt_max(params: Params, alpha_bar: float) -> float:
@@ -220,11 +269,11 @@ def dt_max(params: Params, alpha_bar: float) -> float:
     return 0.2 / denom
 
 
-def _clamp_undershoot(arr: np.ndarray) -> float:
-    """Zero out roundoff-level negatives; return the worst value seen."""
+def _flush_tail(arr: np.ndarray) -> float:
+    """Set every cell below ``TAIL_FLOOR`` to +0.0; return the minimum before."""
     worst = float(arr.min()) if arr.size else 0.0
-    if worst < 0.0:
-        np.clip(arr, 0.0, None, out=arr)
+    if worst < TAIL_FLOOR:
+        np.copyto(arr, 0.0, where=arr < TAIL_FLOOR)
     return worst
 
 
@@ -242,8 +291,8 @@ def _combine(coefs: tuple[float, ...], ks: list[np.ndarray], dt: float) -> np.nd
 
 
 def step(y: np.ndarray, dt: float, alphas: tuple[np.ndarray, ...], params: Params,
-         st1: Stencil, st2: Stencil,
-         k1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+         st1: Stencil, st2: Stencil, k1: np.ndarray,
+         live: tuple[int, ...] = (0, 1)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Dormand-Prince 5(4) step of the stacked state ``y = (u, v)``.
 
     ``alphas`` is the habitat on the grid at the six distinct stage times
@@ -251,12 +300,13 @@ def step(y: np.ndarray, dt: float, alphas: tuple[np.ndarray, ...], params: Param
     stacked right-hand side at ``y`` and ``alphas[0]``.  Returns the
     5th-order solution, its error estimate (5th minus embedded 4th order)
     and the right-hand side at the solution and ``alphas[-1]``, which is
-    the next step's ``k1``.
+    the next step's ``k1``.  ``y`` and ``k1`` hold only the rows of the
+    species in ``live`` (0 for u, 1 for v); the others are absent.
     """
     ks = [k1]
     for row, alpha in zip(_A, alphas[1:] + alphas[-1:]):
         stage = y + _combine(row, ks, dt)
-        ks.append(np.array(rhs(stage[0], stage[1], alpha, params, st1, st2)))
+        ks.append(_live_rhs(stage, live, alpha, params, st1, st2))
     # The last row of _A holds the 5th-order weights: the last stage state is the solution.
     return stage, _combine(_E, ks, dt), ks[-1]
 
@@ -302,9 +352,9 @@ def _boundary_fraction(w: np.ndarray, sides: tuple[str, ...]) -> float:
     return edge / peak
 
 
-def _support(u: np.ndarray, v: np.ndarray, start: int, stop: int) -> tuple[int, int] | None:
-    """First and one-past-last index in ``[start, stop)`` where u or v is nonzero."""
-    hit = np.flatnonzero((u[start:stop] != 0.0) | (v[start:stop] != 0.0))
+def _support(y: np.ndarray, start: int, stop: int) -> tuple[int, int] | None:
+    """First and one-past-last index in ``[start, stop)`` where a row of ``y`` is nonzero."""
+    hit = np.flatnonzero((y[:, start:stop] != 0.0).any(axis=0))
     return (start + int(hit[0]), start + int(hit[-1]) + 1) if hit.size else None
 
 
@@ -375,16 +425,23 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
 
     # Active window [lo, hi): the nonzero extent [first, last) padded by
     # `reach` cells (see the module docstring); cells outside stay +0.0.
+    # Only the live species are stepped: one that is identically zero at
+    # t = 0 stays +0.0.  With none live, u's zero row keeps the step sequence.
     n = grid.n
+    fields = (initial.u, initial.v)
+    live = tuple(i for i in (0, 1) if fields[i].any()) or (0,)
+    names = tuple("uv"[i] for i in live)
     taps = max(st1.halfwidth, st2.halfwidth)
     grow, reach = 6 * taps, 7 * taps
-    first, last = _support(initial.u, initial.v, 0, n) or (0, 0)
+    first, last = _support(np.array(fields), 0, n) or (0, 0)
     lo, hi = max(first - reach, 0), min(last + reach, n)
     y = np.zeros((2, n))
-    y[:, lo:hi] = initial.u[lo:hi], initial.v[lo:hi]
+    for i in live:
+        y[i, lo:hi] = fields[i][lo:hi]
+    ys = y[live[0]:live[-1] + 1]  # the live rows, a view
     # The first stage of the next step: the last stage of the accepted one,
     # zero outside the window, which is exact where the window grows.
-    k1 = np.zeros((2, n))
+    k1 = np.zeros(ys.shape)
     have_k1 = False
 
     static = params.s == 0.0 or profile.family == CONSTANT_ONE
@@ -404,12 +461,12 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
             t_end = target if clipped else t + h
             alphas = (a_start, *(habitat(t + c * h_try) for c in _NODES[1:-1]), habitat(t_end))
             win = slice(lo, hi)
-            y_old = y[:, win]
+            y_old = ys[:, win]
             if not have_k1:
-                k1[:, win] = rhs(y_old[0], y_old[1], a_start[win], params, st1, st2)
+                k1[:, win] = _live_rhs(y_old, live, a_start[win], params, st1, st2)
                 have_k1 = True
             y_new, err, k7 = step(y_old, h_try, tuple(a[win] for a in alphas), params,
-                                  st1, st2, k1[:, win])
+                                  st1, st2, k1[:, win], live)
             scale = ATOL + RTOL * np.maximum(np.abs(y_old), np.abs(y_new))
             norm = float(np.max(np.abs(err) / scale))
             if not math.isfinite(norm):
@@ -421,19 +478,20 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
                 continue
             # Where the window stops short of the grid's end, its outer h cells
             # are still +0.0, so its min and max are those of the full grid.
-            for w, name in ((y_new[0], "u"), (y_new[1], "v")):
+            for w, name in zip(y_new, names):
                 w_max = float(w.max())
-                w_min = _clamp_undershoot(w)
+                w_min = _flush_tail(w)
                 if not math.isfinite(w_min + w_max):
                     raise NumericFailureError(f"non-finite values in {name} at t={t_end:g}")
                 if w_min < _ABORT_FLOOR:
                     raise InstabilityError(
                         f"undershoot {w_min:.3e} below {_ABORT_FLOOR:g} at t={t_end:g}")
-                # A clamped state no longer matches the last stage.
+                # A clamped negative no longer matches the last stage; a flushed
+                # positive tail does, to TAIL_FLOOR * (d + r) per cell.
                 have_k1 = have_k1 and w_min >= 0.0
                 h_worst[name + "_min"] = min(h_worst[name + "_min"], w_min)
                 h_worst[name + "_max"] = max(h_worst[name + "_max"], w_max)
-            y[:, win], k1[:, win] = y_new, k7
+            ys[:, win], k1[:, win] = y_new, k7
             t, a_start = t_end, alphas[-1]
             n_steps += 1
             max_error_norm = max(max_error_norm, norm)
@@ -441,8 +499,8 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
                 # After a clipped step the unclipped proposal h stands.
                 h = h_try * factor
             if hi - lo < n:
-                left = _support(y[0], y[1], max(first - grow, 0), first)
-                right = _support(y[0], y[1], last, min(last + grow, n))
+                left = _support(ys, max(first - grow, 0), first)
+                right = _support(ys, last, min(last + grow, n))
                 first = left[0] if left else first
                 last = right[1] if right else last
                 lo, hi = max(first - reach, 0), min(last + reach, n)

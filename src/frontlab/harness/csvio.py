@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 
 _WRITER_SCRIPT = Path(__file__).with_name("_snapshot_writer.py")
+# Sent by SnapshotWriter.close after the last snapshot: a time no snapshot has.
+_END_MARK = struct.pack("=d", -1.0)
 
 
 def fmt(value) -> str:
@@ -61,7 +63,9 @@ class SnapshotWriter:
     is sent once, then each :meth:`write` sends ``t, u, v`` as raw float64
     over a pipe, whose backpressure holds memory to about one snapshot on
     each side.  The child writes a sibling temporary file; :meth:`close`
-    waits for it and renames the file to ``path``.  After an exception,
+    sends an end mark, waits for the child and renames the file to
+    ``path``.  A child whose input ends without the mark, because this
+    process died, removes the file and exits nonzero.  After an exception,
     from this writer or from the caller, call :meth:`abort`: it stops the
     child and removes the file.  A failed child makes :meth:`write` or
     :meth:`close` raise an ``OSError`` with its exit status and stderr.
@@ -104,7 +108,8 @@ class SnapshotWriter:
         return OSError(f"{self.path.name} writer exited with status {status}: {err}")
 
     def close(self) -> Path:
-        """Wait for the child, then move the finished file to ``path``."""
+        """Send the end mark, wait for the child, then move the finished file to ``path``."""
+        self._send(_END_MARK)
         status, err = self._reap()
         if status != 0:
             raise self._failure(status, err)

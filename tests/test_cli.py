@@ -123,3 +123,14 @@ def test_runtime_error_exit_code(tmp_path):
     assert "error:" in proc.stderr
     missing = run_cli("speeds", str(tmp_path / "missing.cfg"))
     assert missing.returncode == 1
+
+
+def test_unwritable_out_fails_cleanly(cfg_file, tmp_path):
+    # --out names a regular file, so the bundle directory cannot be made
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    proc = run_cli("simulate", str(cfg_file), "--out", str(afile))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "File exists" in proc.stderr and "Traceback" not in proc.stderr
+    assert afile.read_text() == "keep\n" and sorted(tmp_path.iterdir()) == sorted([cfg_file, afile])

@@ -149,6 +149,19 @@ def test_failed_snapshot_writer_raises_with_its_status(tmp_path, monkeypatch, re
     assert not [p for p in out.iterdir() if "snapshots" in p.name]
 
 
+@pytest.mark.parametrize("cut", [0, 8], ids=["at-a-record-boundary", "inside-a-record"])
+def test_snapshot_writer_without_end_mark_removes_its_file(tmp_path, cut):
+    # the input ends as when the sending process dies: no close(), no end mark
+    traj = _synthetic_trajectory(3, 5)
+    writer = SnapshotWriter(tmp_path / "snapshots.csv", SNAPSHOT_HEADER, traj.grid.x)
+    for t, u, v in zip(traj.times.tolist(), traj.u, traj.v):
+        writer.write(t, u, v)
+    writer._proc.stdin.write(b"\0" * cut)
+    status, err = writer._reap()
+    assert status != 0 and "snapshot stream ended inside" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_csv_to_stream():
     out = io.StringIO()
     write_csv(out, "a,b", [(1, 0.5), "x,y\nz,w\n", (True, float("nan"))])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frontlab as fl
 from frontlab import dynamics
-from frontlab.dynamics import _clamp_undershoot, sample_bump, step_count
+from frontlab.dynamics import _flush_tail, sample_bump, step_count
 from frontlab.errors import (BoundaryContaminationError, InstabilityError,
                              InvariantViolationError, NumericFailureError,
                              ResolutionError)
@@ -120,6 +122,32 @@ def test_step_zero_state_stays_zero(unit_kernel):
     assert np.all(y == 0.0) and np.all(err == 0.0) and np.all(k_last == 0.0)
 
 
+def test_step_leaves_out_an_absent_species_exactly(unit_kernel):
+    # an identically zero species only adds and multiplies exact zeros, so
+    # stepping the other one alone changes no bit of its solution, error or last stage
+    params = fl.Params(d1=1, d2=0.7, r1=1, r2=0.5, a=0.5, b=2)
+    grid = fl.grid_from_spacing(-10, 10, 1 / 8)
+    st1, st2 = unit_kernel.discretize(grid.dx), fl.smooth_bump(1.5).discretize(grid.dx)
+    dt = 0.1
+    alphas = tuple(fl.logistic(A=0.5, L=1.0).alpha_shifted(grid.x, c * dt, 0.3)
+                   for c in (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0))
+    bump = sample_bump(fl.BumpSpec(0.0, 3.0, 0.6), grid.x)
+    for i in (0, 1):
+        y = np.zeros((2, grid.n))
+        y[i] = bump
+        both = fl.step(y, dt, alphas, params, st1, st2,
+                       np.array(fl.rhs(y[0], y[1], alphas[0], params, st1, st2)))
+        fields = [None, None]
+        fields[i] = bump
+        rates = fl.rhs(*fields, alphas[0], params, st1, st2)
+        assert rates[1 - i] is None
+        alone = fl.step(y[i:i + 1], dt, alphas, params, st1, st2, np.array([rates[i]]),
+                        live=(i,))
+        for full, part in zip(both, alone):
+            assert part.shape == (1, grid.n)
+            assert full[i].tobytes() == part[0].tobytes() and not full[1 - i].any()
+
+
 def _simulate_from(unit_kernel, u0, dt, grid):
     params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2)
     return fl.simulate(params, fl.constant_one(), unit_kernel, unit_kernel, grid,
@@ -159,10 +187,14 @@ def test_simulate_aborts_on_real_undershoot(unit_kernel):
 
 
 def test_clamp_undershoot_thresholds():
-    arr = np.array([0.2, -5e-13, 0.0])
-    worst = _clamp_undershoot(arr)
+    # roundoff negatives and the tail below the floor become +0.0; the floor
+    # itself and everything above stay; the minimum before the flush is returned
+    floor = dynamics.TAIL_FLOOR
+    arr = np.array([0.2, -5e-13, 0.0, -0.0, 5e-324, 1e-300, 0.999 * floor, floor, 1.001 * floor])
+    worst = _flush_tail(arr)
     assert worst == -5e-13
-    assert arr[1] == 0.0 and arr[0] == 0.2
+    assert arr.tolist() == [0.2] + [0.0] * 6 + [floor, 1.001 * floor]
+    assert not np.signbit(arr).any()
 
 
 def test_simulate_rejects_nan_state(unit_kernel):
@@ -441,19 +473,29 @@ def test_simulate_reads_habitat_once_per_stage_time(unit_kernel, monkeypatch):
     grid = fl.grid_from_spacing(-15, 15, 1 / 8)
     init = fl.make_initial(fl.BumpSpec(0.0, 2.0, 0.5), fl.BumpSpec(0.0, 1.5, 0.4),
                            grid, params)
-    # the default tolerances, then tight ones that reject steps
-    for rtol, atol in ((dynamics.RTOL, dynamics.ATOL), (1e-10, 1e-13)):
+    # the default tolerances, then tight ones that reject steps, then a floor
+    # raised to 1e-20, below which the default run holds values
+    runs = []
+    for rtol, atol, floor in ((dynamics.RTOL, dynamics.ATOL, dynamics.TAIL_FLOOR),
+                              (1e-10, 1e-13, dynamics.TAIL_FLOOR),
+                              (dynamics.RTOL, dynamics.ATOL, 1e-20)):
         monkeypatch.setattr(dynamics, "RTOL", rtol)
         monkeypatch.setattr(dynamics, "ATOL", atol)
+        monkeypatch.setattr(dynamics, "TAIL_FLOOR", floor)
         times.clear()
         rhs_calls.clear()
         traj = fl.simulate(params, fl.logistic(A=0.5, L=1.0), unit_kernel, unit_kernel,
                            grid, init, dt=0.02, t_final=3.3, snapshot_stride=10,
                            boundary_monitor="none")
+        runs.append(traj)
         accepted, rejected = traj.diagnostics["n_steps"], traj.diagnostics["n_rejected"]
         assert rejected > 0 or rtol == dynamics.RTOL
-        # nothing is clamped, so the last stage of each accepted step, extended
-        # by zeros where the window grows, is the first stage of the next
+        if floor == 1e-20:
+            fired = [((w > 0.0) & (w < floor)).any() for w in (runs[0].u, traj.u)]
+            assert fired == [True, False]
+        # no negative is clamped, and a flushed tail keeps the last stage, so the
+        # last stage of each accepted step, extended by zeros where the window
+        # grows, is the first stage of the next
         assert traj.diagnostics["h_worst"]["u_min"] == traj.diagnostics["h_worst"]["v_min"] == 0.0
         assert len(rhs_calls) == 1 + 6 * (accepted + rejected)
         # t = 0 once, then the five new stage times of each attempt; the start
@@ -498,7 +540,7 @@ def test_simulate_reads_static_habitat_once(unit_kernel, monkeypatch):
 _B = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2)
 _WINDOW_CASES = {
     # (params, profile, kernel2 radius or None, x range, u bump, v bump, t_final);
-    # roundoff underflow, not the kernel radius, bounds the nonzero extent
+    # the tail floor, not the kernel radius, bounds the nonzero extent
     "front_inside": (_B, fl.constant_one(), None, 100, (0.0, 2.0, 0.5), (0.0, 1.5, 0.4), 0.5),
     "fills_both_sides": (_B, fl.constant_one(), None, 12, (0.0, 2.0, 0.5), (0.0, 1.5, 0.4), 4.0),
     "v_zero": (_B, fl.constant_one(), None, 30, (3.0, 2.0, 0.5), (0.0, 1.5, 0.0), 3.0),
@@ -524,7 +566,7 @@ def test_simulate_window_is_bit_identical_to_full_grid(unit_kernel, case, monkey
 
     traj = run()
     # the reference steps the whole grid: its window starts as the grid
-    monkeypatch.setattr(dynamics, "_support", lambda u, v, start, stop: (0, u.size))
+    monkeypatch.setattr(dynamics, "_support", lambda y, start, stop: (0, y.shape[1]))
     ref = run()
     assert np.array_equal(traj.times, ref.times)
     assert traj.u.tobytes() == ref.u.tobytes() and traj.v.tobytes() == ref.v.tobytes()
@@ -579,3 +621,36 @@ def test_simulate_aborts_on_undershoot_inside_narrow_window(unit_kernel):
     u[np.searchsorted(grid.x, 10.0)] = -5e-10
     with pytest.raises(InstabilityError, match="undershoot"):
         _simulate_from(unit_kernel, u, 0.01, grid)
+
+
+_HEIGHT = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(r1=st.floats(0.1, 1.0), r2=st.floats(0.1, 1.0), a=st.floats(0.1, 1.0),
+       b=st.floats(1.05, 2.0), slack1=st.floats(0.05, 1.0), slack2=st.floats(0.05, 1.0),
+       s_frac=st.floats(0.0, 0.9), u_height=_HEIGHT, v_frac=_HEIGHT,
+       v_center=st.floats(-3.0, 3.0))
+def test_simulate_keeps_the_box_the_floor_and_absent_species(
+        unit_kernel, r1, r2, a, b, slack1, slack2, s_frac, u_height, v_frac, v_center):
+    # parameters that satisfy the standing hypotheses: both diffusion
+    # inequalities with the drawn slack, b > 1, and s below both speeds
+    profile = fl.logistic(A=0.5, L=1.0)
+    d1 = r1 * profile.alpha_bar + r1 * a / 2 + r2 * b * (b - 1) / 2 + slack1
+    d2 = r2 * (b - 1) + r2 * b * (b - 1) / 2 + a * r1 / 2 + slack2
+    params = fl.Params(d1=d1, d2=d2, r1=r1, r2=r2, a=a, b=b)
+    s_under = fl.system_speeds(params, unit_kernel, unit_kernel).s_underline
+    params = fl.Params(d1=d1, d2=d2, r1=r1, r2=r2, a=a, b=b, s=s_frac * s_under)
+    assert fl.check_hypotheses(params, profile, unit_kernel, unit_kernel).all_ok
+    # wide enough that the leading edges fall below the floor in most examples
+    grid = fl.grid_from_spacing(-100, 100, 1 / 8)
+    init = fl.make_initial(fl.BumpSpec(0.0, 2.0, u_height),
+                           fl.BumpSpec(v_center, 1.5, v_frac * (b - 1)), grid, params)
+    traj = fl.simulate(params, profile, unit_kernel, unit_kernel, grid, init,
+                       dt=fl.dt_max(params, profile.alpha_bar), t_final=4.0,
+                       snapshot_stride=8, boundary_monitor="none")
+    for w, cap, height in ((traj.u, 1.0, u_height), (traj.v, b - 1, v_frac)):
+        assert w.min() >= 0.0 and w.max() <= cap + 1e-8
+        assert not ((w > 0.0) & (w < dynamics.TAIL_FLOOR)).any()
+        if height == 0.0:
+            assert w.tobytes() == bytes(w.nbytes)
