@@ -51,16 +51,25 @@ compact support, so one stage widens the nonzero set of u and v by at most
 ``h`` cells (the larger stencil half-width) and one step by ``6h``; every
 cell outside stays exactly +0.0.  The window is the nonzero extent padded
 by ``7h`` cells: ``6h`` for the growth within the step, and ``h`` more so
-that the stencils truncated at the window edges read only zeros.  Every
-cell inside the window then sums the same terms in the same order as a
-full-grid step, and the error norm over the window equals the full-grid
-one, so the result is bit-identical to stepping the whole grid.  After the
-floor, the nonzero cells are those at or above ``TAIL_FLOOR``, and the
-argument is unchanged.  The window only grows, and only the ``6h``-cell
-fringe just beyond the extent is scanned after each accepted step, until
-the window covers the grid.  When it grows, the cells it gains are +0.0
-and read only zeros, so the carried last stage is extended by zeros, not
-recomputed.
+that the stencils truncated at the window edges read only zeros.  After
+the floor, the nonzero cells are those at or above ``TAIL_FLOOR``.  Every
+cell inside the window then gets the same bits as in a full-grid step.
+``nonlocal_apply`` forms ``J*w`` as one matrix product of rows of
+``BLOCK + 2h`` cells with a Toeplitz block (``Stencil.block``): a cell at
+offset ``j`` of its row meets ``j`` exact-zero block entries, then its
+``2h + 1`` taps in ascending order, then zeros again, and adding a zero
+product leaves a partial sum as it is.  A cell's bits therefore depend
+neither on its offset in a row nor on where the window starts or how long
+it is, as long as the BLAS sums each output in one pass over its row.
+OpenBLAS does while ``BLOCK + 2h`` fits its inner block (384 on its
+SkylakeX kernels, so ``h <= 176``); past that, runs stay deterministic,
+but the window may differ from the full grid at roundoff.  The error norm
+over the window equals the full-grid one, so the result is bit-identical
+to stepping the whole grid.  The window only grows, and only the
+``6h``-cell fringe just beyond the extent is scanned after each accepted
+step, until the window covers the grid.  When it grows, the cells it gains
+are +0.0 and read only zeros, so the carried last stage is extended by
+zeros, not recomputed.
 """
 
 from __future__ import annotations
@@ -70,11 +79,12 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (BoundaryContaminationError, InstabilityError,
                      InvariantViolationError, NumericFailureError, ResolutionError)
 from .habitat import CONSTANT_ONE, HabitatProfile
-from .kernels import Kernel, Stencil
+from .kernels import BLOCK, Kernel, Stencil
 
 # Undershoot threshold: roundoff-scale negatives (~1e-12) get clamped to
 # zero; anything below this aborts as an instability.
@@ -216,11 +226,22 @@ def make_initial(u_spec, v_spec, grid: Grid, params: Params) -> State:
 def nonlocal_apply(stencil: Stencil, field_values: np.ndarray) -> np.ndarray:
     """Vectorized (J*w - w) over ``field_values`` with zero extension past its ends.
 
-    ``simulate`` passes its active window, whose outer ``h`` cells are zero
-    at every stage, so the result equals the full-grid one cell for cell.
+    One matrix product: the values, padded with ``h`` zeros on each side and
+    up to a whole number of blocks, are cut into rows of ``BLOCK + 2h`` cells
+    that start every ``BLOCK`` cells, and each row times ``stencil.block``
+    gives ``J*w`` on its middle ``BLOCK`` cells, with bits that do not depend
+    on where a cell sits (see the module docstring).  ``simulate`` passes its
+    active window, whose outer ``h`` cells are zero at every stage, so the
+    result equals the full-grid one cell for cell.  A non-finite value turns
+    the rows that read it to NaN (``0 * inf``).
     """
-    conv = np.convolve(field_values, stencil.weights, mode="same") * stencil.dx
-    return conv - field_values
+    h, n = stencil.halfwidth, field_values.size
+    n_rows = -(-n // BLOCK)
+    padded = np.zeros(n_rows * BLOCK + 2 * h)
+    padded[h:h + n] = field_values
+    cell = padded.itemsize
+    rows = as_strided(padded, (n_rows, BLOCK + 2 * h), (BLOCK * cell, cell)).copy()
+    return (rows @ stencil.block).ravel()[:n] - field_values
 
 
 def rhs(u: np.ndarray | None, v: np.ndarray | None, alpha: np.ndarray, params: Params,

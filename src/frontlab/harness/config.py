@@ -80,7 +80,6 @@ _KEYS: dict[str, tuple] = {
     "band.mode": ("str", "auto", *_one_of("auto", "theorem", "ahead", "none")),
     "observer.theta": ("float", 0.1, "in (0, 1)", lambda x: 0.0 < x < 1.0),
     "observer.window_fraction": ("float", 0.5, *_FRACTION),
-    "observer.side": ("str", "right", *_one_of("left", "right")),
     "subsolution.c": ("afloat", "auto", *_POSITIVE),
     "subsolution.delta1": ("float", 0.05, *_POSITIVE),
     "subsolution.delta2": ("float", 0.05, *_POSITIVE),
@@ -152,7 +151,6 @@ class ExperimentConfig:
     band: FrameBandSpec | None
     theta: float
     window_fraction: float
-    side: str
     base_dir: str
 
 
@@ -327,7 +325,7 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         snapshot_stride=values["solver.snapshot_stride"],
         boundary_monitor=values["solver.boundary_monitor"], band=band,
         theta=values["observer.theta"], window_fraction=values["observer.window_fraction"],
-        side=values["observer.side"], base_dir=base_dir,
+        base_dir=base_dir,
     )
 
 

@@ -77,6 +77,65 @@ def test_nonlocal_apply_matches_pointwise(stencil):
         assert out[idx] == pytest.approx(nonlocal_op(stencil, field, idx), abs=1e-13)
 
 
+def _tent(radius):
+    x = np.linspace(-radius, radius, 9)
+    return fl.tabulated(x, np.maximum(0.0, 1.0 - np.abs(x) / radius) / radius)
+
+
+# (kernel, radius, dx): half-widths 8, 16 and 80 > BLOCK for each family.
+_BLOCKED_STENCILS = {f"{family}_h{h}": (make, radius, dx)
+                     for family, make in (("raised_cosine", fl.raised_cosine),
+                                          ("smooth_bump", fl.smooth_bump), ("tabulated", _tent))
+                     for h, radius, dx in ((8, 1.0, 1 / 8), (16, 1.0, 1 / 16), (80, 5.0, 1 / 16))}
+
+
+def _blocked_stencil(name):
+    make, radius, dx = _BLOCKED_STENCILS[name]
+    return make(radius).discretize(dx)
+
+
+def _mixed_field(rng, n):
+    """Values in [0, 1), a third of them scaled to near TAIL_FLOOR and a fifth zero."""
+    w = rng.random(n)
+    w[rng.random(n) < 1 / 3] *= dynamics.TAIL_FLOOR * 10.0 ** rng.uniform(0, 3)
+    w[rng.random(n) < 1 / 5] = 0.0
+    return w
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCKED_STENCILS))
+def test_nonlocal_apply_bits_do_not_depend_on_position(name):
+    # every cell sums its taps in the same order wherever it falls in a block,
+    # which is what keeps simulate's active window bit-identical to the full grid
+    st = _blocked_stencil(name)
+    block = dynamics.BLOCK
+    rng = np.random.default_rng(11)
+    for n in (block + 5, 3 * block + 7):
+        w = _mixed_field(rng, n)
+        ref = fl.nonlocal_apply(st, w)
+        for left in range(2 * block + 2):
+            for right in (0, 1, block - 3):
+                padded = np.concatenate([np.zeros(left), w, np.zeros(right)])
+                out = fl.nonlocal_apply(st, padded)[left:left + n]
+                assert out.tobytes() == ref.tobytes(), (n, left, right)
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCKED_STENCILS))
+def test_nonlocal_apply_agrees_with_pointwise_reference(name):
+    # both sum the 2h + 1 taps and subtract the cell in float64, each within
+    # gamma_(2h+3) of the exact value relative to the sum of the terms' magnitudes
+    st = _blocked_stencil(name)
+    h = st.halfwidth
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(12)
+    for n in (3, 2 * h + 1, 150):
+        w = _mixed_field(rng, n)
+        out = fl.nonlocal_apply(st, w)
+        magnitude = np.convolve(w, st.weights)[h:h + n] * st.dx + w
+        for i in range(n):
+            err = abs(out[i] - nonlocal_op(st, w, i))
+            assert err <= (2 * h + 3) * eps * magnitude[i], (n, i, err)
+
+
 def _rhs_on(u, v, params, profile, grid, unit_kernel, t=0.0):
     st1 = unit_kernel.discretize(grid.dx)
     return fl.rhs(u, v, profile.alpha_shifted(grid.x, t, params.s), params, st1, st1)

@@ -76,7 +76,6 @@ band.mode = auto
 # [observer]
 observer.theta = 0.10000000000000001
 observer.window_fraction = 0.5
-observer.side = right
 
 # [subsolution]
 subsolution.c = 0.11841406795368348
@@ -139,6 +138,12 @@ def test_unknown_key_named():
     assert "params.q" in str(err.value)
 
 
+def test_removed_observer_side_is_an_unknown_key():
+    with pytest.raises(ConfigError) as err:
+        H.parse_config_text(MINIMAL + "observer.side = right\n")
+    assert "observer.side" in str(err.value)
+
+
 def test_missing_required_key_named():
     with pytest.raises(ConfigError) as err:
         H.parse_config_text("params.d1 = 1.0\n")
@@ -147,7 +152,7 @@ def test_missing_required_key_named():
 
 def test_minimal_echo_golden():
     assert H.echo_config(H.parse_config_text(MINIMAL)) == MINIMAL_ECHO
-    assert len(config._KEYS) == 47
+    assert len(config._KEYS) == 46
 
 
 def test_prey_speed_computed_once_per_weak_predator_config(monkeypatch, tmp_path):
@@ -179,7 +184,6 @@ def test_prey_speed_computed_once_per_weak_predator_config(monkeypatch, tmp_path
     ("kernel2.family", "gaussian"),
     ("habitat.family", "auto"),
     ("observer.theta", "1.5"),
-    ("observer.side", "banana"),
     ("observer.window_fraction", "-3"),
     ("subsolution.n_space", "0"),
     ("subsolution.n_time", "0"),
@@ -223,8 +227,8 @@ def test_unranged_keys_accept_any_value():
 
 
 def test_observer_range_edges():
-    cfg = H.parse_config_text(DESK + "observer.window_fraction = 1.0\nobserver.side = left\n")
-    assert cfg.window_fraction == 1.0 and cfg.side == "left"
+    cfg = H.parse_config_text(DESK + "observer.window_fraction = 1.0\n")
+    assert cfg.window_fraction == 1.0
     for theta in ("0.0", "1.0", "nan"):
         with pytest.raises(ConfigError, match="observer.theta"):
             H.parse_config_text(DESK + f"observer.theta = {theta}\n")
