@@ -32,11 +32,12 @@ a cutoff at level eps moves a pulled front's speed by O(1/ln^2 eps)
 5e-324.  It sits at 1e-250, not at the subnormal limit, because the
 stages multiply an edge value by stencil weights and ``dt`` up to six
 times beyond the support, and from a floor of 1e-300 that still makes
-subnormals.  The carried last stage survives a flush of positive cells:
-it was evaluated at the unflushed state, which differs from the stored
-one by less than ``TAIL_FLOOR`` per cell, so the first stage is off by
-less than ``TAIL_FLOOR * (d + r)`` per cell.  A clamped negative, a real
-change of sign, still forces a fresh first stage.
+subnormals.  The carried last stage survives a flush of cells above
+``-TAIL_FLOOR``, positive or negative: it was evaluated at the unflushed
+state, which differs from the stored one by less than ``TAIL_FLOOR`` per
+cell, so the first stage is off by less than ``TAIL_FLOOR * (d + r)`` per
+cell.  A clamped negative at or below ``-TAIL_FLOOR`` still forces a
+fresh first stage.
 
 A species that is identically zero at t = 0 has an identically zero
 right-hand side and stays +0.0, so ``simulate`` leaves it out: stage
@@ -507,9 +508,9 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
                 if w_min < _ABORT_FLOOR:
                     raise InstabilityError(
                         f"undershoot {w_min:.3e} below {_ABORT_FLOOR:g} at t={t_end:g}")
-                # A clamped negative no longer matches the last stage; a flushed
-                # positive tail does, to TAIL_FLOOR * (d + r) per cell.
-                have_k1 = have_k1 and w_min >= 0.0
+                # A flush that moves no cell by TAIL_FLOOR or more keeps the last
+                # stage, to TAIL_FLOOR * (d + r) per cell; a larger clamp does not.
+                have_k1 = have_k1 and w_min > -TAIL_FLOOR
                 h_worst[name + "_min"] = min(h_worst[name + "_min"], w_min)
                 h_worst[name + "_max"] = max(h_worst[name + "_max"], w_max)
             ys[:, win], k1[:, win] = y_new, k7

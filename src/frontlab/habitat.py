@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 LOGISTIC = "logistic"
 PIECEWISE_LINEAR = "piecewise_linear"
@@ -53,7 +52,9 @@ class HabitatProfile:
         """Profile value at shifted coordinate ``xi`` (scalar or array)."""
         x = np.asarray(xi, dtype=float)
         if self.family == LOGISTIC:
-            vals = -self.A + (1.0 + self.A) * expit(x / self.L)
+            # exp overflows to inf far left of the ramp, where the profile is -A.
+            with np.errstate(over="ignore"):
+                vals = -self.A + (1.0 + self.A) * (1.0 / (1.0 + np.exp(-(x / self.L))))
         elif self.family == PIECEWISE_LINEAR:
             ramp = np.clip((x + self.L) / (2.0 * self.L), 0.0, 1.0)
             vals = -self.A + (1.0 + self.A) * ramp

@@ -15,9 +15,8 @@ found by doubling and one bracketing root solve give it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
 
 from .dynamics import Params
 from .errors import BracketFailureError, HypothesisViolationError
@@ -70,6 +69,65 @@ class SystemSpeeds:
         return min(self.s_star, self.s_lower_star)
 
 
+def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of ``f`` in the bracket ``[xa, xb]`` by Brent's method.
+
+    A step-for-step port of scipy's ``brentq.c`` (Brent 1973, *Algorithms
+    for Minimization without Derivatives*, ch. 4), so it returns the same
+    float: each step interpolates or extrapolates through the last points,
+    bisects when that step is not short enough, and moves at least
+    ``delta = (xtol + rtol*|x|)/2``; the solve stops once half the bracket
+    is below ``delta``.  Raises ``ValueError`` for a bracket whose ends
+    have the same sign or a NaN value of ``f``, and ``RuntimeError`` after
+    ``maxiter`` steps.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x!r} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless a short enough step is found
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                # An underflowed denominator gives C an infinite step: a bisection.
+                if denom != 0.0:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / denom
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} steps; last x={xcur!r}")
+
+
 def candidate_speed(problem: SpeedProblem, lam: float) -> float:
     """Speed of the exponential profile with decay rate ``lam``."""
     if not lam > 0.0:
@@ -84,7 +142,7 @@ def min_speed(problem: SpeedProblem) -> SpeedResult:
     For ``k == 0`` the infimum is 0, approached as ``lam -> 0``, and is
     reported unattained.  Otherwise the minimizer is the root of the
     tangency function ``g`` (module docstring), bracketed by doubling from
-    ``1/R`` and solved to brentq's tolerance of 1e-14.
+    ``1/R`` and solved by Brent's method to a tolerance of 1e-14.
     """
     if problem.k == 0.0:
         return SpeedResult(speed=0.0, rate=None, bracket=(0.0, 0.0), attained=False)
@@ -101,7 +159,7 @@ def min_speed(problem: SpeedProblem) -> SpeedResult:
             raise BracketFailureError(
                 f"candidate speed still decreasing at lam={0.5 * hi:g} "
                 f"(ceiling {ceiling:g}); check kernel and parameters")
-    rate = float(brentq(g, 0.0, hi, xtol=1e-14, rtol=8.9e-16))
+    rate = brentq(g, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
     return SpeedResult(speed=candidate_speed(problem, rate), rate=rate,
                        bracket=(0.0, hi), attained=True)
 

@@ -29,12 +29,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dynamics import Params
 from .errors import NoRootError, NumericFailureError
 from .kernels import Kernel, exp_integral, quad, tilted_mean
-from .speeds import SpeedProblem, min_speed
+from .speeds import SpeedProblem, brentq, min_speed
 
 _DECAY_CEILING_OVER_R = 200.0
 
@@ -163,7 +162,7 @@ def match_decay_rate(frame_speed: float, window: float, params: Params,
             raise NoRootError(
                 f"tilt speed cannot reach {frame_speed:g} below the rate ceiling "
                 f"{ceiling:g}; retry with a larger window than {window:g}")
-    beta = float(brentq(f, 0.0, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200))
+    beta = brentq(f, 0.0, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
     resid = abs(tilt_speed(beta, params, kernel, window) - frame_speed)
     if resid > residual_tol:
         raise NumericFailureError("decay-rate solve left a large residual", residual=resid)

@@ -33,6 +33,27 @@ def run_cli(*args, env=None):
                           capture_output=True, text=True, env=full_env)
 
 
+# Runs the CLI with every scipy import failing, after checking that importing
+# frontlab.cli loaded no scipy module.
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from frontlab.cli import main
+assert [name for name in sys.modules if name.split(".")[0] == "scipy"] == ["scipy"]
+sys.exit(main())
+"""
+
+
+def test_runs_without_scipy(cfg_file, tmp_path):
+    for args in (["speeds", str(cfg_file)],
+                 ["verify-subsolution", str(cfg_file), "--strict"],
+                 ["simulate", str(cfg_file), "--out", str(tmp_path / "run")]):
+        proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run" / "snapshots.csv").exists()
+
+
 def test_speeds_subcommand(cfg_file):
     proc = run_cli("speeds", str(cfg_file))
     assert proc.returncode == 0, proc.stderr

@@ -575,6 +575,42 @@ def test_simulate_reads_habitat_once_per_stage_time(unit_kernel, monkeypatch):
         assert set(traj.times[1:].tolist()) <= set(ends) and ends[-1] == 3.3
 
 
+@pytest.mark.parametrize("dip, fresh", [(-5e-324, 0), (-1e-200, 1)])
+def test_simulate_fresh_first_stage_only_after_a_clamp_past_the_floor(
+        unit_kernel, monkeypatch, dip, fresh):
+    # one cell of u dips to `dip` just before the flush of the second accepted step;
+    # the flush zeroes it either way, but only a dip to -TAIL_FLOOR or below moves the
+    # state far enough to cost a fresh first stage
+    flush = dynamics._flush_tail
+    flushes = []
+
+    def dipping(arr):
+        flushes.append(1)
+        if len(flushes) == 3:  # u, then v, of each accepted step
+            arr[0] = dip
+        return flush(arr)
+
+    rhs_calls = []
+    rhs = dynamics.rhs
+
+    def counting_rhs(*args):
+        rhs_calls.append(1)
+        return rhs(*args)
+
+    monkeypatch.setattr(dynamics, "_flush_tail", dipping)
+    monkeypatch.setattr(dynamics, "rhs", counting_rhs)
+    params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2, s=0.3)
+    grid = fl.grid_from_spacing(-15, 15, 1 / 8)
+    init = fl.make_initial(fl.BumpSpec(0.0, 2.0, 0.5), fl.BumpSpec(0.0, 1.5, 0.4),
+                           grid, params)
+    traj = fl.simulate(params, fl.logistic(A=0.5, L=1.0), unit_kernel, unit_kernel,
+                       grid, init, dt=0.02, t_final=3.3, snapshot_stride=10,
+                       boundary_monitor="none")
+    attempts = traj.diagnostics["n_steps"] + traj.diagnostics["n_rejected"]
+    assert traj.diagnostics["h_worst"]["u_min"] == dip
+    assert len(rhs_calls) == 1 + fresh + 6 * attempts
+
+
 def test_simulate_reads_static_habitat_once(unit_kernel, monkeypatch):
     calls = []
     alpha_shifted = fl.HabitatProfile.alpha_shifted

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 import frontlab as fl
 from frontlab import habitat
@@ -98,6 +101,22 @@ def test_alpha_stays_in_band(xi, A, L):
     val = prof.alpha(xi)
     assert -A - 1e-6 <= val <= 1.0 + 1e-6
     assert abs(val) <= prof.alpha_bar + 1e-6
+
+
+@pytest.mark.parametrize("A, L", [(0.5, 2.0), (2.0, 1.5), (0.1, 0.3)])
+def test_logistic_matches_expit_without_warnings(A, L):
+    # numpy's exp may differ from the C library's by 1 ulp, and 1 + exp(-z) near
+    # 2**53 can stretch that to 4 ulps of the sigmoid: at most 2 ulps of 1 + A here
+    xi = np.linspace(-800.0, 800.0, 1_600_001) * L
+    prof = fl.logistic(A=A, L=L)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = prof.alpha(xi)
+        ends = [prof.alpha(x) for x in (-800.0 * L, -1e6, 800.0 * L, 1e6)]
+    ref = -A + (1.0 + A) * expit(xi / L)
+    assert np.max(np.abs(vals - ref)) <= 2 * np.spacing(1.0 + A)
+    assert vals.min() >= -A and vals.max() <= 1.0
+    assert ends == [-A, -A, 1.0, 1.0]
 
 
 def test_factories_reject_bad_shapes():

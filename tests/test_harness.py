@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frontlab as fl
 import frontlab.harness as H
@@ -19,7 +21,7 @@ params.a = 0.5
 params.b = 1.5
 """
 
-# The echo of MINIMAL, pinned as text: all 47 keys, their defaults and their order.
+# The echo of MINIMAL, pinned as text: all 46 keys, their defaults and their order.
 MINIMAL_ECHO = """# resolved experiment configuration (all defaults explicit)
 
 # [params]
@@ -258,6 +260,44 @@ def test_echo_round_trip_identity():
     cfg2 = H.parse_config_text(echoed)
     assert cfg.values == cfg2.values
     assert H.echo_config(cfg2) == echoed
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# Valid ranges for every drawn key.  b below 1 takes the prey-only path; "auto"
+# picks the theorem band when s is below s_underline and the ahead band when not,
+# and "theorem" is left out because it fails for s past s_underline.
+_RANDOM_KEYS = {
+    "params.d1": _floats(0.2, 2.0), "params.d2": _floats(0.2, 2.0),
+    "params.r1": _floats(0.1, 1.0), "params.r2": _floats(0.1, 1.0),
+    "params.a": _floats(0.1, 1.0), "params.b": _floats(0.5, 3.0),
+    "params.s": _floats(0.0, 0.5),
+    "kernel1.family": st.sampled_from(["raised_cosine", "smooth_bump"]),
+    "kernel1.radius": _floats(0.5, 2.0),
+    "kernel2.family": st.sampled_from(["raised_cosine", "smooth_bump"]),
+    "kernel2.radius": _floats(0.5, 2.0),
+    "habitat.family": st.sampled_from(["logistic", "piecewise_linear", "constant_one"]),
+    "habitat.A": _floats(0.1, 3.0), "habitat.L": _floats(0.5, 5.0),
+    "initial.u_center": _floats(-5.0, 5.0), "initial.u_height": _floats(0.0, 1.0),
+    "solver.t_final": _floats(1.0, 100.0),
+    "solver.boundary_monitor": st.sampled_from(["both", "left", "right", "none"]),
+    "band.two_sided": st.booleans(),
+    "band.mode": st.sampled_from(["auto", "ahead", "none"]),
+    "observer.theta": _floats(0.01, 0.99),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({}, optional=_RANDOM_KEYS))
+def test_echo_round_trips_for_random_valid_configs(drawn):
+    text = MINIMAL + "".join(f"{key} = {fmt(value)}\n" for key, value in drawn.items())
+    cfg = H.parse_config_text(text)
+    echoed = H.echo_config(cfg)
+    again = H.parse_config_text(echoed)
+    assert again.values == cfg.values
+    assert H.echo_config(again) == echoed
 
 
 def test_band_falls_back_ahead_of_front():

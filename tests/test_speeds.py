@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import optimize
 
 import frontlab as fl
 from frontlab.errors import BracketFailureError, HypothesisViolationError
+from frontlab.speeds import brentq
 
 from conftest import raised_cosine_mgf_closed
 
@@ -141,3 +145,75 @@ def test_benchmark_speeds(bench_speeds):
     assert bench_speeds.s_star == pytest.approx(0.3901927818, abs=1e-6)
     assert bench_speeds.s_lower_star == pytest.approx(0.2368281359, abs=1e-6)
     assert bench_speeds.s_underline == bench_speeds.s_lower_star
+
+
+def _tangency(lam, kernel=fl.raised_cosine(1.0)):
+    """min_speed's tangency function for d = 1, r*k = 0.5."""
+    return fl.exp_integral(kernel, lam, weight=lambda y: lam * y - 1.0) + 1.0 - 0.5
+
+
+_ROOT_FUNCTIONS = {
+    "cubic": lambda x: x ** 3 - 2.0 * x - 5.0,
+    "exp": lambda x: math.exp(x) - 3.0,
+    "cos": lambda x: math.cos(x) - x,
+    "flat_fifth_power": lambda x: (x - 1.1) ** 5,
+    "steep_tanh": lambda x: math.tanh(20.0 * (x - 0.77)),
+    "sign_step": lambda x: math.copysign(1.0, x - 0.123),
+    # extrapolation denominators underflow to 0: C takes an infinite step, a bisection
+    "tiny_scale": lambda x: 1e-200 * (x - 0.4),
+    "huge_scale": lambda x: 1e200 * (x - 0.4),
+    "nan_past_one": lambda x: x - 0.5 if x < 1.0 else math.nan,
+    "tangency": _tangency,
+}
+_BRACKETS = [(0.0, 3.0), (-1.0, 2.0), (2.5, -0.5), (0.1, 5.0), (0.4, 1.0)]
+_TOLERANCES = [
+    (1e-14, 8.9e-16, 100),   # min_speed
+    (1e-13, 8.9e-16, 200),   # match_decay_rate
+    (2e-12, 8.881784197001252e-16, 100),   # scipy's defaults
+    (1e-3, 1e-6, 100),
+    (5e-324, 8.9e-16, 500),
+    (1e-14, 8.9e-16, 3),     # too few steps for most brackets
+]
+
+
+def _outcome(solve, f, xa, xb, xtol, rtol, maxiter):
+    try:
+        return solve(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", sorted(_ROOT_FUNCTIONS))
+def test_brentq_matches_scipy_bit_for_bit(name):
+    f = _ROOT_FUNCTIONS[name]
+    for xa, xb in _BRACKETS:
+        for xtol, rtol, maxiter in _TOLERANCES:
+            want = _outcome(optimize.brentq, f, xa, xb, xtol, rtol, maxiter)
+            got = _outcome(brentq, f, xa, xb, xtol, rtol, maxiter)
+            # repr tells every float apart, -0.0 from 0.0 too
+            assert repr(got) == repr(want), (xa, xb, xtol, rtol, maxiter)
+
+
+def test_brentq_grid_reaches_every_outcome():
+    seen = {type(_outcome(brentq, f, xa, xb, *tol)) for f in _ROOT_FUNCTIONS.values()
+            for xa, xb in _BRACKETS for tol in _TOLERANCES}
+    assert seen == {float, type}
+    outcomes = {_outcome(brentq, f, 0.0, 3.0, *tol) for f in _ROOT_FUNCTIONS.values()
+                for tol in _TOLERANCES}
+    assert {ValueError, RuntimeError} <= outcomes
+
+
+def test_brentq_root_at_an_endpoint_returns_it():
+    for xa, xb, root in ((1.0, 3.0, 1.0), (-2.0, 1.0, 1.0)):
+        got = brentq(lambda x: x - 1.0, xa, xb, xtol=1e-14, rtol=8.9e-16)
+        assert got == root == optimize.brentq(lambda x: x - 1.0, xa, xb)
+
+
+def test_brentq_same_sign_bracket_raises():
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x * x + 1.0, -1.0, 2.0, xtol=1e-14, rtol=8.9e-16)
+
+
+def test_brentq_exhausted_maxiter_raises():
+    with pytest.raises(RuntimeError, match="3 steps"):
+        brentq(lambda x: math.cos(x) - x, 0.0, 3.0, xtol=1e-14, rtol=8.9e-16, maxiter=3)
