@@ -17,9 +17,9 @@ against the stability bound, is the snapshot clock and the first trial
 step: snapshots fall at ``k * stride * dt`` and at ``t_final`` exactly,
 steps are clipped to land on them, and after a clipped step the unclipped
 proposal resumes.  Only ``simulate`` knows time: the habitat is read once
-per distinct stage time (five new reads per attempted step), or once per
-run when it does not move (``s == 0`` or the constant profile).  On
-accepted steps only, one min and one max per field drive the aborts and
+per attempted step, as one ``(5, n)`` array at the five new stage times
+(the first is the end of the last accepted step), or once per run when it
+does not move (``s == 0`` or the constant profile).  On accepted steps only, one min and one max per field drive the aborts and
 the record of the invariant box 0 <= u <= 1, 0 <= v <= b-1, and one pass
 per field sets every cell below ``TAIL_FLOOR`` to +0.0: roundoff
 negatives, and the leading edge of a front where it falls below 1e-250.
@@ -46,6 +46,22 @@ live species' rows only, and ``rhs`` drops the absent one's terms, which
 would add and multiply exact zeros.  The error norm and the steps are
 those of stepping both, since a zero row adds 0 to the norm.  When both
 species are absent, u's zero row is stepped to keep the step sequence.
+Snapshot rows after the first are written for the live species only; an
+absent one's rows are zero pages that are never written.
+
+The live species are stepped as one stacked ``(live, n)`` array through
+one workspace per run: the seven stages in one ``(7, live, n)`` buffer,
+the stage state, the error estimate and the convolution's padded input,
+row and product buffers, all allocated once and indexed from the window's
+first cell.  Each stage state ``y + dt * sum_j a_ij k_j`` and the error
+estimate are one ``einsum`` over the stage buffer and, for the stage
+state, one addition.  The ``einsum`` sums each cell's products in tableau
+order, multiplying and adding separately, so it gives the bits of
+accumulating ``(dt * a_ij) * k_j`` one term at a time.  A zero tableau
+entry, skipped there, adds a zero product here, which leaves a partial sum
+as it is up to the sign of an exact zero, and the floor turns every stored
+zero to +0.0.  One ``rhs`` per stage evaluates both species, with one
+``nonlocal_apply``.
 
 ``simulate`` steps only an active window of the grid.  The kernels have
 compact support, so one stage widens the nonzero set of u and v by at most
@@ -55,16 +71,19 @@ by ``7h`` cells: ``6h`` for the growth within the step, and ``h`` more so
 that the stencils truncated at the window edges read only zeros.  After
 the floor, the nonzero cells are those at or above ``TAIL_FLOOR``.  Every
 cell inside the window then gets the same bits as in a full-grid step.
-``nonlocal_apply`` forms ``J*w`` as one matrix product of rows of
-``BLOCK + 2h`` cells with a Toeplitz block (``Stencil.block``): a cell at
-offset ``j`` of its row meets ``j`` exact-zero block entries, then its
-``2h + 1`` taps in ascending order, then zeros again, and adding a zero
-product leaves a partial sum as it is.  A cell's bits therefore depend
-neither on its offset in a row nor on where the window starts or how long
-it is, as long as the BLAS sums each output in one pass over its row.
-OpenBLAS does while ``BLOCK + 2h`` fits its inner block (384 on its
-SkylakeX kernels, so ``h <= 176``); past that, runs stay deterministic,
-but the window may differ from the full grid at roundoff.  The error norm
+``nonlocal_apply`` forms ``J*w`` of both species as one batched matrix
+product of rows of ``BLOCK + 2h`` cells with one Toeplitz block per
+species (``Stencil.padded_block``), the narrower stencil's padded with
+zero rows to the wider half-width ``h``: a cell at offset ``j`` of its row
+meets ``j`` exact-zero block entries (and the padding's), then its taps in
+ascending order, then zeros again, and adding a zero product leaves a
+partial sum as it is.  A cell's bits therefore depend neither on its
+offset in a row, nor on the padding, nor on where the window starts or
+how long it is, as long as the BLAS sums each output in one pass over its
+row.  OpenBLAS does while ``BLOCK + 2h`` fits its inner block (384 on its
+SkylakeX kernels, so ``h <= 176`` for the wider stencil); past that, runs
+stay deterministic, but the window may differ from the full grid at
+roundoff.  The error norm
 over the window equals the full-grid one, so the result is bit-identical
 to stepping the whole grid.  The window only grows, and only the
 ``6h``-cell fringe just beyond the extent is scanned after each accepted
@@ -224,59 +243,136 @@ def make_initial(u_spec, v_spec, grid: Grid, params: Params) -> State:
     return State(u=fields[0], v=fields[1])
 
 
-def nonlocal_apply(stencil: Stencil, field_values: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """Buffers for stepping the stacked rows of the live species on up to ``n`` cells.
+
+    ``simulate`` makes one per run; ``step``, ``rhs`` and ``nonlocal_apply``
+    make a throwaway one when called without it.  Every buffer is indexed
+    from the first cell of the window being stepped.  ``stencils`` holds one
+    stencil per row; ``blocks`` stacks their Toeplitz blocks, zero-padded to
+    the widest half-width ``h``, and ``windows`` is the strided view that
+    cuts the zero-padded rows in ``pad`` into rows of ``BLOCK + 2h`` cells.
+    """
+
+    def __init__(self, stencils: tuple[Stencil, ...], n: int):
+        self.stencil = max(stencils, key=lambda st: st.halfwidth)
+        h = self.stencil.halfwidth
+        m, n_rows = len(stencils), -(-n // BLOCK)
+        self.blocks = np.stack([st.padded_block(h) for st in stencils])
+        self.pad = np.zeros((m, n_rows * BLOCK + 2 * h))
+        cell = self.pad.itemsize
+        self.windows = as_strided(self.pad, (m, n_rows, BLOCK + 2 * h),
+                                  (self.pad.strides[0], BLOCK * cell, cell), writeable=False)
+        self.rows = np.empty(self.windows.shape)
+        self.conv = np.empty((m, n_rows * BLOCK))
+        self.conv_blocks = self.conv.reshape(m, n_rows, BLOCK)
+        self.filled = 0  # cells of ``pad`` past its first h that may be nonzero
+        self.stages = np.empty((7, m, n))
+        self.state, self.err, self.press, self.tmp = np.empty((4, m, n))
+        self.rates = (None, None, None, None)  # params, live, d column, r column
+
+    def nonlocal_part(self, values: np.ndarray) -> np.ndarray:
+        """``J*w - w`` for the stacked rows ``values``, in ``conv``."""
+        h, w = self.stencil.halfwidth, values.shape[-1]
+        if w < self.filled:
+            self.pad[:, h + w:h + self.filled] = 0.0
+        self.filled = w
+        self.pad[:, h:h + w] = values
+        n_rows = -(-w // BLOCK)
+        rows = self.rows[:, :n_rows]
+        np.copyto(rows, self.windows[:, :n_rows])
+        np.matmul(rows, self.blocks, out=self.conv_blocks[:, :n_rows])
+        out = self.conv[:, :w]
+        return np.subtract(out, values, out=out)
+
+    def columns(self, params: Params, live: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The dispersal rates ``d`` and growth rates ``r`` of the ``live`` rows, as columns."""
+        if self.rates[0] is not params or self.rates[1] != live:
+            d = np.array([[params.d1], [params.d2]])[list(live)]
+            r = np.array([[params.r1], [params.r2]])[list(live)]
+            self.rates = (params, live, d, r)
+        return self.rates[2], self.rates[3]
+
+    def error_norm(self, y_old: np.ndarray, y_new: np.ndarray, err: np.ndarray) -> float:
+        """``max |err| / (ATOL + RTOL * max(|y_old|, |y_new|))``; overwrites ``err``."""
+        w = y_old.shape[-1]
+        scale, tmp = self.press[:, :w], self.tmp[:, :w]
+        np.abs(y_old, out=scale)
+        np.abs(y_new, out=tmp)
+        np.maximum(scale, tmp, out=scale)
+        np.multiply(RTOL, scale, out=scale)
+        np.add(ATOL, scale, out=scale)
+        np.abs(err, out=err)
+        np.divide(err, scale, out=err)
+        return float(err.max())
+
+
+def nonlocal_apply(stencil: Stencil, field_values: np.ndarray,
+                   work: _Workspace | None = None) -> np.ndarray:
     """Vectorized (J*w - w) over ``field_values`` with zero extension past its ends.
 
-    One matrix product: the values, padded with ``h`` zeros on each side and
-    up to a whole number of blocks, are cut into rows of ``BLOCK + 2h`` cells
-    that start every ``BLOCK`` cells, and each row times ``stencil.block``
-    gives ``J*w`` on its middle ``BLOCK`` cells, with bits that do not depend
-    on where a cell sits (see the module docstring).  ``simulate`` passes its
-    active window, whose outer ``h`` cells are zero at every stage, so the
-    result equals the full-grid one cell for cell.  A non-finite value turns
-    the rows that read it to NaN (``0 * inf``).
+    ``field_values`` is one field or a stack of rows.  One matrix product
+    serves them all: each row, padded with ``h`` zeros on each side and up
+    to a whole number of blocks, is cut into rows of ``BLOCK + 2h`` cells
+    that start every ``BLOCK`` cells, and each of those times the block
+    gives ``J*w`` on its middle ``BLOCK`` cells, with bits that do not
+    depend on where a cell sits (see the module docstring).  ``simulate``
+    passes its active window, whose outer ``h`` cells are zero at every
+    stage, so the result equals the full-grid one cell for cell.  A
+    non-finite value turns the rows that read it to NaN (``0 * inf``).
+
+    With ``work`` (see ``simulate``), the rows are those of the live
+    species, each convolved with its own stencil zero-padded to the widest
+    half-width, which must be ``stencil``'s; the result is a view into
+    ``work`` that the next call overwrites.
     """
-    h, n = stencil.halfwidth, field_values.size
-    n_rows = -(-n // BLOCK)
-    padded = np.zeros(n_rows * BLOCK + 2 * h)
-    padded[h:h + n] = field_values
-    cell = padded.itemsize
-    rows = as_strided(padded, (n_rows, BLOCK + 2 * h), (BLOCK * cell, cell)).copy()
-    return (rows @ stencil.block).ravel()[:n] - field_values
+    if work is None:
+        values = np.asarray(field_values, dtype=float)
+        rows = np.atleast_2d(values)
+        work = _Workspace((stencil,) * rows.shape[0], rows.shape[1])
+        return work.nonlocal_part(rows).reshape(values.shape)
+    return work.nonlocal_part(field_values)
 
 
-def rhs(u: np.ndarray | None, v: np.ndarray | None, alpha: np.ndarray, params: Params,
-        st1: Stencil, st2: Stencil) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Right-hand side of the coupled system for the habitat values ``alpha`` on the grid.
+def _workspace(live: tuple[int, ...], st1: Stencil, st2: Stencil, n: int) -> _Workspace:
+    return _Workspace(tuple((st1, st2)[i] for i in live), n)
 
-    ``None`` stands for an absent species, identically zero: its rate is
-    ``None`` and its terms drop out of the other's, which is exact.
+
+def rhs(y: np.ndarray, alpha: np.ndarray, params: Params, st1: Stencil, st2: Stencil,
+        live: tuple[int, ...] = (0, 1), out: np.ndarray | None = None,
+        work: _Workspace | None = None) -> np.ndarray:
+    """Right-hand side of the coupled system at the stacked rows ``y = (u, v)``.
+
+    ``alpha`` is the habitat on the cells of ``y``.  ``y`` holds only the
+    rows of the species in ``live`` (0 for u, 1 for v); the others are
+    absent, identically zero, and their terms drop out, which is exact.
+    The rates of the live rows are written to ``out`` (a new array when it
+    is None) and returned.  ``work`` is ``simulate``'s workspace, made for
+    ``live``, ``st1`` and ``st2``: both species share one convolution.
     """
-    du = dv = None
-    if u is not None:
-        # An identically zero species stays zero; skip its convolution.
-        if u.any():
-            pressure = alpha - u if v is None else alpha - u - params.a * v
-            du = params.d1 * nonlocal_apply(st1, u) + params.r1 * u * pressure
-        else:
-            du = np.zeros_like(u)
-    if v is not None:
-        if v.any():
-            pressure = -1.0 - v if u is None else -1.0 + params.b * u - v
-            dv = params.d2 * nonlocal_apply(st2, v) + params.r2 * v * pressure
-        else:
-            dv = np.zeros_like(v)
-    return du, dv
-
-
-def _live_rhs(y: np.ndarray, live: tuple[int, ...], alpha: np.ndarray, params: Params,
-              st1: Stencil, st2: Stencil) -> np.ndarray:
-    """``rhs`` of the stacked rows ``y`` of the ``live`` species (0 for u, 1 for v), stacked."""
-    fields = [None, None]
-    for i, w in zip(live, y):
-        fields[i] = w
-    rates = rhs(*fields, alpha, params, st1, st2)
-    return np.array([rates[i] for i in live])
+    w = y.shape[-1]
+    if work is None:
+        work = _workspace(live, st1, st2, w)
+    if out is None:
+        out = np.empty(y.shape)
+    press = work.press[:, :w]
+    if live == (0, 1):
+        u, v = y
+        tmp = work.tmp[0, :w]
+        np.subtract(alpha, u, out=press[0])
+        np.subtract(press[0], np.multiply(params.a, v, out=tmp), out=press[0])
+        np.multiply(params.b, u, out=press[1])
+        np.add(press[1], -1.0, out=press[1])
+        np.subtract(press[1], v, out=press[1])
+    elif live == (0,):
+        np.subtract(alpha, y[0], out=press[0])
+    else:
+        np.subtract(-1.0, y[0], out=press[0])
+    d, r = work.columns(params, live)
+    growth = np.multiply(r, y, out=work.tmp[:, :w])
+    np.multiply(growth, press, out=growth)
+    np.multiply(d, nonlocal_apply(work.stencil, y, work), out=out)
+    return np.add(out, growth, out=out)
 
 
 def dt_max(params: Params, alpha_bar: float) -> float:
@@ -299,38 +395,35 @@ def _flush_tail(arr: np.ndarray) -> float:
     return worst
 
 
-def _combine(coefs: tuple[float, ...], ks: list[np.ndarray], dt: float) -> np.ndarray:
-    """``dt * sum(c * k)`` over the nonzero coefficients, in tableau order."""
-    acc = None
-    for c, k in zip(coefs, ks):
-        if c:
-            term = (dt * c) * k
-            if acc is None:
-                acc = term
-            else:
-                acc += term
-    return acc
-
-
-def step(y: np.ndarray, dt: float, alphas: tuple[np.ndarray, ...], params: Params,
-         st1: Stencil, st2: Stencil, k1: np.ndarray,
-         live: tuple[int, ...] = (0, 1)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def step(y: np.ndarray, dt: float, alphas, params: Params, st1: Stencil, st2: Stencil,
+         k1: np.ndarray, live: tuple[int, ...] = (0, 1),
+         work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Dormand-Prince 5(4) step of the stacked state ``y = (u, v)``.
 
-    ``alphas`` is the habitat on the grid at the six distinct stage times
-    ``t + c*dt``, ``c`` in ``(0, 1/5, 3/10, 4/5, 8/9, 1)``, and ``k1`` the
-    stacked right-hand side at ``y`` and ``alphas[0]``.  Returns the
-    5th-order solution, its error estimate (5th minus embedded 4th order)
-    and the right-hand side at the solution and ``alphas[-1]``, which is
-    the next step's ``k1``.  ``y`` and ``k1`` hold only the rows of the
-    species in ``live`` (0 for u, 1 for v); the others are absent.
+    ``alphas`` is the habitat on the cells of ``y`` at the six distinct
+    stage times ``t + c*dt``, ``c`` in ``(0, 1/5, 3/10, 4/5, 8/9, 1)``, and
+    ``k1`` the stacked right-hand side at ``y`` and ``alphas[0]``.  Returns
+    the 5th-order solution, its error estimate (5th minus embedded 4th
+    order) and the right-hand side at the solution and ``alphas[-1]``,
+    which is the next step's ``k1``.  ``y`` and ``k1`` hold only the rows
+    of the species in ``live`` (0 for u, 1 for v); the others are absent.
+    The results are views into ``work`` (``simulate``'s workspace, made for
+    ``live``, ``st1`` and ``st2``), which the next step overwrites.
     """
-    ks = [k1]
-    for row, alpha in zip(_A, alphas[1:] + alphas[-1:]):
-        stage = y + _combine(row, ks, dt)
-        ks.append(_live_rhs(stage, live, alpha, params, st1, st2))
+    w = y.shape[-1]
+    if work is None:
+        work = _workspace(live, st1, st2, w)
+    ks = work.stages[:, :, :w]
+    np.copyto(ks[0], k1)
+    stage = work.state[:, :w]
+    for j, row in enumerate(_A, start=1):
+        # y + dt * sum(a_ij k_j): each cell sums the products in tableau order.
+        np.einsum("j,jlw->lw", np.multiply(dt, row), ks[:j], out=stage)
+        np.add(y, stage, out=stage)
+        rhs(stage, alphas[min(j, 5)], params, st1, st2, live, ks[j], work)
     # The last row of _A holds the 5th-order weights: the last stage state is the solution.
-    return stage, _combine(_E, ks, dt), ks[-1]
+    err = np.einsum("j,jlw->lw", np.multiply(dt, _E), ks, out=work.err[:, :w])
+    return stage, err, ks[6]
 
 
 def step_count(t_final: float, dt: float) -> int:
@@ -420,7 +513,10 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
     stride = int(snapshot_stride)
 
     times = np.zeros(1 + (n_ticks + stride - 1) // stride)
-    us, vs = np.empty((2, times.size, grid.n))
+    # Rows past 0 are written for the live species only (see below); an absent
+    # species' rows stay zero pages that nothing writes.
+    snaps = (np.zeros((times.size, grid.n)), np.zeros((times.size, grid.n)))
+    us, vs = snaps
     us[0], vs[0] = initial.u, initial.v
     h_worst = {"u_min": float(initial.u.min()), "u_max": float(initial.u.max()),
                "v_min": float(initial.v.min()), "v_max": float(initial.v.max())}
@@ -465,12 +561,13 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
     # zero outside the window, which is exact where the window grows.
     k1 = np.zeros(ys.shape)
     have_k1 = False
+    work = _workspace(live, st1, st2, n)
 
+    # The habitat at the five new stage times of an attempt, one row each,
+    # in one read; a static one is read once.
     static = params.s == 0.0 or profile.family == CONSTANT_ONE
     alpha0 = profile.alpha_shifted(x, 0.0, params.s)
-
-    def habitat(t: float) -> np.ndarray:
-        return alpha0 if static else profile.alpha_shifted(x, t, params.s)
+    ahead = alpha0[None]
 
     t, h, a_start = 0.0, dt_used, alpha0
     n_steps = n_rejected = 0
@@ -481,16 +578,20 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
             clipped = t + h >= target
             h_try = target - t if clipped else h
             t_end = target if clipped else t + h
-            alphas = (a_start, *(habitat(t + c * h_try) for c in _NODES[1:-1]), habitat(t_end))
             win = slice(lo, hi)
+            if static:
+                alphas = (alpha0[win],) * 6
+            else:
+                stage_times = [t + c * h_try for c in _NODES[1:-1]] + [t_end]
+                ahead = profile.alpha_shifted(x, np.array(stage_times)[:, None], params.s)
+                alphas = (a_start[win], *ahead[:, win])
             y_old = ys[:, win]
             if not have_k1:
-                k1[:, win] = _live_rhs(y_old, live, a_start[win], params, st1, st2)
+                rhs(y_old, alphas[0], params, st1, st2, live, k1[:, win], work)
                 have_k1 = True
-            y_new, err, k7 = step(y_old, h_try, tuple(a[win] for a in alphas), params,
-                                  st1, st2, k1[:, win], live)
-            scale = ATOL + RTOL * np.maximum(np.abs(y_old), np.abs(y_new))
-            norm = float(np.max(np.abs(err) / scale))
+            y_new, err, k7 = step(y_old, h_try, alphas, params, st1, st2, k1[:, win],
+                                  live, work)
+            norm = work.error_norm(y_old, y_new, err)
             if not math.isfinite(norm):
                 raise NumericFailureError(f"non-finite values in u or v at t={t:g}")
             factor = min(5.0, max(0.2, 0.9 * norm ** -0.2)) if norm > 0.0 else 5.0
@@ -514,7 +615,7 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
                 h_worst[name + "_min"] = min(h_worst[name + "_min"], w_min)
                 h_worst[name + "_max"] = max(h_worst[name + "_max"], w_max)
             ys[:, win], k1[:, win] = y_new, k7
-            t, a_start = t_end, alphas[-1]
+            t, a_start = t_end, ahead[-1]
             n_steps += 1
             max_error_norm = max(max_error_norm, norm)
             if not clipped:
@@ -527,7 +628,9 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
                 last = right[1] if right else last
                 lo, hi = max(first - reach, 0), min(last + reach, n)
         check_boundary(y[0], y[1], t)
-        times[row], us[row], vs[row] = t, y[0], y[1]
+        times[row] = t
+        for i in live:
+            snaps[i][row] = y[i]
         if on_snapshot is not None:
             on_snapshot(t, us[row], vs[row])
 

@@ -90,11 +90,23 @@ class Stencil:
         ``BLOCK + 2*halfwidth`` consecutive cells times the block give
         ``J * w`` at the middle ``BLOCK`` of them.
         """
-        h = self.halfwidth
+        return self.padded_block(self.halfwidth)
+
+    def padded_block(self, halfwidth: int) -> np.ndarray:
+        """``block`` with ``halfwidth - self.halfwidth`` zero rows added above and below.
+
+        ``BLOCK + 2*halfwidth`` consecutive cells times it give ``J * w`` at
+        the middle ``BLOCK`` of them, as for a stencil of that half-width
+        whose outer taps are zero.
+        """
+        if halfwidth < self.halfwidth:
+            raise ValueError(f"half-width {halfwidth} is narrower than the stencil's "
+                             f"{self.halfwidth}")
+        h, pad = self.halfwidth, halfwidth - self.halfwidth
         taps = self.weights[::-1] * self.dx
-        out = np.zeros((BLOCK + 2 * h, BLOCK))
+        out = np.zeros((BLOCK + 2 * halfwidth, BLOCK))
         for j in range(BLOCK):
-            out[j:j + 2 * h + 1, j] = taps
+            out[pad + j:pad + j + 2 * h + 1, j] = taps
         return out
 
 

@@ -75,6 +75,7 @@ def test_nonlocal_apply_matches_pointwise(stencil):
     out = fl.nonlocal_apply(stencil, field)
     for idx in (0, 3, 20, 38, 40):
         assert out[idx] == pytest.approx(nonlocal_op(stencil, field, idx), abs=1e-13)
+    assert fl.nonlocal_apply(stencil, np.zeros(0)).shape == (0,)
 
 
 def _tent(radius):
@@ -138,7 +139,7 @@ def test_nonlocal_apply_agrees_with_pointwise_reference(name):
 
 def _rhs_on(u, v, params, profile, grid, unit_kernel, t=0.0):
     st1 = unit_kernel.discretize(grid.dx)
-    return fl.rhs(u, v, profile.alpha_shifted(grid.x, t, params.s), params, st1, st1)
+    return fl.rhs(np.stack((u, v)), profile.alpha_shifted(grid.x, t, params.s), params, st1, st1)
 
 
 def test_rhs_extinction_fixed_point(unit_kernel):
@@ -177,7 +178,7 @@ def test_step_zero_state_stays_zero(unit_kernel):
     st1 = unit_kernel.discretize(grid.dx)
     zeros, ones = np.zeros((2, grid.n)), np.ones(grid.n)
     y, err, k_last = fl.step(zeros, 0.01, (ones,) * 6, params, st1, st1,
-                             np.array(fl.rhs(zeros[0], zeros[1], ones, params, st1, st1)))
+                             fl.rhs(zeros, ones, params, st1, st1))
     assert np.all(y == 0.0) and np.all(err == 0.0) and np.all(k_last == 0.0)
 
 
@@ -195,16 +196,102 @@ def test_step_leaves_out_an_absent_species_exactly(unit_kernel):
         y = np.zeros((2, grid.n))
         y[i] = bump
         both = fl.step(y, dt, alphas, params, st1, st2,
-                       np.array(fl.rhs(y[0], y[1], alphas[0], params, st1, st2)))
-        fields = [None, None]
-        fields[i] = bump
-        rates = fl.rhs(*fields, alphas[0], params, st1, st2)
-        assert rates[1 - i] is None
-        alone = fl.step(y[i:i + 1], dt, alphas, params, st1, st2, np.array([rates[i]]),
-                        live=(i,))
+                       fl.rhs(y, alphas[0], params, st1, st2))
+        rates = fl.rhs(y[i:i + 1], alphas[0], params, st1, st2, live=(i,))
+        assert rates.shape == (1, grid.n)
+        alone = fl.step(y[i:i + 1], dt, alphas, params, st1, st2, rates, live=(i,))
         for full, part in zip(both, alone):
             assert part.shape == (1, grid.n)
             assert full[i].tobytes() == part[0].tobytes() and not full[1 - i].any()
+
+
+# The stepping formulas as they read before the stage buffers were stacked, as
+# a bit-for-bit reference: each species convolved with its own unpadded block,
+# and every stage sum accumulated term by term, skipping zero coefficients.
+_REF_A = ((1 / 5,),
+          (3 / 40, 9 / 40),
+          (44 / 45, -56 / 15, 32 / 9),
+          (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+          (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+          (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_REF_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _reference_nonlocal(stencil, w):
+    h, n, block = stencil.halfwidth, w.size, dynamics.BLOCK
+    toeplitz = np.zeros((block + 2 * h, block))
+    for j in range(block):
+        toeplitz[j:j + 2 * h + 1, j] = stencil.weights[::-1] * stencil.dx
+    n_rows = -(-n // block)
+    padded = np.zeros(n_rows * block + 2 * h)
+    padded[h:h + n] = w
+    rows = np.array([padded[i * block:i * block + block + 2 * h] for i in range(n_rows)])
+    return (rows @ toeplitz).ravel()[:n] - w
+
+
+def _reference_rhs(y, alpha, params, st1, st2, live):
+    fields = [None, None]
+    for i, w in zip(live, y):
+        fields[i] = w
+    u, v = fields
+    rates = [None, None]
+    if u is not None:
+        pressure = alpha - u if v is None else alpha - u - params.a * v
+        rates[0] = params.d1 * _reference_nonlocal(st1, u) + params.r1 * u * pressure
+    if v is not None:
+        pressure = -1.0 - v if u is None else -1.0 + params.b * u - v
+        rates[1] = params.d2 * _reference_nonlocal(st2, v) + params.r2 * v * pressure
+    return np.array([rates[i] for i in live])
+
+
+def _reference_combine(coefs, ks, dt):
+    acc = None
+    for c, k in zip(coefs, ks):
+        if c:
+            term = (dt * c) * k
+            acc = term if acc is None else acc + term
+    return acc
+
+
+def _reference_step(y, dt, alphas, params, st1, st2, live):
+    ks = [_reference_rhs(y, alphas[0], params, st1, st2, live)]
+    for row, alpha in zip(_REF_A, alphas[1:] + alphas[-1:]):
+        stage = y + _reference_combine(row, ks, dt)
+        ks.append(_reference_rhs(stage, alpha, params, st1, st2, live))
+    return stage, _reference_combine(_REF_E, ks, dt), ks[-1]
+
+
+@pytest.mark.parametrize("live", [(0, 1), (0,), (1,)])
+@pytest.mark.parametrize("wider", ["v", "u"])
+def test_step_and_rhs_match_the_per_species_reference_bit_for_bit(live, wider):
+    # the stacked stage sums (einsum) and the one convolution of both species,
+    # the narrower stencil zero-padded to the wider half-width, on window slices
+    # at every offset mod BLOCK, growing and shrinking, with and without a
+    # workspace kept across calls as simulate keeps it
+    params = fl.Params(d1=1, d2=0.7, r1=1, r2=0.5, a=0.5, b=2)
+    narrow, wide = fl.raised_cosine(1.0).discretize(1 / 8), fl.smooth_bump(1.5).discretize(1 / 8)
+    assert (narrow.halfwidth, wide.halfwidth) == (8, 12)
+    st1, st2 = (narrow, wide) if wider == "v" else (wide, narrow)
+    block = dynamics.BLOCK
+    n = 4 * block + 9
+    x = np.linspace(-8.0, 8.0, n)
+    dt = 0.05
+    alphas = tuple(fl.logistic(A=0.5, L=1.0).alpha_shifted(x, c * dt, 0.3)
+                   for c in (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0))
+    rng = np.random.default_rng(21)
+    y = np.stack([_mixed_field(rng, n) for _ in live])
+    work = dynamics._workspace(live, st1, st2, n)
+    for offset in range(block):
+        win = slice(offset, n - (5 * offset) % (2 * block + 3))
+        yw, aw = y[:, win], tuple(a[win] for a in alphas)
+        ref = _reference_step(yw, dt, aw, params, st1, st2, live)
+        k1 = _reference_rhs(yw, aw[0], params, st1, st2, live)
+        for shared in (None, work):
+            rates = fl.rhs(yw, aw[0], params, st1, st2, live, None, shared)
+            assert rates.tobytes() == k1.tobytes(), (offset, shared)
+            out = fl.step(yw, dt, aw, params, st1, st2, k1, live, shared)
+            for got, want in zip(out, ref):
+                assert got.tobytes() == want.tobytes(), (offset, shared)
 
 
 def _simulate_from(unit_kernel, u0, dt, grid):
@@ -283,7 +370,7 @@ def test_step_uniform_logistic_matches_closed_form(unit_kernel):
     u0 = 0.2
     y = np.stack((np.full(grid.n, u0), np.zeros(grid.n)))
     ones = np.ones(grid.n)
-    dt, k1 = 0.03, np.array(fl.rhs(y[0], y[1], ones, params, st1, st1))
+    dt, k1 = 0.03, fl.rhs(y, ones, params, st1, st1)
     for _ in range(100):
         y, _, k1 = fl.step(y, dt, (ones,) * 6, params, st1, st1, k1)
     t = 100 * dt
@@ -323,7 +410,7 @@ def test_step_richardson_order(unit_kernel):
 
     def one_step(y, t, dt):
         alphas = alphas_at(t, dt)
-        k1 = np.array(fl.rhs(y[0], y[1], alphas[0], params, st1, st1))
+        k1 = fl.rhs(y, alphas[0], params, st1, st1)
         return fl.step(y, dt, alphas, params, st1, st1, k1)
 
     def advance(y, t0, dt, n):
@@ -512,11 +599,13 @@ def test_simulate_snapshot_rows_for_any_stride(unit_kernel, stride):
 
 
 def test_simulate_reads_habitat_once_per_stage_time(unit_kernel, monkeypatch):
-    times = []
+    # every entry of the time array of each read, and the number of entries per read
+    times, reads = [], []
     alpha_shifted = fl.HabitatProfile.alpha_shifted
 
     def counting(self, x, t, s):
-        times.append(t)
+        times.extend(np.ravel(t).tolist())
+        reads.append(np.size(t))
         return alpha_shifted(self, x, t, s)
 
     rhs_calls = []
@@ -542,6 +631,7 @@ def test_simulate_reads_habitat_once_per_stage_time(unit_kernel, monkeypatch):
         monkeypatch.setattr(dynamics, "ATOL", atol)
         monkeypatch.setattr(dynamics, "TAIL_FLOOR", floor)
         times.clear()
+        reads.clear()
         rhs_calls.clear()
         traj = fl.simulate(params, fl.logistic(A=0.5, L=1.0), unit_kernel, unit_kernel,
                            grid, init, dt=0.02, t_final=3.3, snapshot_stride=10,
@@ -557,8 +647,10 @@ def test_simulate_reads_habitat_once_per_stage_time(unit_kernel, monkeypatch):
         # grows, is the first stage of the next
         assert traj.diagnostics["h_worst"]["u_min"] == traj.diagnostics["h_worst"]["v_min"] == 0.0
         assert len(rhs_calls) == 1 + 6 * (accepted + rejected)
-        # t = 0 once, then the five new stage times of each attempt; the start
-        # of an attempt is the end of the last accepted one and is not read again
+        # t = 0 once, then the five new stage times of each attempt in one read;
+        # the start of an attempt is the end of the last accepted one and is not
+        # read again
+        assert reads == [1] + [5] * (accepted + rejected)
         assert times[0] == 0.0 and len(times) == 1 + 5 * (accepted + rejected)
         assert len(set(times)) == len(times)
         start, ends = 0.0, []
