@@ -20,7 +20,7 @@ from .harness.csvio import fmt, write_csv
 from .harness.runner import (HYPOTHESES_HEADER, PERSISTENCE_HEADER,
                              SPEEDS_HEADER, SWEEP_HEADER, persistence_rows,
                              run_experiment, speeds_row, sweep)
-from .subsolution import construct_subsolution, verify_subsolution
+from .subsolution import TILT_TOL, construct_subsolution, verify_subsolution
 
 
 def _out_dir(args, cfg_path: Path) -> Path:
@@ -99,7 +99,7 @@ def _cmd_verify_subsolution(args) -> int:
         ("window", p.window, True),
         ("decay_rate", p.decay, True),
         ("amplitude_margin", report.amplitude_margin, report.amplitude_margin > 0),
-        ("tilt_residual", report.tilt_residual, report.tilt_residual <= 1e-8),
+        ("tilt_residual", report.tilt_residual, report.tilt_residual <= TILT_TOL),
         ("min_linear", report.min_linear, report.min_linear > 0),
         ("min_reaction", report.min_reaction, report.min_reaction > 0),
     ])

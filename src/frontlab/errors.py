@@ -34,7 +34,7 @@ class NoRootError(FrontLabError):
 
 
 class InstabilityError(FrontLabError):
-    """Time integration produced an unstable state."""
+    """Initial data lie below the undershoot floor, which no time step can lift."""
 
 
 class BoundaryContaminationError(FrontLabError):

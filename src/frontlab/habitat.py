@@ -120,18 +120,15 @@ class HabitatValidation:
     xi_hi: float
 
 
-def validate(profile, extra_points=None, n_samples: int = 4096) -> HabitatValidation:
+def validate(profile) -> HabitatValidation:
     """Validate monotonicity, both limits, and the derivative bound.
 
     Works on any object exposing ``alpha(xi)`` plus ``A``/``L``
-    attributes; the grid spans [-20L, 20L] plus any supplied simulation
-    abscissae.  A failed clause is reported, not raised: callers decide
-    whether theorem checks may proceed.
+    attributes, on 4096 points of [-20L, 20L].  A failed clause is
+    reported, not raised: callers decide whether theorem checks may proceed.
     """
     L = float(getattr(profile, "L", 1.0))
-    xi = np.linspace(-20.0 * L, 20.0 * L, n_samples)
-    if extra_points is not None:
-        xi = np.unique(np.concatenate([xi, np.asarray(extra_points, dtype=float)]))
+    xi = np.linspace(-20.0 * L, 20.0 * L, 4096)
     vals = np.asarray(profile.alpha(xi), dtype=float)
 
     # (monotone) alpha(xi2) >= alpha(xi1) - 1e-12 for xi2 > xi1.

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +44,7 @@ _SELF_CHECK_RTOL = 1e-10
 # temporaries; a chunk holds at least one row, so a table with more than
 # about 340 knots goes past it.
 _CHUNK_NODES = 1 << 14
-# Cells per output row of the blocked convolution (see ``Stencil.block``);
+# Cells per output row of the blocked convolution (see ``Stencil.padded_block``);
 # 32 ran a little faster than 16 or 64 for stencils of 17 and 33 taps.
 BLOCK = 32
 
@@ -82,22 +81,13 @@ class Stencil:
     halfwidth: int
     dx: float
 
-    @cached_property
-    def block(self) -> np.ndarray:
+    def padded_block(self, halfwidth: int) -> np.ndarray:
         """The ``(BLOCK + 2*halfwidth) x BLOCK`` Toeplitz block of ``weights * dx``.
 
-        Column ``j`` holds the taps in rows ``j`` to ``j + 2*halfwidth``, so
-        ``BLOCK + 2*halfwidth`` consecutive cells times the block give
-        ``J * w`` at the middle ``BLOCK`` of them.
-        """
-        return self.padded_block(self.halfwidth)
-
-    def padded_block(self, halfwidth: int) -> np.ndarray:
-        """``block`` with ``halfwidth - self.halfwidth`` zero rows added above and below.
-
-        ``BLOCK + 2*halfwidth`` consecutive cells times it give ``J * w`` at
-        the middle ``BLOCK`` of them, as for a stencil of that half-width
-        whose outer taps are zero.
+        Column ``j`` holds the taps in rows ``j + pad`` to
+        ``j + pad + 2*self.halfwidth``, with ``pad = halfwidth - self.halfwidth``
+        zero rows above and below, so ``BLOCK + 2*halfwidth`` consecutive
+        cells times the block give ``J * w`` at the middle ``BLOCK`` of them.
         """
         if halfwidth < self.halfwidth:
             raise ValueError(f"half-width {halfwidth} is narrower than the stencil's "
@@ -180,11 +170,11 @@ class Kernel:
         w = w / total
         return Stencil(weights=w, halfwidth=h, dx=dx)
 
-    def validate(self, n_samples: int = 4097) -> KernelReport:
+    def validate(self) -> KernelReport:
         """Check symmetry, nonnegativity, unit mass, compact support, and
         the smoothness proxy across the support edge."""
         r = self.support_radius
-        xs = np.linspace(-1.5 * r, 1.5 * r, n_samples)
+        xs = np.linspace(-1.5 * r, 1.5 * r, 4097)
         vals = self.evaluate(xs)
         symmetry_error = float(np.max(np.abs(vals - vals[::-1])))
         min_density = float(vals.min())
@@ -230,12 +220,12 @@ def smooth_bump(radius: float = 1.0) -> Kernel:
     return Kernel(family=SMOOTH_BUMP, support_radius=float(radius))
 
 
-def tabulated(x, density, mass_drift_tol: float = 0.01) -> Kernel:
+def tabulated(x, density) -> Kernel:
     """Build a kernel from sampled abscissae and densities.
 
     The samples must be strictly ascending, nonnegative, symmetric, and
-    vanish at the support ends.  Mass drift up to ``mass_drift_tol`` is
-    renormalized away; anything larger is rejected.
+    vanish at the support ends.  Mass drift up to 1% is renormalized
+    away; anything larger is rejected.
     """
     xs = np.asarray(x, dtype=float)
     ds = np.asarray(density, dtype=float)
@@ -257,9 +247,9 @@ def tabulated(x, density, mass_drift_tol: float = 0.01) -> Kernel:
     mass = quad(Kernel(family=TABULATED, support_radius=radius, table_x=xs, table_density=ds))
     if mass <= 0.0:
         raise InvalidKernelError("tabulated kernel has no mass")
-    if abs(mass - 1.0) > mass_drift_tol:
+    if abs(mass - 1.0) > 0.01:
         raise InvalidKernelError(
-            f"tabulated kernel mass {mass:.6g} drifts more than {mass_drift_tol:.0%} from 1")
+            f"tabulated kernel mass {mass:.6g} drifts more than 1% from 1")
     return Kernel(family=TABULATED, support_radius=radius, table_x=xs, table_density=ds / mass)
 
 

@@ -36,6 +36,8 @@ from .kernels import Kernel, exp_integral, quad, tilted_mean
 from .speeds import SpeedProblem, brentq, min_speed
 
 _DECAY_CEILING_OVER_R = 200.0
+# Largest |tilt_speed(decay) - frame_speed| a decay rate may leave.
+TILT_TOL = 1e-8
 
 
 def max_linear_rate(params: Params, predator_level: float, prey_level: float) -> float:
@@ -141,7 +143,7 @@ def tilt_speed(decay: float, params: Params, kernel: Kernel,
 
 
 def match_decay_rate(frame_speed: float, window: float, params: Params,
-                     kernel: Kernel, residual_tol: float = 1e-8) -> float:
+                     kernel: Kernel) -> float:
     """Solve ``tilt_speed(decay) == frame_speed`` for the decay rate.
 
     The tilt speed is zero at decay 0 and increasing without bound, so a
@@ -164,7 +166,7 @@ def match_decay_rate(frame_speed: float, window: float, params: Params,
                 f"{ceiling:g}; retry with a larger window than {window:g}")
     beta = brentq(f, 0.0, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
     resid = abs(tilt_speed(beta, params, kernel, window) - frame_speed)
-    if resid > residual_tol:
+    if resid > TILT_TOL:
         raise NumericFailureError("decay-rate solve left a large residual", residual=resid)
     return beta
 
@@ -258,13 +260,13 @@ def verify_subsolution(p: SubsolutionParams, params: Params, kernel: Kernel,
     failures = []
     if not amplitude_margin > 0.0:
         failures.append("amplitude_condition")
-    if tilt_residual > 1e-8:
+    if tilt_residual > TILT_TOL:
         failures.append("tilt_condition")
     if not min_linear > 0.0:
         failures.append("linear_positivity")
     if not min_reaction > 0.0:
         failures.append("reaction_positivity")
-    worst = min(amplitude_margin, 1e-8 - tilt_residual, min_linear, min_reaction)
+    worst = min(amplitude_margin, TILT_TOL - tilt_residual, min_linear, min_reaction)
     return SubsolutionReport(
         ok=not failures,
         failures=tuple(failures),

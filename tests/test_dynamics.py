@@ -301,12 +301,21 @@ def _simulate_from(unit_kernel, u0, dt, grid):
                        boundary_monitor="none")
 
 
-def test_simulate_rejects_unstable_dt(unit_kernel):
+def test_simulate_runs_above_dt_max(unit_kernel):
+    # dt is the snapshot clock and the first trial step, not a bound on steps
     params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2)
-    grid = fl.grid_from_spacing(-5, 5, 1 / 8)
-    cap = fl.dt_max(params, 1.0)
-    with pytest.raises(InstabilityError, match="dt_max"):
-        _simulate_from(unit_kernel, np.zeros(grid.n), 1.5 * cap, grid)
+    grid = fl.grid_from_spacing(-20, 20, 1 / 8)
+    init = fl.make_initial(fl.BumpSpec(0.0, 2.0, 0.5), fl.BumpSpec(0.0, 1.5, 0.4),
+                           grid, params)
+    dt = 1.5 * fl.dt_max(params, 1.0)
+    traj = fl.simulate(params, fl.constant_one(), unit_kernel, unit_kernel, grid, init,
+                       dt=dt, t_final=2.0, snapshot_stride=5, boundary_monitor="none")
+    n_ticks = step_count(2.0, dt)
+    tick = traj.diagnostics["dt_used"]
+    assert tick == 2.0 / n_ticks and tick > fl.dt_max(params, 1.0)
+    ticks = [row * 5 * tick for row in range(traj.times.size - 1)] + [2.0]
+    assert traj.times.tolist() == ticks
+    assert traj.diagnostics["h_invariant_ok"]
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan])
@@ -801,8 +810,8 @@ def test_simulate_leaves_initial_state_untouched(unit_kernel):
 
 
 def test_simulate_aborts_on_undershoot_inside_narrow_window(unit_kernel):
-    # nonzero extent [-2, 10] plus a 5-unit reach: the window [-7, 15] is
-    # narrower than the grid when the isolated negative cell trips the abort
+    # the active window is narrower than the grid; its isolated negative
+    # cell trips the check on the initial data at t = 0, before any step
     grid = fl.grid_from_spacing(-30, 30, 1 / 8)
     u = sample_bump(fl.BumpSpec(0.0, 2.0, 0.5), grid.x)
     u[np.searchsorted(grid.x, 10.0)] = -5e-10

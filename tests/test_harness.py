@@ -236,10 +236,11 @@ def test_observer_range_edges():
             H.parse_config_text(DESK + f"observer.theta = {theta}\n")
 
 
-def test_dt_above_stability_bound_rejected():
-    with pytest.raises(ConfigError) as err:
-        H.parse_config_text(DESK + "solver.dt = 0.5\n")
-    assert "dt_max" in str(err.value)
+def test_dt_above_dt_max_parses_and_echoes():
+    # solver.dt is the snapshot clock and the first trial step, not a step bound
+    cfg = H.parse_config_text(DESK + "solver.dt = 0.5\n")
+    assert cfg.values["solver.dt"] == 0.5 > fl.dt_max(cfg.params, cfg.hypotheses.habitat.alpha_bar)
+    assert "solver.dt = 0.5\n" in H.echo_config(cfg)
 
 
 def test_grid_too_small_reports_required_size():

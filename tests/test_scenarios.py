@@ -4,6 +4,7 @@ import pytest
 
 import frontlab as fl
 import frontlab.harness as H
+from frontlab import dynamics
 
 
 def test_full_system_band_occupation_strong_predator(unit_kernel):
@@ -31,12 +32,8 @@ def test_full_system_band_occupation_strong_predator(unit_kernel):
     assert traj.diagnostics["h_invariant_ok"]
 
 
-def test_sweep_verdicts_flip_across_speed_range(bench_speeds, tmp_path):
-    # slow shift: prey persists on the theorem band; shift beyond the prey
-    # speed: the habitat outruns the population and the band empties
-    slow = 0.5 * bench_speeds.s_underline
-    fast = 1.5 * bench_speeds.s_star
-    text = f"""
+# Two species on the logistic habitat; the sweep and regression tests set params.s.
+SWEEP_CFG = """
 params.d1 = 1.0
 params.d2 = 1.0
 params.r1 = 0.5
@@ -52,9 +49,29 @@ initial.u_half_width = 5.0
 initial.v_height = 0.2
 solver.t_final = 150.0
 """
-    cfg = H.parse_config_text(text + f"params.s = {slow:.17g}\n")
+
+
+def test_sweep_verdicts_flip_across_speed_range(bench_speeds, tmp_path):
+    # slow shift: prey persists on the theorem band; shift beyond the prey
+    # speed: the habitat outruns the population and the band empties
+    slow = 0.5 * bench_speeds.s_underline
+    fast = 1.5 * bench_speeds.s_star
+    cfg = H.parse_config_text(SWEEP_CFG + f"params.s = {slow:.17g}\n")
     rows = H.sweep(cfg, "s", [slow, fast], workers=1, out_dir=None)
     (row_slow, row_fast) = rows
     assert row_slow[6] == "persists"      # u on the theorem band
     assert row_fast[6] == "extinct"       # u after the habitat passes
     assert row_fast[7] == "extinct"       # v cannot outlive the prey
+
+
+def test_dying_predator_steps_stay_above_the_abort_floor(bench_speeds):
+    # the dying predator dips below zero within the controller's tolerance;
+    # with snapshots every 50 ticks the steps are long enough to reach the
+    # floor, and the accept test retries them shorter instead of aborting
+    fast = 1.5 * bench_speeds.s_star
+    cfg = H.parse_config_text(SWEEP_CFG + f"params.s = {fast:.17g}\n"
+                              "solver.snapshot_stride = 50\n")
+    diag = H.run_experiment(cfg).trajectory.diagnostics
+    assert diag["n_rejected"] > 0
+    assert min(diag["h_worst"]["u_min"], diag["h_worst"]["v_min"]) >= dynamics._ABORT_FLOOR
+    assert diag["h_invariant_ok"]
