@@ -117,26 +117,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "speeds, simulations, persistence bands, sub-solution checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    flag_args = {"--out": {"help": "output directory (overrides FRONTLAB_OUT)"},
+                 "--strict": {"action": "store_true",
+                              "help": "exit 2 when hypothesis/verification checks fail"}}
+
+    def add(name, fn, help_text, *flags):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="experiment configuration file")
-        p.add_argument("--out", default=None, help="output directory (overrides FRONTLAB_OUT)")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 2 when hypothesis/verification checks fail")
+        for flag in flags:
+            p.add_argument(flag, **flag_args[flag])
         p.set_defaults(fn=fn)
         return p
 
     add("speeds", _cmd_speeds, "print the variational speeds CSV row")
-    add("simulate", _cmd_simulate, "run one experiment and write its bundle")
-    p_sweep = add("sweep", _cmd_sweep, "run one experiment per axis value")
+    add("simulate", _cmd_simulate, "run one experiment and write its bundle", "--out", "--strict")
+    p_sweep = add("sweep", _cmd_sweep, "run one experiment per axis value", "--out")
     p_sweep.add_argument("--axis", required=True,
                          help="sweep axis: s, a, b, d1, d2, or eta")
     p_sweep.add_argument("--values", required=True,
                          help="comma- or space-separated axis values")
     p_sweep.add_argument("--workers", type=int, default=1)
-    add("check-hypotheses", _cmd_check_hypotheses, "print the hypothesis report CSV")
+    add("check-hypotheses", _cmd_check_hypotheses, "print the hypothesis report CSV", "--strict")
     add("verify-subsolution", _cmd_verify_subsolution,
-        "construct and verify the moving-window sub-solution")
+        "construct and verify the moving-window sub-solution", "--strict")
     return parser
 
 

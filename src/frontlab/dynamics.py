@@ -21,9 +21,10 @@ on them, and after a clipped step the unclipped proposal resumes.  Only
 ``simulate`` knows time: the habitat is read once per attempted step, as
 one ``(5, n)`` array at the five new stage times (the first is the end of
 the last accepted step), or once per run when it does not move (``s == 0``
-or the constant profile).  On accepted steps only, one min and one max per
-field record the invariant box 0 <= u <= 1, 0 <= v <= b-1, and one pass
-per field sets every cell below ``TAIL_FLOOR`` to +0.0: roundoff
+or the constant profile).  One min and one max per row of each attempt's
+new state feed the undershoot test, the record of the invariant box
+0 <= u <= 1, 0 <= v <= max(b-1, 0) and the boundary monitor, and one
+comparison sets every cell below ``TAIL_FLOOR`` to +0.0: roundoff
 negatives, and the leading edge of a front where it falls below 1e-250.
 
 The floor keeps the arithmetic off subnormal numbers (below 2.2e-308),
@@ -34,8 +35,8 @@ a cutoff at level eps moves a pulled front's speed by O(1/ln^2 eps)
 5e-324.  It sits at 1e-250, not at the subnormal limit, because the
 stages multiply an edge value by stencil weights and ``dt`` up to six
 times beyond the support, and from a floor of 1e-300 that still makes
-subnormals.  The carried last stage survives a flush of cells above
-``-TAIL_FLOOR``, positive or negative: it was evaluated at the unflushed
+subnormals.  The carried last stage survives the flooring of cells above
+``-TAIL_FLOOR``, positive or negative: it was evaluated at the unfloored
 state, which differs from the stored one by less than ``TAIL_FLOOR`` per
 cell, so the first stage is off by less than ``TAIL_FLOOR * (d + r)`` per
 cell.  A clamped negative at or below ``-TAIL_FLOOR`` still forces a
@@ -43,7 +44,7 @@ fresh first stage.
 
 A species that is identically zero at t = 0 has an identically zero
 right-hand side and stays +0.0, so ``simulate`` leaves it out: stage
-combinations, error norms, the floor and the support scans run over the
+combinations, error norms, the minima, maxima and floor run over the
 live species' rows only, and ``rhs`` drops the absent one's terms, which
 would add and multiply exact zeros.  The error norm and the steps are
 those of stepping both, since a zero row adds 0 to the norm.  When both
@@ -87,11 +88,12 @@ SkylakeX kernels, so ``h <= 176`` for the wider stencil); past that, runs
 stay deterministic, but the window may differ from the full grid at
 roundoff.  The error norm
 over the window equals the full-grid one, so the result is bit-identical
-to stepping the whole grid.  The window only grows, and only the
-``6h``-cell fringe just beyond the extent is scanned after each accepted
-step, until the window covers the grid.  When it grows, the cells it gains
-are +0.0 and read only zeros, so the carried last stage is extended by
-zeros, not recomputed.
+to stepping the whole grid.  The window only grows, to the nonzero cells
+that the floor's comparison marks, until it covers the grid.  When it
+grows, the cells it gains are +0.0 and read only zeros, so the carried
+last stage is extended by zeros, not recomputed.  The boundary monitor
+divides the wall cells by each row's maximum over the window, which is
+the grid's wherever it clears the monitor's peak floor of 1e-8.
 """
 
 from __future__ import annotations
@@ -156,8 +158,8 @@ class Params:
 
     @property
     def v_cap(self) -> float:
-        """Upper edge of the predator box, b - 1 (may be <= 0 when b <= 1)."""
-        return self.b - 1.0
+        """Upper edge of the predator box, ``max(b - 1, 0)``: for b <= 1 the box is {0}."""
+        return max(self.b - 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -380,21 +382,13 @@ def rhs(y: np.ndarray, alpha: np.ndarray, params: Params, st1: Stencil, st2: Ste
 def dt_max(params: Params, alpha_bar: float) -> float:
     """Default snapshot tick and first trial step: a fifth of the fastest rate's time scale.
 
-    ``0.2 / (max(d1, d2) + r1 * (alpha_bar + 1 + a * max(b - 1, 0)) + 2 * r2 * b)``.
-    It bounds no step; the step controller picks those.
+    ``0.2 / (max(d1, d2) + r1 * (alpha_bar + 1 + a * v_cap) + 2 * r2 * b)``, with
+    ``v_cap = max(b - 1, 0)``.  It bounds no step; the step controller picks those.
     """
     denom = (max(params.d1, params.d2)
-             + params.r1 * (alpha_bar + 1.0 + params.a * max(params.b - 1.0, 0.0))
+             + params.r1 * (alpha_bar + 1.0 + params.a * params.v_cap)
              + params.r2 * 2.0 * params.b)
     return 0.2 / denom
-
-
-def _flush_tail(arr: np.ndarray) -> float:
-    """Set every cell below ``TAIL_FLOOR`` to +0.0; return the minimum before."""
-    worst = float(arr.min()) if arr.size else 0.0
-    if worst < TAIL_FLOOR:
-        np.copyto(arr, 0.0, where=arr < TAIL_FLOOR)
-    return worst
 
 
 def step(y: np.ndarray, dt: float, alphas, params: Params, st1: Stencil, st2: Stencil,
@@ -457,22 +451,22 @@ class Trajectory:
 _MONITOR_PEAK_FLOOR = 1e-8
 
 
-def _boundary_fraction(w: np.ndarray, sides: tuple[str, ...]) -> float:
-    peak = float(w.max())
-    if peak <= _MONITOR_PEAK_FLOOR:
-        return 0.0
-    edge = 0.0
-    if "left" in sides:
-        edge = max(edge, float(w[0]))
-    if "right" in sides:
-        edge = max(edge, float(w[-1]))
-    return edge / peak
-
-
-def _support(y: np.ndarray, start: int, stop: int) -> tuple[int, int] | None:
-    """First and one-past-last index in ``[start, stop)`` where a row of ``y`` is nonzero."""
-    hit = np.flatnonzero((y[:, start:stop] != 0.0).any(axis=0))
-    return (start + int(hit[0]), start + int(hit[-1]) + 1) if hit.size else None
+def _tally(y: np.ndarray,
+           floor: bool = True) -> tuple[np.ndarray, np.ndarray, tuple[int, int] | None]:
+    """Each row's min and max, then, after setting cells below ``TAIL_FLOOR`` to
+    +0.0 when ``floor``, the first and one-past-last column where a row is
+    nonzero (None when none is)."""
+    lows, highs = y.min(axis=1), y.max(axis=1)
+    if lows.min() >= TAIL_FLOOR:
+        return lows, highs, (0, y.shape[1])
+    zero = y < TAIL_FLOOR if floor else y == 0.0
+    if floor:
+        np.copyto(y, 0.0, where=zero)
+    nonzero = ~zero.all(axis=0)
+    first = int(nonzero.argmax())
+    if not nonzero[first]:
+        return lows, highs, None
+    return lows, highs, (first, nonzero.size - int(nonzero[::-1].argmax()))
 
 
 def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: Kernel,
@@ -498,8 +492,7 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
     """
     if boundary_monitor not in ("both", "left", "right", "none"):
         raise ValueError("boundary_monitor must be both/left/right/none")
-    sides = {"both": ("left", "right"), "left": ("left",),
-             "right": ("right",), "none": ()}[boundary_monitor]
+    ends = [c for c, side in ((0, "left"), (-1, "right")) if boundary_monitor in (side, "both")]
     st1 = kernel1.discretize(grid.dx)
     st2 = kernel2.discretize(grid.dx)
     x = grid.x
@@ -517,20 +510,43 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
     snaps = (np.zeros((times.size, grid.n)), np.zeros((times.size, grid.n)))
     us, vs = snaps
     us[0], vs[0] = initial.u, initial.v
-    h_worst = {"u_min": float(initial.u.min()), "u_max": float(initial.u.max()),
-               "v_min": float(initial.v.min()), "v_max": float(initial.v.max())}
+    y = np.array((initial.u, initial.v), dtype=float)
+    lows, peaks, extent = _tally(y, floor=False)
+    h_worst = {"u_min": float(lows[0]), "u_max": float(peaks[0]),
+               "v_min": float(lows[1]), "v_max": float(peaks[1])}
     start_min = min(h_worst["u_min"], h_worst["v_min"])
     if start_min < _ABORT_FLOOR:
         raise InstabilityError(f"undershoot {start_min:.3e} below {_ABORT_FLOOR:g} at t=0")
+
+    # Active window [lo, hi): the nonzero extent [first, last) padded by
+    # `reach` cells (see the module docstring); cells outside are set to +0.0,
+    # an initial -0.0 included, and stay so.
+    # Only the live species are stepped: one that is identically zero at
+    # t = 0 stays +0.0.  With none live, u's zero row keeps the step sequence.
+    n = grid.n
+    live = tuple(i for i in (0, 1) if lows[i] != 0.0 or peaks[i] != 0.0) or (0,)
+    names = tuple("uv"[i] for i in live)
+    reach = 7 * max(st1.halfwidth, st2.halfwidth)
+    first, last = extent or (0, 0)
+    lo, hi = max(first - reach, 0), min(last + reach, n)
+    y[:, :lo] = y[:, hi:] = 0.0
+    ys = y[live[0]:live[-1] + 1]  # the live rows, a view
+    peaks = peaks[live[0]:live[-1] + 1]  # each live row's latest maximum
+    # The first stage of the next step: the last stage of the accepted one,
+    # zero outside the window, which is exact where the window grows.
+    k1 = np.zeros(ys.shape)
+    have_k1 = False
+    work = _workspace(live, st1, st2, n)
+
     boundary_warning = False
     max_boundary_fraction = 0.0
 
-    def check_boundary(u: np.ndarray, v: np.ndarray, t: float):
+    def check_boundary(t: float):
         nonlocal boundary_warning, max_boundary_fraction
-        if not sides:
-            return
-        for w, name in ((u, "u"), (v, "v")):
-            frac = _boundary_fraction(w, sides)
+        for w, peak, name in zip(ys, peaks.tolist(), names):
+            if peak <= _MONITOR_PEAK_FLOOR:
+                continue
+            frac = float(w[ends].max(initial=0.0)) / peak
             max_boundary_fraction = max(max_boundary_fraction, frac)
             if frac > 1e-3:
                 raise BoundaryContaminationError(
@@ -539,31 +555,9 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
             if frac > 1e-6:
                 boundary_warning = True
 
-    check_boundary(initial.u, initial.v, 0.0)
+    check_boundary(0.0)
     if on_snapshot is not None:
         on_snapshot(0.0, us[0], vs[0])
-
-    # Active window [lo, hi): the nonzero extent [first, last) padded by
-    # `reach` cells (see the module docstring); cells outside stay +0.0.
-    # Only the live species are stepped: one that is identically zero at
-    # t = 0 stays +0.0.  With none live, u's zero row keeps the step sequence.
-    n = grid.n
-    fields = (initial.u, initial.v)
-    live = tuple(i for i in (0, 1) if fields[i].any()) or (0,)
-    names = tuple("uv"[i] for i in live)
-    taps = max(st1.halfwidth, st2.halfwidth)
-    grow, reach = 6 * taps, 7 * taps
-    first, last = _support(np.array(fields), 0, n) or (0, 0)
-    lo, hi = max(first - reach, 0), min(last + reach, n)
-    y = np.zeros((2, n))
-    for i in live:
-        y[i, lo:hi] = fields[i][lo:hi]
-    ys = y[live[0]:live[-1] + 1]  # the live rows, a view
-    # The first stage of the next step: the last stage of the accepted one,
-    # zero outside the window, which is exact where the window grows.
-    k1 = np.zeros(ys.shape)
-    have_k1 = False
-    work = _workspace(live, st1, st2, n)
 
     # The habitat at the five new stage times of an attempt, one row each,
     # in one read; a static one is read once.
@@ -597,46 +591,39 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
             if not math.isfinite(norm):
                 raise NumericFailureError(f"non-finite values in u or v at t={t:g}")
             factor = min(5.0, max(0.2, 0.9 * norm ** -0.2)) if norm > 0.0 else 5.0
-            undershoot = float(y_new.min()) < _ABORT_FLOOR
+            lows, highs, extent = _tally(y_new)
+            undershoot = float(lows.min()) < _ABORT_FLOOR
             if norm > 1.0 or undershoot:
                 n_rejected += 1
                 h = h_try * (0.2 if undershoot else factor)
                 continue
-            # Where the window stops short of the grid's end, its outer h cells
-            # are still +0.0, so its min and max are those of the full grid.
-            for w, name in zip(y_new, names):
-                w_max = float(w.max())
-                w_min = _flush_tail(w)
+            for w_min, w_max, name in zip(lows.tolist(), highs.tolist(), names):
                 if not math.isfinite(w_min + w_max):
                     raise NumericFailureError(f"non-finite values in {name} at t={t_end:g}")
-                # A flush that moves no cell by TAIL_FLOOR or more keeps the last
+                # A floor that moves no cell by TAIL_FLOOR or more keeps the last
                 # stage, to TAIL_FLOOR * (d + r) per cell; a larger clamp does not.
                 have_k1 = have_k1 and w_min > -TAIL_FLOOR
                 h_worst[name + "_min"] = min(h_worst[name + "_min"], w_min)
                 h_worst[name + "_max"] = max(h_worst[name + "_max"], w_max)
             ys[:, win], k1[:, win] = y_new, k7
+            peaks = highs
             t, a_start = t_end, ahead[-1]
             n_steps += 1
             max_error_norm = max(max_error_norm, norm)
             if not clipped:
                 # After a clipped step the unclipped proposal h stands.
                 h = h_try * factor
-            if hi - lo < n:
-                left = _support(ys, max(first - grow, 0), first)
-                right = _support(ys, last, min(last + grow, n))
-                first = left[0] if left else first
-                last = right[1] if right else last
+            if hi - lo < n and extent is not None:
+                first, last = min(first, lo + extent[0]), max(last, lo + extent[1])
                 lo, hi = max(first - reach, 0), min(last + reach, n)
-        check_boundary(y[0], y[1], t)
+        check_boundary(t)
         times[row] = t
         for i in live:
             snaps[i][row] = y[i]
         if on_snapshot is not None:
             on_snapshot(t, us[row], vs[row])
 
-    # For b <= 1 the predator box degenerates to {0}.
-    v_cap_eff = max(params.v_cap, 0.0)
-    h_violation = max(h_worst["u_max"] - 1.0, h_worst["v_max"] - v_cap_eff,
+    h_violation = max(h_worst["u_max"] - 1.0, h_worst["v_max"] - params.v_cap,
                       -h_worst["u_min"], -h_worst["v_min"])
     diagnostics = {
         "dt_used": dt_used,

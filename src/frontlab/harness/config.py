@@ -219,7 +219,7 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     hypotheses = check_hypotheses(params, profile, kernel1, kernel2)
     sp = hypotheses.speeds
 
-    v_cap = max(params.b - 1.0, 0.0)
+    v_cap = params.v_cap
     if values["initial.v_height"] == "auto":
         values["initial.v_height"] = min(0.25, v_cap / 2.0)
     if values["initial.v_height"] > v_cap:

@@ -22,10 +22,10 @@ def fmt(value) -> str:
     return "%.17g" % value if isinstance(value, float) else str(value)
 
 
-def _stream(out, header: str, rows) -> None:
-    out.write(header + "\n")
+def _lines(header: str, rows):
+    yield header + "\n"
     for row in rows:
-        out.write(row if isinstance(row, str) else ",".join(map(fmt, row)) + "\n")
+        yield ",".join(map(fmt, row)) + "\n"
 
 
 def _temp_sibling(path: Path) -> Path:
@@ -34,26 +34,30 @@ def _temp_sibling(path: Path) -> Path:
     return path.with_name(f".{path.name}.{os.getpid()}.tmp")
 
 
-def write_csv(path, header: str, rows):
-    """Stream ``header`` and ``rows`` to ``path`` or to an open text stream.
+def write_text(path, chunks) -> Path:
+    """Write the strings ``chunks`` to ``path``, which appears only when complete.
 
-    A row is a value tuple or a block of ready CSV lines.  A file appears
-    only when complete: it is written to a sibling temporary file that
-    then replaces ``path``.
+    They go to a sibling temporary file that then replaces ``path``.
     """
-    if hasattr(path, "write"):
-        _stream(path, header, rows)
-        return path
     path = Path(path)
     tmp = _temp_sibling(path)
     try:
         with open(tmp, "w", encoding="utf-8") as out:
-            _stream(out, header, rows)
+            out.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     return path
+
+
+def write_csv(path, header: str, rows):
+    """Stream ``header`` and ``rows``, value tuples, to an open text stream or,
+    through :func:`write_text`, to ``path``."""
+    if hasattr(path, "write"):
+        path.writelines(_lines(header, rows))
+        return path
+    return write_text(path, _lines(header, rows))
 
 
 class SnapshotWriter:

@@ -11,7 +11,7 @@ from ..observers import (LevelSetSeries, PersistenceReport, frame_band_min,
                          level_set_series)
 from .config import (ExperimentConfig, echo_config, override_config_text,
                      parse_config_text, sweep_axis_key)
-from .csvio import SnapshotWriter, write_csv
+from .csvio import SnapshotWriter, write_csv, write_text
 
 SPEEDS_HEADER = "s_star,lambda1,s_lower_star,lambda2,s_underline"
 SNAPSHOT_HEADER = "t,x,u,v"
@@ -84,7 +84,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             v_report = frame_band_min(traj, cfg.band, "v")
 
         if out_path is not None:
-            (out_path / "config_echo.txt").write_text(echo_config(cfg), encoding="utf-8")
+            write_text(out_path / "config_echo.txt", [echo_config(cfg)])
             write_csv(out_path / "speeds.csv", SPEEDS_HEADER, [speeds_row(cfg)])
             write_csv(out_path / "hypotheses.csv", HYPOTHESES_HEADER, cfg.hypotheses.rows())
             write_csv(out_path / "level_sets_u.csv", LEVELSET_HEADER,

@@ -155,3 +155,17 @@ def test_unwritable_out_fails_cleanly(cfg_file, tmp_path):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "File exists" in proc.stderr and "Traceback" not in proc.stderr
     assert afile.read_text() == "keep\n" and sorted(tmp_path.iterdir()) == sorted([cfg_file, afile])
+
+
+@pytest.mark.parametrize("args", [
+    ["speeds", "--out", "o"], ["speeds", "--strict"], ["check-hypotheses", "--out", "o"],
+    ["verify-subsolution", "--out", "o"], ["sweep", "--axis", "s", "--values", "0.1", "--strict"],
+], ids=["speeds-out", "speeds-strict", "check-hypotheses-out", "verify-subsolution-out",
+        "sweep-strict"])
+def test_flags_a_subcommand_does_not_read_are_refused(cfg_file, tmp_path, args):
+    # each subcommand takes only the flags it reads; the rest are usage errors
+    cmd, *flags = args
+    proc = run_cli(cmd, str(cfg_file), *flags, env={"FRONTLAB_OUT": str(tmp_path / "root")})
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
+    assert proc.stdout == "" and sorted(tmp_path.iterdir()) == [cfg_file]

@@ -164,8 +164,20 @@ def test_snapshot_writer_without_end_mark_removes_its_file(tmp_path, cut):
 
 def test_write_csv_to_stream():
     out = io.StringIO()
-    write_csv(out, "a,b", [(1, 0.5), "x,y\nz,w\n", (True, float("nan"))])
+    write_csv(out, "a,b", [(1, 0.5), ("x", "y"), ("z", "w"), (True, float("nan"))])
     assert out.getvalue() == "a,b\n1,0.5\nx,y\nz,w\ntrue,nan\n"
+
+
+def test_failed_rename_leaves_no_config_echo_or_temp_file(tmp_path, monkeypatch):
+    # every bundle file, config_echo.txt included, appears only when complete
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(csvio.os, "replace", failing_replace)
+    out = tmp_path / "run"
+    with pytest.raises(OSError, match="rename failed"):
+        H.run_experiment(H.parse_config_text(SMALL_RUN), out_dir=out)
+    assert list(out.iterdir()) == []
 
 
 def _failing_rows():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import frontlab as fl
 from frontlab import dynamics
-from frontlab.dynamics import _flush_tail, sample_bump, step_count
+from frontlab.dynamics import _tally, sample_bump, step_count
 from frontlab.errors import (BoundaryContaminationError, InstabilityError,
                              InvariantViolationError, NumericFailureError,
                              ResolutionError)
@@ -34,6 +34,18 @@ def test_params_validation():
         fl.Params(d1=1, d2=1, r1=1, r2=1, a=1, b=2, s=-0.1)
     p = fl.Params(d1=1, d2=1, r1=1, r2=1, a=1, b=2)
     assert p.s == 0.0 and p.v_cap == 1.0
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0])
+def test_predator_cap_is_zero_for_b_at_most_one(b):
+    # the predator box degenerates to {0}: no positive predator height fits
+    params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=1, b=b)
+    assert params.v_cap == 0.0
+    grid = fl.grid_from_spacing(-5, 5, 1 / 8)
+    with pytest.raises(InvariantViolationError, match="exceeds the invariant box cap 0"):
+        fl.make_initial(fl.BumpSpec(0.0, 2.0, 0.5), fl.BumpSpec(0.0, 2.0, 0.1), grid, params)
+    init = fl.make_initial(fl.BumpSpec(0.0, 2.0, 0.5), fl.BumpSpec(0.0, 2.0, 0.0), grid, params)
+    assert not init.v.any()
 
 
 def test_nonlocal_op_zero_field(stencil):
@@ -343,13 +355,25 @@ def test_simulate_aborts_on_real_undershoot(unit_kernel):
 
 def test_clamp_undershoot_thresholds():
     # roundoff negatives and the tail below the floor become +0.0; the floor
-    # itself and everything above stay; the minimum before the flush is returned
+    # itself and everything above stay; the minimum before the floor is returned,
+    # with the maximum and the extent of the cells that stay nonzero
     floor = dynamics.TAIL_FLOOR
-    arr = np.array([0.2, -5e-13, 0.0, -0.0, 5e-324, 1e-300, 0.999 * floor, floor, 1.001 * floor])
-    worst = _flush_tail(arr)
-    assert worst == -5e-13
-    assert arr.tolist() == [0.2] + [0.0] * 6 + [floor, 1.001 * floor]
+    arr = np.array([[0.2, -5e-13, 0.0, -0.0, 5e-324, 1e-300, 0.999 * floor, floor, 1.001 * floor,
+                     0.0]])
+    lows, highs, extent = _tally(arr)
+    assert lows.tolist() == [-5e-13] and highs.tolist() == [0.2]
+    assert arr.tolist() == [[0.2] + [0.0] * 6 + [floor, 1.001 * floor, 0.0]]
     assert not np.signbit(arr).any()
+    assert extent == (0, 9)
+    # without the floor the cells are left as they are, and every nonzero one counts
+    raw = np.array([[0.0, -0.0, 5e-324, 0.0], [0.0, 0.0, -1e-300, 0.0]])
+    before = raw.tobytes()
+    lows, highs, extent = _tally(raw, floor=False)
+    assert raw.tobytes() == before
+    assert lows.tolist() == [-0.0, -1e-300] and highs.tolist() == [5e-324, 0.0]
+    assert extent == (2, 3)
+    assert _tally(np.zeros((2, 5)))[2] is None
+    assert _tally(np.full((1, 4), floor))[2] == (0, 4)
 
 
 def test_simulate_rejects_nan_state(unit_kernel):
@@ -570,6 +594,52 @@ def test_simulate_boundary_warning_flag(unit_kernel):
     assert traj.diagnostics["max_boundary_fraction"] < 1e-3
 
 
+_MONITOR_STARTS = {"prey_only": ((0.0, 2.0, 0.5), (0.0, 2.0, 0.0)),
+                   "u_left_v_right": ((-3.0, 2.0, 0.5), (4.0, 2.0, 0.4)),
+                   "u_right_v_left": ((3.0, 2.0, 0.5), (-4.0, 2.0, 0.4))}
+
+
+@pytest.mark.parametrize("side", ["both", "left", "right", "none"])
+@pytest.mark.parametrize("start", sorted(_MONITOR_STARTS))
+def test_simulate_boundary_monitor_reads_the_selected_walls(unit_kernel, start, side):
+    # the reference takes the full-row maximum of every stored snapshot of an
+    # unmonitored run, u before v, as the monitor must
+    params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2)
+    grid = fl.grid_from_spacing(-14, 14, 1 / 8)
+    u_bump, v_bump = _MONITOR_STARTS[start]
+    init = fl.make_initial(fl.BumpSpec(*u_bump), fl.BumpSpec(*v_bump), grid, params)
+
+    def run(monitor):
+        return fl.simulate(params, fl.constant_one(), unit_kernel, unit_kernel, grid, init,
+                           dt=0.02, t_final=17.0, snapshot_stride=5, boundary_monitor=monitor)
+
+    ref = run("none")
+    ends = {"both": [0, -1], "left": [0], "right": [-1], "none": []}[side]
+    warning, largest, abort = False, 0.0, None
+    for t, u_row, v_row in zip(ref.times.tolist(), ref.u, ref.v):
+        for name, row in (("u", u_row), ("v", v_row)):
+            peak = float(row.max())
+            if peak <= 1e-8:
+                continue
+            frac = max([0.0] + [float(row[c]) for c in ends]) / peak
+            largest = max(largest, frac)
+            warning = warning or frac > 1e-6
+            if frac > 1e-3 and abort is None:
+                abort = f"{name} reached {frac:.2e} of its peak at the domain edge (t={t:g})"
+        if abort is not None:
+            break
+    if abort is not None:
+        with pytest.raises(BoundaryContaminationError) as info:
+            run(side)
+        assert str(info.value).startswith(abort)
+        return
+    diag = run(side).diagnostics
+    assert diag["boundary_warning"] is warning
+    assert type(diag["max_boundary_fraction"]) is float
+    assert diag["max_boundary_fraction"] == largest
+    assert (largest == 0.0) is (side == "none")
+
+
 @pytest.mark.parametrize("stride", [7, 165, 1000])
 def test_simulate_snapshot_rows_for_any_stride(unit_kernel, stride):
     # t_final = 3.3 in 165 ticks of 0.02: 165 * (3.3 / 165) != 3.3 in floating point;
@@ -679,17 +749,17 @@ def test_simulate_reads_habitat_once_per_stage_time(unit_kernel, monkeypatch):
 @pytest.mark.parametrize("dip, fresh", [(-5e-324, 0), (-1e-200, 1)])
 def test_simulate_fresh_first_stage_only_after_a_clamp_past_the_floor(
         unit_kernel, monkeypatch, dip, fresh):
-    # one cell of u dips to `dip` just before the flush of the second accepted step;
-    # the flush zeroes it either way, but only a dip to -TAIL_FLOOR or below moves the
-    # state far enough to cost a fresh first stage
-    flush = dynamics._flush_tail
-    flushes = []
+    # one cell of u dips to `dip` just before the floor of the second attempt, which
+    # is accepted; the floor zeroes it either way, but only a dip to -TAIL_FLOOR or
+    # below moves the state far enough to cost a fresh first stage
+    tally = dynamics._tally
+    floors = []
 
-    def dipping(arr):
-        flushes.append(1)
-        if len(flushes) == 3:  # u, then v, of each accepted step
-            arr[0] = dip
-        return flush(arr)
+    def dipping(y, floor=True):
+        floors.append(floor)
+        if floors.count(True) == 2:  # one call per attempt, after the one at t = 0
+            y[0, 0] = dip
+        return tally(y, floor)
 
     rhs_calls = []
     rhs = dynamics.rhs
@@ -698,7 +768,7 @@ def test_simulate_fresh_first_stage_only_after_a_clamp_past_the_floor(
         rhs_calls.append(1)
         return rhs(*args)
 
-    monkeypatch.setattr(dynamics, "_flush_tail", dipping)
+    monkeypatch.setattr(dynamics, "_tally", dipping)
     monkeypatch.setattr(dynamics, "rhs", counting_rhs)
     params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2, s=0.3)
     grid = fl.grid_from_spacing(-15, 15, 1 / 8)
@@ -708,6 +778,7 @@ def test_simulate_fresh_first_stage_only_after_a_clamp_past_the_floor(
                        grid, init, dt=0.02, t_final=3.3, snapshot_stride=10,
                        boundary_monitor="none")
     attempts = traj.diagnostics["n_steps"] + traj.diagnostics["n_rejected"]
+    assert floors == [False] + [True] * attempts
     assert traj.diagnostics["h_worst"]["u_min"] == dip
     assert len(rhs_calls) == 1 + fresh + 6 * attempts
 
@@ -749,6 +820,13 @@ _WINDOW_CASES = {
 }
 
 
+def _step_the_whole_grid(monkeypatch):
+    """Make the runs that follow step the whole grid: the first window is the grid."""
+    tally = dynamics._tally
+    monkeypatch.setattr(dynamics, "_tally",
+                        lambda y, floor=True: (*tally(y, floor)[:2], (0, y.shape[1])))
+
+
 @pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
 def test_simulate_window_is_bit_identical_to_full_grid(unit_kernel, case, monkeypatch):
     params, profile, radius2, half, u_bump, v_bump, t_final = _WINDOW_CASES[case]
@@ -761,8 +839,7 @@ def test_simulate_window_is_bit_identical_to_full_grid(unit_kernel, case, monkey
                            t_final=t_final, snapshot_stride=7, boundary_monitor="none")
 
     traj = run()
-    # the reference steps the whole grid: its window starts as the grid
-    monkeypatch.setattr(dynamics, "_support", lambda y, start, stop: (0, y.shape[1]))
+    _step_the_whole_grid(monkeypatch)
     ref = run()
     assert np.array_equal(traj.times, ref.times)
     assert traj.u.tobytes() == ref.u.tobytes() and traj.v.tobytes() == ref.v.tobytes()
@@ -772,6 +849,26 @@ def test_simulate_window_is_bit_identical_to_full_grid(unit_kernel, case, monkey
         assert np.all(ends == 0.0)
     if case == "fills_both_sides":
         assert np.all(ends > 0.0)
+
+
+def test_simulate_window_starts_from_positive_zeros(unit_kernel, monkeypatch):
+    # initial zeros given as -0.0: the full grid floors them to +0.0 at the first
+    # step, and the window, which reaches them later, must hold +0.0 there too
+    params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2)
+    grid = fl.grid_from_spacing(-30, 30, 1 / 8)
+    u = sample_bump(fl.BumpSpec(0.0, 2.0, 0.5), grid.x)
+    u[u == 0.0] = -0.0
+    init = fl.State(u=u, v=np.zeros(grid.n))
+
+    def run():
+        return fl.simulate(params, fl.constant_one(), unit_kernel, unit_kernel, grid, init,
+                           dt=0.02, t_final=1.0, snapshot_stride=10, boundary_monitor="none")
+
+    traj = run()
+    _step_the_whole_grid(monkeypatch)
+    ref = run()
+    assert traj.u[1:].tobytes() == ref.u[1:].tobytes()
+    assert not np.signbit(traj.u[1:]).any()
 
 
 def test_simulate_error_against_tight_tolerance_on_shifting_front(unit_kernel, monkeypatch):
