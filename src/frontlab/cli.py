@@ -110,6 +110,16 @@ def _cmd_verify_subsolution(args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frontlab",
@@ -136,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sweep axis: s, a, b, d1, d2, or eta")
     p_sweep.add_argument("--values", required=True,
                          help="comma- or space-separated axis values")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=_worker_count, default=1,
+                         help="worker processes, at most one per value (default 1)")
     add("check-hypotheses", _cmd_check_hypotheses, "print the hypothesis report CSV", "--strict")
     add("verify-subsolution", _cmd_verify_subsolution,
         "construct and verify the moving-window sub-solution", "--strict")

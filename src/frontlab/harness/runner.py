@@ -137,7 +137,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values, workers: int = 1,
     """Run one experiment per axis value; failures are recorded in-row.
 
     Runs are independent; ``workers > 1`` distributes them over a process
-    pool without changing row order or content.
+    pool of at most one worker per value, without changing row order or
+    content.
     """
     key = sweep_axis_key(axis)
     out_path = Path(out_dir) if out_dir is not None else None
@@ -145,6 +146,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values, workers: int = 1,
     for i, value in enumerate(values):
         run_dir = None if out_path is None else out_path / f"run_{i:03d}"
         tasks.append((cfg.raw_text, cfg.base_dir, key, float(value), run_dir))
+    workers = min(workers, len(tasks))
     if workers <= 1:
         rows = [_sweep_worker(t) for t in tasks]
     else:

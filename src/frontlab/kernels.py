@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,8 @@ TABULATED = "tabulated"
 # steep tilt exp(lam*y) puts the smooth bump's mass in a thin layer.  With
 # uniform panels the bump fails the split-panel check from lam*R ~ 16;
 # graded ones pass past lam*R = 128, the steepest tilt the speed and
-# decay-rate solvers evaluate.
+# decay-rate solvers evaluate.  Each kernel builds its whole-support nodes and
+# density values once (``Kernel._rule``); every call still runs the split-panel check.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _UNIT_EDGES = np.sin(0.5 * np.pi * np.linspace(-1.0, 1.0, 17))
 # Largest disagreement between the rule and its split-panel repeat,
@@ -49,14 +51,28 @@ _CHUNK_NODES = 1 << 14
 BLOCK = 32
 
 
-def _panel_terms(f, a, b) -> np.ndarray:
-    """Gauss-Legendre terms ``f(node) * weight`` on panels ``[a, b]``.
-
-    The result has shape ``a.shape + (16,)``; its sum is the integral.
-    """
+def _panel_rule(a, b):
+    """Nodes and weights, ``a.shape + (16,)``: ``sum(f(nodes) * weights)`` integrates."""
     half = 0.5 * (b - a)
-    pts = (0.5 * (a + b))[..., None] + half[..., None] * _GL_NODES
-    return f(pts) * (half[..., None] * _GL_WEIGHTS)
+    return (0.5 * (a + b))[..., None] + half[..., None] * _GL_NODES, half[..., None] * _GL_WEIGHTS
+
+
+def _split_rule(edges, lo, hi):
+    """:func:`_panel_rule` on ``edges`` clipped to each ``[lo, hi]`` row, then on the halves."""
+    a, b = np.clip(edges[:-1], lo, hi), np.clip(edges[1:], lo, hi)
+    mid = 0.5 * (a + b)
+    return _panel_rule(np.concatenate([a, a, mid], axis=1), np.concatenate([b, mid, b], axis=1))
+
+
+def _checked_sum(terms, n) -> np.ndarray:
+    """Row sums of the split terms ``terms[:, n:]``, checked against ``terms[:, :n]``."""
+    split = terms[:, n:]
+    fine = split.sum(axis=(1, 2))
+    err = np.abs(fine - terms[:, :n].sum(axis=(1, 2)))
+    if not np.all(err <= _SELF_CHECK_RTOL * np.abs(split).sum(axis=(1, 2))):
+        raise NumericFailureError(
+            "kernel quadrature failed its split-panel check", residual=float(np.max(err)))
+    return fine
 
 
 def _bump_body(u):
@@ -66,7 +82,8 @@ def _bump_body(u):
 
 
 # Integral of the bump body over (-1, 1), on the analytic panels.
-_BUMP_INTEGRAL = float(_panel_terms(_bump_body, _UNIT_EDGES[:-1], _UNIT_EDGES[1:]).sum())
+_UNIT_NODES, _UNIT_WEIGHTS = _panel_rule(_UNIT_EDGES[:-1], _UNIT_EDGES[1:])
+_BUMP_INTEGRAL = float((_bump_body(_UNIT_NODES) * _UNIT_WEIGHTS).sum())
 
 
 @dataclass(frozen=True)
@@ -139,6 +156,21 @@ class Kernel:
         if np.isscalar(x) or np.ndim(x) == 0:
             return float(vals)
         return vals
+
+    @property
+    def _edges(self) -> np.ndarray:
+        return self.table_x if self.family == TABULATED else self.support_radius * _UNIT_EDGES
+
+    @cached_property
+    def _rule(self):
+        """The split rule on the whole support: its nodes, the density there,
+        the scaled weights and the panel count, built on first use.  The
+        arrays are one read-only block, since every later integrand reads them."""
+        edges = self._edges
+        nodes, weights = _split_rule(edges, edges[:1, None], edges[-1:, None])
+        rule = np.stack([nodes, self.evaluate(nodes), weights])
+        rule.flags.writeable = False
+        return (*rule, edges.size - 1)
 
     def mgf(self, lam: float) -> float:
         """Moment generating function ``integral of J(y) * exp(lam*y)``.
@@ -283,10 +315,16 @@ def quad(kernel: Kernel, integrand=None, lo=None, hi=None):
     16-node Gauss-Legendre rule.  Every panel is then split in two and the
     rule repeated: the split result is returned, and
     :class:`NumericFailureError` is raised when the two differ by more than
-    1e-10 relative to the integral of ``|J * integrand|``.
+    1e-10 relative to the integral of ``|J * integrand|``.  Without limits
+    the nodes and density values come from the kernel's whole-support rule,
+    built once per kernel; the check runs on every call either way.
     """
+    if lo is None and hi is None:
+        nodes, values, weights, n = kernel._rule
+        terms = (values if integrand is None else values * integrand(nodes)) * weights
+        return _checked_sum(terms, n).item()
     r = kernel.support_radius
-    edges = kernel.table_x if kernel.family == TABULATED else r * _UNIT_EDGES
+    edges = kernel._edges
     lo = np.asarray(-r if lo is None else lo, dtype=float)
     hi = np.asarray(r if hi is None else hi, dtype=float)
     shape = np.broadcast_shapes(lo.shape, hi.shape)
@@ -305,19 +343,8 @@ def quad(kernel: Kernel, integrand=None, lo=None, hi=None):
     rows = max(1, _CHUNK_NODES // (3 * n * _GL_NODES.size))
     parts = []
     for i in range(0, lo.shape[0], rows):
-        a = np.clip(edges[:-1], lo[i:i + rows], hi[i:i + rows])
-        b = np.clip(edges[1:], lo[i:i + rows], hi[i:i + rows])
-        mid = 0.5 * (a + b)
-        # Panels [a, b], then their halves [a, mid] and [mid, b]: one evaluation.
-        terms = _panel_terms(f, np.concatenate([a, a, mid], axis=1),
-                             np.concatenate([b, mid, b], axis=1))
-        split = terms[:, n:]
-        fine = split.sum(axis=(1, 2))
-        err = np.abs(fine - terms[:, :n].sum(axis=(1, 2)))
-        if not np.all(err <= _SELF_CHECK_RTOL * np.abs(split).sum(axis=(1, 2))):
-            raise NumericFailureError(
-                "kernel quadrature failed its split-panel check", residual=float(np.max(err)))
-        parts.append(fine)
+        nodes, weights = _split_rule(edges, lo[i:i + rows], hi[i:i + rows])
+        parts.append(_checked_sum(f(nodes) * weights, n))
     out = np.concatenate(parts)[inverse].reshape(shape) if parts else np.zeros(shape)
     return out.item() if out.ndim == 0 else out
 

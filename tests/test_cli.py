@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from frontlab.cli import main
+
 CFG = """
 params.d1 = 1.0
 params.d2 = 1.0
@@ -116,6 +118,15 @@ def test_sweep_subcommand(cfg_file, tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("value,s_star")
     assert len([l for l in lines if l and not l.startswith(("value", "bundle"))]) == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-2", "two"])
+def test_sweep_refuses_a_worker_count_below_one(cfg_file, capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(cfg_file), "--axis", "s", "--values", "0.1,0.2",
+              "--workers", workers])
+    assert exc.value.code == 2
+    assert "argument --workers: expected an integer of at least 1" in capsys.readouterr().err
 
 
 def test_out_of_range_key_fails_cleanly(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 import frontlab as fl
 from frontlab import dynamics
@@ -947,3 +948,67 @@ def test_simulate_keeps_the_box_the_floor_and_absent_species(
         assert not ((w > 0.0) & (w < dynamics.TAIL_FLOOR)).any()
         if height == 0.0:
             assert w.tobytes() == bytes(w.nbytes)
+
+
+def _reference_solution(x, u0, v0, radii, params, A, L, times):
+    """The model on the grid with zero extension, from its equations alone:
+    du/dt = d1 (J1*u - u) + r1 u (alpha(x - s t) - u - a v),
+    dv/dt = d2 (J2*v - v) + r2 v (-1 + b u - v),
+    J the raised cosine sampled and normalized to unit sum, alpha logistic."""
+    p, dx, n = params, x[1] - x[0], x.size
+    taps = []
+    for r in radii:
+        y = dx * np.arange(-round(r / dx), round(r / dx) + 1)
+        j = (1.0 + np.cos(np.pi * y / r)) / (2.0 * r)
+        taps.append(j / j.sum())
+
+    def f(t, w):
+        u, v = w[:n], w[n:]
+        alpha = -A + (1.0 + A) / (1.0 + np.exp(-(x - p.s * t) / L))
+        du = p.d1 * (np.convolve(u, taps[0], mode="same") - u) + p.r1 * u * (alpha - u - p.a * v)
+        dv = p.d2 * (np.convolve(v, taps[1], mode="same") - v) + p.r2 * v * (-1.0 + p.b * u - v)
+        return np.concatenate([du, dv])
+
+    sol = solve_ivp(f, (0.0, times[-1]), np.concatenate([u0, v0]), method="DOP853",
+                    rtol=1e-12, atol=1e-14, t_eval=times)
+    assert sol.success
+    return sol.y[:n].T, sol.y[n:].T
+
+
+# (radii, bump center, predator height, s, gap in u, gap in v).  The gaps are
+# max |simulate - reference| over the 7 snapshots with simulate at RTOL 1e-9
+# and ATOL 1e-12 (693 steps), measured on x86-64 with numpy 2.4 and scipy 1.17.
+# The reference itself moves by at most 9e-11 in u and 1.2e-13 in v when its
+# tolerances are tightened to 1e-13 and 1e-16.
+# In every case the active window grows from the bump to both walls by t = 2.
+_REFERENCE_CASES = {
+    "both_alive": ((1.0, 1.0), 5.0, 0.2, 0.15, 2.42e-9, 2.62e-12),
+    "prey_only": ((1.0, 1.5), 5.0, 0.0, 0.15, 2.42e-9, 0.0),
+    "unequal_halfwidths": ((1.0, 1.5), 5.0, 0.2, 0.15, 2.41e-9, 1.24e-11),
+    # the window starts against the right wall and the prey front runs into it
+    "front_at_wall": ((1.0, 1.5), 40.0, 0.2, 0.15, 2.18e-9, 1.35e-11),
+    "static_habitat": ((1.0, 1.5), 5.0, 0.2, 0.0, 2.39e-9, 1.29e-11),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+def test_simulate_matches_an_independent_reference(case, monkeypatch):
+    radii, center, v_height, s, gap_u, gap_v = _REFERENCE_CASES[case]
+    params = fl.Params(d1=1.0, d2=0.7, r1=0.5, r2=0.4, a=0.5, b=1.5, s=s)
+    grid = fl.Grid(-30.0, 50.0, 641)
+    init = fl.make_initial(fl.BumpSpec(center, 5.0, 0.8), fl.BumpSpec(center, 5.0, v_height),
+                           grid, params)
+    monkeypatch.setattr(dynamics, "RTOL", 1e-9)
+    monkeypatch.setattr(dynamics, "ATOL", 1e-12)
+    traj = fl.simulate(params, fl.logistic(A=0.5, L=2.0), fl.raised_cosine(radii[0]),
+                       fl.raised_cosine(radii[1]), grid, init, dt=1.0, t_final=60.0,
+                       snapshot_stride=10, boundary_monitor="none")
+    ref_u, ref_v = _reference_solution(grid.x, init.u, init.v, radii, params, 0.5, 2.0,
+                                       traj.times)
+    # Each bound is 10 times the measured gap: room for another platform's
+    # roundoff to move a step, far below what a wrong stage time, sign, stencil
+    # offset or coefficient does (1e-5 and up).
+    assert np.max(np.abs(traj.u - ref_u)) <= 10.0 * gap_u
+    assert np.max(np.abs(traj.v - ref_v)) <= 10.0 * gap_v
+    if case == "front_at_wall":
+        assert traj.u[-1, -1] > 0.4

@@ -457,3 +457,31 @@ def test_bad_kernel_table_row_names_the_key(tmp_path):
     text = DESK + f"kernel1.family = tabulated\nkernel1.file = {table}\n"
     with pytest.raises(InvalidKernelError, match=r"kernel1\.file: .*rc\.txt, line 2"):
         H.parse_config_text(text)
+
+
+
+def test_sweep_pool_has_at_most_one_worker_per_value(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    cfg = H.parse_config_text(DESK + "solver.t_final = 2.0\n")
+    rows = H.sweep(cfg, "s", [0.05, 0.1], workers=4000)
+    assert sizes == [2]
+    assert rows == H.sweep(cfg, "s", [0.05, 0.1], workers=1)
+    H.sweep(cfg, "s", [0.05], workers=4000)
+    assert sizes == [2]

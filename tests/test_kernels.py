@@ -8,7 +8,7 @@ from scipy import integrate
 
 import frontlab as fl
 from frontlab.errors import InvalidKernelError, NumericFailureError, ResolutionError
-from frontlab.kernels import exp_integral, quad
+from frontlab.kernels import exp_integral, quad, tilted_mean
 
 from conftest import raised_cosine_mgf_closed
 
@@ -210,3 +210,45 @@ def test_quad_split_panel_check_raises():
         exp_integral(fl.smooth_bump(1.0), 600.0)
     with pytest.raises(NumericFailureError):
         quad(fl.raised_cosine(1.0), lambda s: np.abs(s - 0.3))
+
+
+@pytest.mark.parametrize("make", [lambda: fl.raised_cosine(1.0), lambda: fl.smooth_bump(1.0),
+                                  lambda: fl.tabulated(*_rc_table(n=201))],
+                         ids=["raised_cosine", "smooth_bump", "tabulated"])
+def test_whole_support_rule_gives_the_bits_of_explicit_limits(make):
+    # Without limits quad reads the kernel's cached rule; with the limits set to
+    # the support ends it builds the same panels afresh.  Same bits either way.
+    kernel = make()
+    r = kernel.support_radius
+    for lam in (-5.0, 0.0, 0.5, 2.3, 16.4, 128.0 / r):
+        assert exp_integral(kernel, lam) == quad(kernel, lambda s: np.exp(lam * s), lo=-r, hi=r)
+        assert tilted_mean(kernel, lam) == quad(kernel, lambda s: np.exp(lam * s) * s,
+                                                lo=-r, hi=r)
+    wave = lambda s: np.exp((1 + 2j) * s)
+    assert quad(kernel, wave) == quad(kernel, wave, lo=-r, hi=r)
+    assert quad(kernel) == quad(kernel, lo=-r, hi=r)
+
+
+def test_whole_support_rule_evaluates_the_kernel_once(monkeypatch):
+    calls = []
+    evaluate = fl.Kernel.evaluate
+
+    def counting(self, x):
+        calls.append(self)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(fl.Kernel, "evaluate", counting)
+    kernels = [fl.raised_cosine(1.0), fl.smooth_bump(2.0)]
+    for kernel in kernels:
+        for lam in np.linspace(-3.0, 3.0, 20):
+            kernel.mgf(lam)
+    assert [sum(c is k for c in calls) for k in kernels] == [1, 1]
+
+
+def test_failed_quadrature_leaves_the_rule_intact():
+    kernel = fl.smooth_bump(1.0)
+    with pytest.raises(NumericFailureError):
+        exp_integral(kernel, 600.0)
+    with pytest.raises(ValueError, match="read-only"):
+        quad(kernel, lambda s: np.multiply(s, 2.0, out=s))
+    assert kernel.mgf(1.0) == pytest.approx(_bump_mgf_reference(1.0), rel=1e-12)
