@@ -61,11 +61,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg_path = Path(args.config)
     cfg = parse_config(cfg_path)
-    values = [float(v) for v in args.values.replace(",", " ").split()]
-    if not values:
-        raise FrontLabError("sweep needs at least one value")
     out = _out_dir(args, cfg_path)
-    rows = sweep(cfg, args.axis, values, workers=args.workers, out_dir=out)
+    rows = sweep(cfg, args.axis, args.values, workers=args.workers, out_dir=out)
     write_csv(sys.stdout, SWEEP_HEADER, rows)
     sys.stdout.write(f"bundle written to {out}\n")
     return 0
@@ -120,6 +117,17 @@ def _worker_count(text: str) -> int:
     return value
 
 
+def _axis_values(text: str) -> list[float]:
+    try:
+        values = [float(v) for v in text.replace(",", " ").split()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"expected comma- or space-separated numbers, got {text!r}")
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frontlab",
@@ -144,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = add("sweep", _cmd_sweep, "run one experiment per axis value", "--out")
     p_sweep.add_argument("--axis", required=True,
                          help="sweep axis: s, a, b, d1, d2, or eta")
-    p_sweep.add_argument("--values", required=True,
+    p_sweep.add_argument("--values", type=_axis_values, required=True,
                          help="comma- or space-separated axis values")
     p_sweep.add_argument("--workers", type=_worker_count, default=1,
                          help="worker processes, at most one per value (default 1)")

@@ -154,22 +154,28 @@ class ExperimentConfig:
     base_dir: str
 
 
-def _build_kernel(values: dict, prefix: str, base_dir: str) -> Kernel:
+def _build_kernel(values: dict, prefix: str, base_dir: str, built: dict) -> Kernel:
+    """The kernel ``prefix`` names.  ``built`` holds the kernels already made,
+    keyed by family and radius, or by family and resolved table file."""
     family = values[f"{prefix}.family"]
+    key = family, values[f"{prefix}.radius"]
     if family == "tabulated":
         if not values[f"{prefix}.file"]:
             raise ConfigError(f"{prefix}.file is required for a tabulated kernel")
         # Stored absolute, so the echo parses from any directory.
         path = values[f"{prefix}.file"] = os.path.normpath(
             os.path.join(base_dir, values[f"{prefix}.file"]))
-        if not os.path.isfile(path):
-            raise ConfigError(f"{prefix}.file not found: {path}")
-        try:
-            return load_tabulated(path)
-        except InvalidKernelError as exc:
-            raise InvalidKernelError(f"{prefix}.file: {exc}") from None
-    make = raised_cosine if family == "raised_cosine" else smooth_bump
-    return make(values[f"{prefix}.radius"])
+        key = family, path
+        if key not in built:
+            if not os.path.isfile(path):
+                raise ConfigError(f"{prefix}.file not found: {path}")
+            try:
+                built[key] = load_tabulated(path)
+            except InvalidKernelError as exc:
+                raise InvalidKernelError(f"{prefix}.file: {exc}") from None
+    elif key not in built:
+        built[key] = (raised_cosine if family == "raised_cosine" else smooth_bump)(key[1])
+    return built[key]
 
 
 def _build_profile(values: dict) -> HabitatProfile:
@@ -213,8 +219,9 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     params = Params(d1=values["params.d1"], d2=values["params.d2"],
                     r1=values["params.r1"], r2=values["params.r2"],
                     a=values["params.a"], b=values["params.b"], s=values["params.s"])
-    kernel1 = _build_kernel(values, "kernel1", base_dir)
-    kernel2 = _build_kernel(values, "kernel2", base_dir)
+    built: dict = {}
+    kernel1 = _build_kernel(values, "kernel1", base_dir, built)
+    kernel2 = _build_kernel(values, "kernel2", base_dir, built)
     profile = _build_profile(values)
     hypotheses = check_hypotheses(params, profile, kernel1, kernel2)
     sp = hypotheses.speeds

@@ -36,15 +36,16 @@ TABULATED = "tabulated"
 # uniform panels the bump fails the split-panel check from lam*R ~ 16;
 # graded ones pass past lam*R = 128, the steepest tilt the speed and
 # decay-rate solvers evaluate.  Each kernel builds its whole-support nodes and
-# density values once (``Kernel._rule``); every call still runs the split-panel check.
+# density values once (``Kernel._rule``).  A clipped integral evaluates only
+# the panels its limits cut; every integral still runs the split-panel check.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _UNIT_EDGES = np.sin(0.5 * np.pi * np.linspace(-1.0, 1.0, 17))
 # Largest disagreement between the rule and its split-panel repeat,
 # relative to the integral of |J * integrand|.
 _SELF_CHECK_RTOL = 1e-10
-# Abscissae evaluated per chunk of a vectorized integral, which bounds the
-# temporaries; a chunk holds at least one row, so a table with more than
-# about 340 knots goes past it.
+# Terms assembled per chunk of clipped rows, which bounds the temporaries; a
+# chunk holds at least one row, so a table with more than about 340 knots
+# goes past it.
 _CHUNK_NODES = 1 << 14
 # Cells per output row of the blocked convolution (see ``Stencil.padded_block``);
 # 32 ran a little faster than 16 or 64 for stencils of 17 and 33 taps.
@@ -315,37 +316,43 @@ def quad(kernel: Kernel, integrand=None, lo=None, hi=None):
     16-node Gauss-Legendre rule.  Every panel is then split in two and the
     rule repeated: the split result is returned, and
     :class:`NumericFailureError` is raised when the two differ by more than
-    1e-10 relative to the integral of ``|J * integrand|``.  Without limits
-    the nodes and density values come from the kernel's whole-support rule,
-    built once per kernel; the check runs on every call either way.
+    1e-10 relative to the integral of ``|J * integrand|``.  The integrand is
+    evaluated once on the kernel's whole-support rule.  A row whose limits
+    cover the support sums those terms; any other row copies the panels its
+    limits keep whole, zeroes the ones they drop and evaluates afresh only
+    the panels they cut, at most two and their halves.  Each row is checked.
     """
+    nodes, values, weights, n = kernel._rule
+    full = (values if integrand is None else values * integrand(nodes)) * weights
     if lo is None and hi is None:
-        nodes, values, weights, n = kernel._rule
-        terms = (values if integrand is None else values * integrand(nodes)) * weights
-        return _checked_sum(terms, n).item()
-    r = kernel.support_radius
+        return _checked_sum(full, n).item()
     edges = kernel._edges
-    lo = np.asarray(-r if lo is None else lo, dtype=float)
-    hi = np.asarray(r if hi is None else hi, dtype=float)
+    lo = np.asarray(edges[0] if lo is None else lo, dtype=float)
+    hi = np.asarray(edges[-1] if hi is None else hi, dtype=float)
     shape = np.broadcast_shapes(lo.shape, hi.shape)
-    # Limits beyond the support change nothing, so clamp them to it; rows
-    # that then coincide, such as every row covering the whole support, are
-    # integrated once.
-    lo = np.maximum(np.broadcast_to(lo, shape).ravel(), edges[0])
-    hi = np.minimum(np.broadcast_to(hi, shape).ravel(), edges[-1])
-    inverse = slice(None)
-    if lo.size > 1:
-        limits, inverse = np.unique(np.column_stack([lo, hi]), axis=0, return_inverse=True)
-        lo, hi, inverse = limits[:, 0], limits[:, 1], inverse.ravel()
-    lo, hi = lo[:, None], hi[:, None]
-    f = kernel.evaluate if integrand is None else lambda s: kernel.evaluate(s) * integrand(s)
-    n = edges.size - 1
-    rows = max(1, _CHUNK_NODES // (3 * n * _GL_NODES.size))
-    parts = []
-    for i in range(0, lo.shape[0], rows):
-        nodes, weights = _split_rule(edges, lo[i:i + rows], hi[i:i + rows])
-        parts.append(_checked_sum(f(nodes) * weights, n))
-    out = np.concatenate(parts)[inverse].reshape(shape) if parts else np.zeros(shape)
+    # Limits beyond the support change nothing, so clamp them to it.
+    lo = np.maximum(np.broadcast_to(lo, shape).ravel(), edges[0])[:, None]
+    hi = np.minimum(np.broadcast_to(hi, shape).ravel(), edges[-1])[:, None]
+    whole = (lo == edges[0]) & (hi == edges[-1])
+    out = np.empty(whole.shape, full.dtype)
+    if whole.any():
+        out[whole] = _checked_sum(full, n)
+    cut = np.flatnonzero(~whole)
+    rows = max(1, _CHUNK_NODES // full.size)
+    for i in range(0, cut.size, rows):
+        k = cut[i:i + rows]
+        a, b = np.clip(edges[:-1], lo[k], hi[k]), np.clip(edges[1:], lo[k], hi[k])
+        kept = (a == edges[:-1]) & (b == edges[1:])
+        terms = np.where(np.tile(kept, 3)[..., None], full, 0.0)
+        row, j = np.nonzero(~kept & (a != b))
+        a, b = a[row, j], b[row, j]
+        mid = 0.5 * (a + b)
+        x, w = _panel_rule(np.stack([a, a, mid]), np.stack([b, mid, b]))
+        f = kernel.evaluate(x)
+        f = f if integrand is None else f * integrand(x)
+        terms[row, j + n * np.arange(3)[:, None]] = f * w
+        out[k, 0] = _checked_sum(terms, n)
+    out = out.reshape(shape)
     return out.item() if out.ndim == 0 else out
 
 

@@ -129,6 +129,14 @@ def test_sweep_refuses_a_worker_count_below_one(cfg_file, capsys, workers):
     assert "argument --workers: expected an integer of at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values", ["abc", "0.1,abc", "", " , "])
+def test_sweep_refuses_values_that_are_not_numbers(cfg_file, capsys, values):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(cfg_file), "--axis", "s", "--values", values])
+    assert exc.value.code == 2
+    assert "argument --values: expected comma- or space-separated numbers" in capsys.readouterr().err
+
+
 def test_out_of_range_key_fails_cleanly(tmp_path):
     bad = tmp_path / "coarse.cfg"
     bad.write_text(CFG + "grid.dx = 0\n")

@@ -451,6 +451,25 @@ def test_relative_kernel_table_read_from_config_directory(tmp_path, monkeypatch)
         H.parse_config_text((tmp_path / "cfgs" / "exp.cfg").read_text())
 
 
+def test_equal_kernel_keys_build_one_kernel(tmp_path, monkeypatch):
+    x = np.linspace(-1.0, 1.0, 201)
+    np.savetxt(tmp_path / "rc.txt", np.c_[x, (1.0 + np.cos(np.pi * x)) / 2.0])
+    loads = _count_calls(monkeypatch, fl.load_tabulated)
+    text = DESK + ("kernel1.family = tabulated\nkernel1.file = rc.txt\n"
+                   "kernel2.family = tabulated\nkernel2.file = tables/../rc.txt\n")
+    cfg = H.parse_config_text(text, base_dir=str(tmp_path))
+    assert len(loads) == 1
+    assert cfg.kernel2 is cfg.kernel1
+    assert cfg.values["kernel2.file"] == cfg.values["kernel1.file"] == str(tmp_path / "rc.txt")
+    cfg = H.parse_config_text(DESK)
+    assert cfg.kernel2 is cfg.kernel1
+    cfg = H.parse_config_text(DESK + "kernel2.radius = 1.5\n")
+    assert cfg.kernel2 is not cfg.kernel1
+    assert (cfg.kernel1.support_radius, cfg.kernel2.support_radius) == (1.0, 1.5)
+    cfg = H.parse_config_text(DESK + "kernel2.family = smooth_bump\n")
+    assert cfg.kernel2 is not cfg.kernel1
+
+
 def test_bad_kernel_table_row_names_the_key(tmp_path):
     table = tmp_path / "rc.txt"
     table.write_text("-1.0 0.0\nnp.float64(0.0) np.float64(1.0)\n1.0 0.0\n")

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import frontlab as fl
+from frontlab import subsolution
 from frontlab.errors import InvalidKernelError, NumericFailureError, ResolutionError
-from frontlab.kernels import exp_integral, quad, tilted_mean
+from frontlab.kernels import _checked_sum, _split_rule, exp_integral, quad, tilted_mean
 
 from conftest import raised_cosine_mgf_closed
 
@@ -208,8 +209,18 @@ def test_quad_split_panel_check_raises():
     # panels and their halves disagree far above relative 1e-10.
     with pytest.raises(NumericFailureError):
         exp_integral(fl.smooth_bump(1.0), 600.0)
+    kernel, kink = fl.raised_cosine(1.0), lambda s: np.abs(s - 0.3)
     with pytest.raises(NumericFailureError):
-        quad(fl.raised_cosine(1.0), lambda s: np.abs(s - 0.3))
+        quad(kernel, kink)
+    # Clipped, the check covers only what the limits keep: hi = 0.2 drops the
+    # kink's panel, hi = 0.9 keeps it whole and hi = 0.35 cuts it.
+    ref = integrate.quad(lambda s: kernel.evaluate(s) * kink(s), -1.0, 0.2, epsrel=1e-13)[0]
+    assert quad(kernel, kink, lo=-1.0, hi=0.2) == pytest.approx(ref, rel=1e-12)
+    for hi in (0.9, 0.35):
+        with pytest.raises(NumericFailureError):
+            quad(kernel, kink, lo=-1.0, hi=hi)
+    with pytest.raises(NumericFailureError):
+        quad(kernel, lo=[0.1, np.nan], hi=0.5)
 
 
 @pytest.mark.parametrize("make", [lambda: fl.raised_cosine(1.0), lambda: fl.smooth_bump(1.0),
@@ -252,3 +263,74 @@ def test_failed_quadrature_leaves_the_rule_intact():
     with pytest.raises(ValueError, match="read-only"):
         quad(kernel, lambda s: np.multiply(s, 2.0, out=s))
     assert kernel.mgf(1.0) == pytest.approx(_bump_mgf_reference(1.0), rel=1e-12)
+
+
+def _clipped_reference(kernel, integrand, lo, hi):
+    """The clipped integral with every row's panels built afresh: the rule on
+    the support clipped to each row, then the same checked sum."""
+    edges = kernel._edges
+    lo, hi = np.broadcast_arrays(np.asarray(edges[0] if lo is None else lo, dtype=float),
+                                 np.asarray(edges[-1] if hi is None else hi, dtype=float))
+    nodes, weights = _split_rule(edges, np.maximum(lo.reshape(-1, 1), edges[0]),
+                                 np.minimum(hi.reshape(-1, 1), edges[-1]))
+    f = kernel.evaluate(nodes)
+    f = f if integrand is None else f * integrand(nodes)
+    return _checked_sum(f * weights, edges.size - 1).reshape(lo.shape)
+
+
+def _limits(kernel):
+    """(lo, hi) pairs that put the limits on every kind of place."""
+    e, r = kernel._edges, kernel.support_radius
+    inner = lambda t: e[6] + t * (e[7] - e[6])
+    return [
+        (e[4], e[-5]),                                # on panel edges
+        (0.5 * (e[4] + e[5]), 0.5 * (e[-6] + e[-5])),  # on split midpoints
+        (inner(0.25), inner(0.7)),                    # both inside one panel
+        (inner(0.5), inner(0.5)),                     # lo == hi
+        (inner(0.7), inner(0.25)),                    # lo > hi
+        (-3.0 * r, 0.3 * r), (-0.4 * r, 2.0 * r),     # beyond the support
+        (-3.0 * r, 3.0 * r),                          # covering it
+        (None, 0.3 * r), (-0.4 * r, None),            # one-sided
+        (np.array([[-3.0], [-0.6], [0.1]]) * r, np.array([-0.5, 0.2, 0.9, 4.0]) * r),
+    ]
+
+
+@pytest.mark.parametrize("integrand", [None, lambda s: np.exp((1.5 - 2j) * s)],
+                         ids=["density", "complex"])
+@pytest.mark.parametrize("make", [lambda: fl.raised_cosine(1.3), lambda: fl.smooth_bump(0.8),
+                                  lambda: fl.tabulated(*_rc_table(n=201))],
+                         ids=["raised_cosine", "smooth_bump", "tabulated"])
+def test_clipped_quad_gives_the_bits_of_fresh_panels(make, integrand):
+    # Panels the limits keep whole are copied from the whole-support terms,
+    # dropped ones are zero and cut ones are evaluated afresh: every row holds
+    # the terms the fresh rule would, so every sum keeps its bits.
+    kernel = make()
+    for lo, hi in _limits(kernel):
+        got = np.asarray(quad(kernel, integrand, lo=lo, hi=hi))
+        ref = _clipped_reference(kernel, integrand, lo, hi)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes(), (lo, hi)
+
+
+def test_window_convolution_evaluates_only_the_cut_panels(monkeypatch):
+    kernel = fl.raised_cosine(1.0)
+    base = dict(d1=1.0, d2=1.0, r1=0.5, r2=0.4, a=0.5, b=1.5)
+    s_under = fl.system_speeds(fl.Params(**base), kernel, kernel).s_underline
+    params = fl.Params(**base, s=0.5 * s_under)
+    p = fl.construct_subsolution(params, 0.5 * (params.s + s_under), kernel=kernel)
+    sizes = []
+
+    def counting_quad(kernel, integrand, lo, hi):
+        def counted(s):
+            sizes.append(s.size)
+            return integrand(s)
+        return quad(kernel, counted, lo=lo, hi=hi)
+
+    monkeypatch.setattr(subsolution, "quad", counting_quad)
+    R, r = p.window, kernel.support_radius
+    dz = 2.0 * R / 513
+    z = np.linspace(-R + dz, R - dz, 512)
+    subsolution._window_convolution(kernel, p, z)
+    cutting = np.count_nonzero((z - R > -r) | (z + R < r))
+    assert 0 < cutting < z.size
+    assert 768 < sum(sizes) <= 768 + 96 * cutting
