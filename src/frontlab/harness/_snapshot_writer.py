@@ -1,21 +1,26 @@
-"""Writer process for ``snapshots.csv``; standard library only.
+"""Writer process for ``snapshots.csv``.
 
-Usage: ``python -I -S _snapshot_writer.py OUT HEADER``.  Reads native
-float64 values from stdin: the point count ``n`` (one int64), the grid
-``x`` (``n`` values), then one record ``t, u[0..n), v[0..n)`` per
+Usage: ``python -I -S _snapshot_writer.py OUT HEADER NUMPY_DIR``.  Reads
+native float64 values from stdin: the point count ``n`` (one int64), the
+grid ``x`` (``n`` values), then one record ``t, u[0..n), v[0..n)`` per
 snapshot, and last a lone negative time, which no snapshot has, to mark
 the end.  Writes ``HEADER`` and one ``t,x,u,v`` line per grid point per
 snapshot to ``OUT``, every float as ``%.17g``, the text ``csvio.fmt``
-gives.  If the input ends before the end mark, inside a record or not
-(the sender died), it removes ``OUT`` and exits nonzero with the reason
-on stderr.  Started by ``csvio.SnapshotWriter``; it imports nothing from
-``frontlab`` so that it starts without numpy.
+gives, each record's lines in one write.  If the input ends before the end
+mark, inside a record or not (the sender died), it removes ``OUT`` and
+exits nonzero with the reason on stderr.  Started by
+``csvio.SnapshotWriter``.
+
+The text comes from ``_g17`` in this script's directory, which needs only
+numpy.  ``-S`` leaves site-packages off ``sys.path`` and ``-I`` this
+script's directory, so both are added: ``NUMPY_DIR`` is the directory that
+holds the numpy package the parent imported.  Nothing from ``frontlab``
+is imported.
 """
 
 import os
 import struct
 import sys
-from array import array
 
 
 def _read(stdin, size: int, what: str) -> bytes:
@@ -26,37 +31,30 @@ def _read(stdin, size: int, what: str) -> bytes:
     return data
 
 
-def _copy(stdin, out, n: int) -> None:
-    x = array("d", _read(stdin, 8 * n, "the grid"))
-    template = "%s,%s,%.17g,%.17g\n" * n
-    args = [None] * (4 * n)
-    args[1::4] = ["%.17g" % xi for xi in x]
-    while True:
-        (t,) = struct.unpack("=d", _read(stdin, 8, "a snapshot time or the end mark"))
-        if t < 0.0:
-            return
-        rec = array("d", _read(stdin, 16 * n, "a snapshot"))
-        args[0::4] = ["%.17g" % t] * n
-        args[2::4] = rec[:n]
-        args[3::4] = rec[n:]
-        out.write(template % tuple(args))
+def main(out_name: str, header: str, numpy_dir: str) -> int:
+    sys.path += [numpy_dir, os.path.dirname(os.path.abspath(__file__))]
+    import numpy as np
+    from _g17 import g17, snapshot_lines
 
-
-def main(out_name: str, header: str) -> int:
     stdin = sys.stdin.buffer
     (n,) = struct.unpack("=q", _read(stdin, 8, "the point count"))
     try:
-        with open(out_name, "w", encoding="utf-8") as out:
-            out.write(header + "\n")
-            _copy(stdin, out, n)
+        with open(out_name, "wb") as out:
+            out.write(header.encode("utf-8") + b"\n")
+            x = g17(np.frombuffer(_read(stdin, 8 * n, "the grid"), dtype=np.float64))
+            while True:
+                (t,) = struct.unpack("=d", _read(stdin, 8, "a snapshot time or the end mark"))
+                if t < 0.0:
+                    return 0
+                rec = np.frombuffer(_read(stdin, 16 * n, "a snapshot"), dtype=np.float64)
+                out.write(snapshot_lines(t, x, rec[:n], rec[n:]))
     except BaseException:
         try:
             os.remove(out_name)
         except FileNotFoundError:
             pass
         raise
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1], sys.argv[2]))
+    sys.exit(main(*sys.argv[1:4]))

@@ -10,7 +10,16 @@ from pathlib import Path
 
 import numpy as np
 
+try:
+    from fcntl import F_SETPIPE_SZ, fcntl
+except ImportError:  # not Linux
+    F_SETPIPE_SZ = None
+
 _WRITER_SCRIPT = Path(__file__).with_name("_snapshot_writer.py")
+# The child imports numpy from where this process found it.
+_NUMPY_DIR = str(Path(np.__file__).parent.parent)
+# 27 band snapshots of 38,424 bytes; the default 64 KiB holds under two.
+_PIPE_BYTES = 1 << 20
 # Sent by SnapshotWriter.close after the last snapshot: a time no snapshot has.
 _END_MARK = struct.pack("=d", -1.0)
 
@@ -60,19 +69,35 @@ def write_csv(path, header: str, rows):
     return write_text(path, _lines(header, rows))
 
 
+def _widen(pipe) -> None:
+    """Raise ``pipe``'s buffer to ``_PIPE_BYTES``, or to the system's limit if
+    that is lower; elsewhere than Linux, or if refused, leave it as it is."""
+    if F_SETPIPE_SZ is None:
+        return
+    try:
+        limit = int(Path("/proc/sys/fs/pipe-max-size").read_text())
+        fcntl(pipe, F_SETPIPE_SZ, min(_PIPE_BYTES, limit))
+    except (OSError, ValueError):
+        pass
+
+
 class SnapshotWriter:
     """Writes ``header`` and ``t,x,u,v`` lines to ``path`` from a child process.
 
     The child formats while the caller goes on computing.  The grid ``x``
     is sent once, then each :meth:`write` sends ``t, u, v`` as raw float64
-    over a pipe, whose backpressure holds memory to about one snapshot on
-    each side.  The child writes a sibling temporary file; :meth:`close`
-    sends an end mark, waits for the child and renames the file to
-    ``path``.  A child whose input ends without the mark, because this
-    process died, removes the file and exits nonzero.  After an exception,
-    from this writer or from the caller, call :meth:`abort`: it stops the
-    child and removes the file.  A failed child makes :meth:`write` or
-    :meth:`close` raise an ``OSError`` with its exit status and stderr.
+    over a pipe.  Where the OS allows, the pipe is raised to 1 MiB, so
+    the caller does not stall while the child starts and imports numpy;
+    its backpressure bounds what waits in the pipe, and neither process
+    holds more than about one snapshot.  The child (``_snapshot_writer.py``)
+    turns each snapshot into text with the numpy kernel in ``_g17.py`` and
+    writes a sibling temporary file; :meth:`close` sends an end mark,
+    waits for the child and renames the file to ``path``.  A child whose
+    input ends without the mark, because this process died, removes the
+    file and exits nonzero.  After an exception, from this writer or from
+    the caller, call :meth:`abort`: it stops the child and removes the
+    file.  A failed child makes :meth:`write` or :meth:`close` raise an
+    ``OSError`` with its exit status and stderr.
     The text equals ``fmt`` of every value.
     """
 
@@ -80,8 +105,11 @@ class SnapshotWriter:
         self.path = Path(path)
         self.tmp = _temp_sibling(self.path)
         self._proc = subprocess.Popen(
-            [sys.executable, "-I", "-S", str(_WRITER_SCRIPT), str(self.tmp), header],
-            stdin=subprocess.PIPE, stderr=subprocess.PIPE)
+            [sys.executable, "-I", "-S", str(_WRITER_SCRIPT), str(self.tmp), header, _NUMPY_DIR],
+            stdin=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                     MKL_NUM_THREADS="1"))  # it does no linear algebra
+        _widen(self._proc.stdin)
         x = np.ascontiguousarray(x, dtype=np.float64)
         self._send(struct.pack("=q", x.size), x)
 

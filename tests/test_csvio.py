@@ -1,7 +1,10 @@
 import io
 import math
+import sys
 import time
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ import pytest
 import frontlab as fl
 import frontlab.harness as H
 from frontlab.errors import InstabilityError
-from frontlab.harness import csvio, runner
+from frontlab.harness import _g17, csvio, runner
 from frontlab.harness.csvio import SnapshotWriter, fmt, write_csv
 from frontlab.harness.runner import SNAPSHOT_HEADER
 
@@ -74,6 +77,82 @@ def test_snapshots_csv_matches_reference_formatter(tmp_path):
     assert written == _reference_snapshots(res.trajectory).encode("utf-8")
 
 
+def _g17_texts(values) -> list:
+    chars, lens = _g17.g17(values)
+    return [row[:n].tobytes() for row, n in zip(chars, lens.tolist())]
+
+
+def _assert_g17_exact(values):
+    values = np.asarray(values, dtype=np.float64)
+    expected = [b"%.17g" % v for v in values.tolist()]
+    got = _g17_texts(values)
+    wrong = [(v, e, g) for v, e, g in zip(values.tolist(), expected, got) if e != g]
+    assert not wrong, f"{len(wrong)} of {len(expected)} differ, e.g. {wrong[:3]}"
+
+
+def test_g17_matches_percent_format_on_random_bit_patterns():
+    bits = np.random.default_rng(20231).integers(0, 2**64, 200_000, dtype=np.uint64)
+    _assert_g17_exact(bits.view(np.float64))
+
+
+def _neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # the largest float's upper neighbour is inf
+        return np.concatenate([values, np.nextafter(values, -np.inf),
+                               np.nextafter(values, np.inf)])
+
+
+def test_g17_matches_percent_format_on_edge_families():
+    powers = np.array([float(f"1e{p}") for p in range(-323, 309)])
+    rng = np.random.default_rng(7)
+    subnormals = np.concatenate([
+        np.arange(1, 2000, dtype=np.uint64),
+        rng.integers(1, 2**52, 20_000, dtype=np.uint64),
+        [2**52 - 1]]).view(np.float64)
+    integers = np.concatenate([
+        [2.0**j + d for j in range(54) for d in (-1, 0, 1)],
+        [10.0**j - 1 for j in range(1, 16)],
+        rng.integers(0, 2**53, 5_000).astype(np.float64)])
+    eighths = np.arange(-8 * 512, 8 * 512) / 8.0
+    near_ends = (np.array([1e16, 1e17]).view(np.int64)[:, None]
+                 + np.arange(-8, 9)).ravel().view(np.float64)  # 8 ulps either side
+    extremes = _neighbours([np.finfo(np.float64).max, np.finfo(np.float64).tiny])
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf]
+    families = [_neighbours(powers), subnormals, integers, eighths, near_ends, extremes]
+    values = np.concatenate([np.concatenate([f, -f]) for f in families] + [specials])
+    _assert_g17_exact(values)
+
+
+def test_g17_power_of_ten_table_is_correctly_rounded():
+    for p, entry in zip(range(_g17._P_LO, _g17._P_LO + _g17._POW10.size), _g17._POW10):
+        if not np.isfinite(entry):  # beyond a float64 long double's range
+            continue
+        exact = Fraction(10) ** p
+        ulp = Fraction(*np.spacing(entry).as_integer_ratio())
+        assert abs(Fraction(*entry.as_integer_ratio()) - exact) <= ulp / 2, p
+
+
+def test_g17_with_a_float64_bound_formats_every_value_one_at_a_time(monkeypatch):
+    # float64's eps makes the bound exceed 1/2: no value is settled in bulk
+    eps = np.finfo(np.float64).eps
+    monkeypatch.setattr(_g17, "BOUND", np.longdouble(1e17) * eps * (1 + eps))
+    one_at_a_time = []
+    scalar = _g17._scalar
+
+    def recording(values):
+        one_at_a_time.extend(values.tolist())
+        return scalar(values)
+
+    monkeypatch.setattr(_g17, "_scalar", recording)
+    traj = H.run_experiment(H.parse_config_text(SMALL_RUN)).trajectory
+    grid = _g17.g17(traj.grid.x)
+    body = b"".join(_g17.snapshot_lines(t, grid, u, v)
+                    for t, u, v in zip(traj.times.tolist(), traj.u, traj.v))
+    sent = np.concatenate([traj.grid.x, *traj.u, *traj.v])
+    assert np.array_equal(np.sort(one_at_a_time), np.sort(sent))
+    assert (SNAPSHOT_HEADER + "\n").encode() + body == _reference_snapshots(traj).encode("utf-8")
+
+
 def _synthetic_trajectory(n_times: int, n_grid: int, u=None) -> fl.Trajectory:
     if u is None:  # eighths print short, like the zeros ahead of a front
         u = np.random.default_rng(5).integers(0, 9, (n_times, n_grid)) / 8.0
@@ -112,6 +191,32 @@ def test_snapshot_writer_memory_is_bounded_by_one_snapshot(tmp_path):
     size = (tmp_path / "snapshots.csv").stat().st_size
     assert size > 10_000_000
     assert peak < 2_000_000, f"peak {peak} B while writing {size} B"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="F_GETPIPE_SZ is Linux's")
+def test_snapshot_writer_pipe_holds_a_mebibyte(tmp_path):
+    import fcntl
+
+    limit = int(Path("/proc/sys/fs/pipe-max-size").read_text())
+    writer = SnapshotWriter(tmp_path / "snapshots.csv", SNAPSHOT_HEADER, np.zeros(3))
+    try:
+        size = fcntl.fcntl(writer._proc.stdin, fcntl.F_GETPIPE_SZ)
+    finally:
+        writer.abort()
+    assert size >= min(1 << 20, limit)
+
+
+def test_snapshot_writer_child_runs_math_libraries_on_one_thread(tmp_path, monkeypatch):
+    script = tmp_path / "env_writer.py"
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    script.write_text("import os, sys\n"
+                      f"sys.stderr.write(','.join(os.environ.get(v, '-') for v in {names}))\n"
+                      "sys.exit(3)\n")
+    monkeypatch.setattr(csvio, "_WRITER_SCRIPT", script)
+    for name in names:
+        monkeypatch.setenv(name, "4")
+    with pytest.raises(OSError, match="status 3: 1,1,1$"):
+        SnapshotWriter(tmp_path / "snapshots.csv", SNAPSHOT_HEADER, np.zeros(3)).close()
 
 
 def test_failed_run_stops_the_snapshot_writer(tmp_path, monkeypatch):
