@@ -5,42 +5,52 @@ The system on a truncated uniform grid, with zero extension outside:
     du/dt = d1*(J1*u - u) + r1*u*(alpha(x - s*t) - u - a*v)
     dv/dt = d2*(J2*v - v) + r2*v*(-1 + b*u - v)
 
-Integration is the Dormand-Prince 5(4) pair (Dormand & Prince 1980) with
-first-same-as-last stages: each step gives a 5th-order solution and an
-embedded error estimate, and the last stage of an accepted step is the
-first stage of the next.  One test in ``simulate`` judges each attempted
-step.  It rejects the step when the error norm
-``max |err| / (ATOL + RTOL * max(|y_old|, |y_new|))`` over both fields
-exceeds 1 (``RTOL = 1e-6``, ``ATOL = 1e-9``), or when a cell of the new
-state lies below ``_ABORT_FLOOR``.  The next attempt is the step times
-``min(5, max(0.2, 0.9 * norm**(-1/5)))``, or times 0.2 after an
-undershoot.  ``dt``, shortened to ``t_final / step_count(t_final, dt)``,
-is the snapshot clock and the first trial step: snapshots fall at
-``k * stride * dt`` and at ``t_final`` exactly, steps are clipped to land
-on them, and after a clipped step the unclipped proposal resumes.  Only
-``simulate`` knows time: the habitat is read once per attempted step, as
-one ``(5, n)`` array at the five new stage times (the first is the end of
-the last accepted step), or once per run when it does not move (``s == 0``
-or the constant profile).  One min and one max per row of each attempt's
-new state feed the undershoot test, the record of the invariant box
-0 <= u <= 1, 0 <= v <= max(b-1, 0) and the boundary monitor, and one
-comparison sets every cell below ``TAIL_FLOOR`` to +0.0: roundoff
-negatives, and the leading edge of a front where it falls below 1e-250.
+Integration is the Prince-Dormand 8(5,3) pair (Prince & Dormand 1981),
+DOP853 in Hairer, Norsett & Wanner (1993, section II.10), with
+first-same-as-last stages: each step evaluates twelve right-hand sides and
+gives an 8th-order solution with two embedded error estimates, of 5th and
+3rd order.  The last right-hand side is at the solution, and that stage of
+an accepted step is the first stage of the next.  One test in
+``simulate`` judges each attempted step.  It rejects the step when the
+error norm exceeds 1, or when a cell of the new state lies below
+``_ABORT_FLOOR``.  The norm is Hairer's combined estimate
+``e5**2 / sqrt(e5**2 + 0.01 * e3**2)``, where ``e5`` and ``e3`` are
+``max |err| / (ATOL + RTOL * max(|y_old|, |y_new|))`` over both fields for
+the 5th- and 3rd-order estimates (``RTOL = 1e-7``, ``ATOL = 1e-10``).  The
+next attempt is the step times ``min(5, max(0.2, 0.9 * norm**(-1/8)))``,
+or times 0.2 after an undershoot.  ``dt``, shortened to
+``t_final / step_count(t_final, dt)``, is the snapshot clock and the first
+trial step: snapshots fall at ``k * stride * dt`` and at ``t_final``
+exactly, steps are clipped to land on them, and after a clipped step the
+unclipped proposal resumes.  Only ``simulate`` knows time: the habitat is
+read once per attempted step, as one ``(11, n)`` array at the eleven new
+stage times (the first is the end of the last accepted step, and the last
+two stages share the end of the step), or once per run when it does not
+move (``s == 0`` or the constant profile).  One min and one max per row of
+each attempt's new state feed the undershoot test, the record of the
+invariant box 0 <= u <= 1, 0 <= v <= max(b-1, 0) and the boundary
+monitor, and one comparison sets every cell below ``TAIL_FLOOR`` to +0.0:
+roundoff negatives, and the leading edge of a front where it falls below
+1e-250.
 
-The floor keeps the arithmetic off subnormal numbers (below 2.2e-308),
-which x86 processes in microcode, many times slower than normal ones.  No
-observer looks anywhere near it (the smallest threshold is ``ATOL``), and
-a cutoff at level eps moves a pulled front's speed by O(1/ln^2 eps)
-(Brunet & Derrida 1997); float64 underflow already imposes one near
-5e-324.  It sits at 1e-250, not at the subnormal limit, because the
-stages multiply an edge value by stencil weights and ``dt`` up to six
-times beyond the support, and from a floor of 1e-300 that still makes
-subnormals.  The carried last stage survives the flooring of cells above
-``-TAIL_FLOOR``, positive or negative: it was evaluated at the unfloored
-state, which differs from the stored one by less than ``TAIL_FLOOR`` per
-cell, so the first stage is off by less than ``TAIL_FLOOR * (d + r)`` per
-cell.  A clamped negative at or below ``-TAIL_FLOOR`` still forces a
-fresh first stage.
+The floor stops the leading edge, and with it the window, from spreading
+to every cell the stencils reach.  No observer looks anywhere near it (the
+smallest threshold is ``ATOL``), and a cutoff at level eps moves a pulled
+front's speed by O(1/ln^2 eps) (Brunet & Derrida 1997); float64 underflow
+already imposes one near 5e-324.  It does not keep the arithmetic off
+subnormal numbers (below 2.2e-308), which x86 processes in microcode, many
+times slower than normal ones: the stages multiply an edge value by
+stencil weights, rates and ``dt`` up to twelve times beyond the support,
+which takes 1e-250 below 2.2e-308.  Counted after each step, the stage
+buffers of the benchmark's band run (seed 1) held 113,773 subnormal values
+over its 410 steps, all but 240 in v's rows, and those of its kpp run 858
+over 611 steps.  A floor of 1e-200 leaves 68,648 on band, and one of
+1e-150 still 5,465.  The carried last stage survives the flooring of cells
+above ``-TAIL_FLOOR``, positive or negative: it was evaluated at the
+unfloored state, which differs from the stored one by less than
+``TAIL_FLOOR`` per cell, so the first stage is off by less than
+``TAIL_FLOOR * (d + r)`` per cell.  A clamped negative at or below
+``-TAIL_FLOOR`` still forces a fresh first stage.
 
 A species that is identically zero at t = 0 has an identically zero
 right-hand side and stays +0.0, so ``simulate`` leaves it out: stage
@@ -53,13 +63,13 @@ Snapshot rows after the first are written for the live species only; an
 absent one's rows are zero pages that are never written.
 
 The live species are stepped as one stacked ``(live, n)`` array through
-one workspace per run: the seven stages in one ``(7, live, n)`` buffer,
-the stage state, the error estimate and the convolution's padded input,
-row and product buffers, all allocated once and indexed from the window's
-first cell.  Each stage state ``y + dt * sum_j a_ij k_j`` and the error
-estimate are one ``einsum`` over the stage buffer and, for the stage
-state, one addition.  The ``einsum`` sums each cell's products in tableau
-order, multiplying and adding separately, so it gives the bits of
+one workspace per run: the thirteen stages in one ``(13, live, n)``
+buffer, the stage state, the two error estimates and the convolution's
+padded input, row and product buffers, all allocated once and indexed from
+the window's first cell.  Each stage state ``y + dt * sum_j a_ij k_j`` and
+each error estimate are one ``einsum`` over the stage buffer and, for the
+stage state, one addition.  The ``einsum`` sums each cell's products in
+tableau order, multiplying and adding separately, so it gives the bits of
 accumulating ``(dt * a_ij) * k_j`` one term at a time.  A zero tableau
 entry, skipped there, adds a zero product here, which leaves a partial sum
 as it is up to the sign of an exact zero, and the floor turns every stored
@@ -68,12 +78,13 @@ zero to +0.0.  One ``rhs`` per stage evaluates both species, with one
 
 ``simulate`` steps only an active window of the grid.  The kernels have
 compact support, so one stage widens the nonzero set of u and v by at most
-``h`` cells (the larger stencil half-width) and one step by ``6h``; every
-cell outside stays exactly +0.0.  The window is the nonzero extent padded
-by ``7h`` cells: ``6h`` for the growth within the step, and ``h`` more so
-that the stencils truncated at the window edges read only zeros.  After
-the floor, the nonzero cells are those at or above ``TAIL_FLOOR``.  Every
-cell inside the window then gets the same bits as in a full-grid step.
+``h`` cells (the larger stencil half-width) and one step, through its
+twelve stage states, by ``12h``; every cell outside stays exactly +0.0.
+The window is the nonzero extent padded by ``13h`` cells: ``12h`` for the
+growth within the step, and ``h`` more so that the stencils truncated at
+the window edges read only zeros.  After the floor, the nonzero cells are
+those at or above ``TAIL_FLOOR``.  Every cell inside the window then gets
+the same bits as in a full-grid step.
 ``nonlocal_apply`` forms ``J*w`` of both species as one batched matrix
 product of rows of ``BLOCK + 2h`` cells with one Toeplitz block per
 species (``Stencil.padded_block``), the narrower stencil's padded with
@@ -115,26 +126,74 @@ from .kernels import BLOCK, Kernel, Stencil
 _ABORT_FLOOR = -1e-10
 
 # After each accepted step, every cell below this becomes +0.0 (see the
-# module docstring for why 1e-250).
+# module docstring).
 TAIL_FLOOR = 1e-250
 
-# Step controller tolerances: a step is accepted when
-# max |err| / (ATOL + RTOL * max(|y_old|, |y_new|)) <= 1 over both fields.
-RTOL = 1e-6
-ATOL = 1e-9
+# Step controller tolerances: a step is accepted when the combined error norm
+# of the scaled errors max |err| / (ATOL + RTOL * max(|y_old|, |y_new|)) is at
+# most 1 (see ``_Workspace.error_norm``).
+RTOL = 1e-7
+ATOL = 1e-10
 
-# Dormand & Prince (1980) 5(4) pair: the distinct stage nodes, the rows of
-# the stage matrix for stages 2..7 (the last row is the 5th-order weights,
-# so stage 7 is the right-hand side at the solution and the next step's
-# first stage), and the error weights (5th minus embedded 4th order).
-_NODES = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_A = ((1 / 5,),
-      (3 / 40, 9 / 40),
-      (44 / 45, -56 / 15, 32 / 9),
-      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-      (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Prince & Dormand (1981) 8(5,3) pair, DOP853 in Hairer, Norsett & Wanner
+# (1993, section II.10): the twelve distinct stage nodes, the rows of the
+# stage matrix for stages 2..13 (the last row is the 8th-order weights, so
+# stage 13 is the right-hand side at the solution and the next step's first
+# stage), and the weights of the 5th- and 3rd-order error estimates.
+_NODES = (0.0,
+          0.526001519587677318785587544488e-01,
+          0.789002279381515978178381316732e-01,
+          0.118350341907227396726757197510,
+          0.281649658092772603273242802490,
+          0.333333333333333333333333333333,
+          0.25,
+          0.307692307692307692307692307692,
+          0.651282051282051282051282051282,
+          0.6,
+          0.857142857142857142857142857142,
+          1.0)
+_A = ((5.26001519587677318785587544488e-2,),
+      (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+      (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+      (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+       9.24834003261792003115737966543e-1),
+      (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+       1.25467687566822425016691814123e-1),
+      (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+       6.02165389804559606850219397283e-2, -1.7578125e-2),
+      (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+       1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+       8.27378916381402288758473766002e-3),
+      (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+       -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+       2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+      (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+       -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+       1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+       -2.03312017085086261358222928593e-2),
+      (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+       1.09143734899672957818500254654, -8.14978701074692612513997267357,
+       -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+       2.49360555267965238987089396762, -3.0467644718982195003823669022),
+      (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+       -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+       2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+       -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+       6.43392746015763530355970484046e-1),
+      (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+       4.45031289275240888144113950566, 1.89151789931450038304281599044,
+       -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+       -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+       4.47106157277725905176885569043e-2))
+_E5 = (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+       -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+       0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+       0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+       -0.2235530786388629525884427845e-1)
+# The 8th-order weights minus the published 3rd-order ones (bhh1, bhh2, bhh3).
+_E3 = tuple(b - c for b, c in zip(_A[-1], (0.244094488188976377952755905512, 0.0, 0.0, 0.0,
+                                           0.0, 0.0, 0.0, 0.0, 0.733846688281611857341361741547,
+                                           0.0, 0.0, 0.220588235294117647058823529412e-1)))
 
 
 @dataclass(frozen=True)
@@ -271,8 +330,9 @@ class _Workspace:
         self.conv = np.empty((m, n_rows * BLOCK))
         self.conv_blocks = self.conv.reshape(m, n_rows, BLOCK)
         self.filled = 0  # cells of ``pad`` past its first h that may be nonzero
-        self.stages = np.empty((7, m, n))
-        self.state, self.err, self.press, self.tmp = np.empty((4, m, n))
+        self.stages = np.empty((len(_A) + 1, m, n))
+        self.state, self.press, self.tmp = np.empty((3, m, n))
+        self.err = np.empty((2, m, n))
         self.rates = (None, None, None, None)  # params, live, d column, r column
 
     def nonlocal_part(self, values: np.ndarray) -> np.ndarray:
@@ -298,7 +358,11 @@ class _Workspace:
         return self.rates[2], self.rates[3]
 
     def error_norm(self, y_old: np.ndarray, y_new: np.ndarray, err: np.ndarray) -> float:
-        """``max |err| / (ATOL + RTOL * max(|y_old|, |y_new|))``; overwrites ``err``."""
+        """Hairer's combined norm ``e5**2 / sqrt(e5**2 + 0.01 * e3**2)``; overwrites ``err``.
+
+        ``e5`` and ``e3`` are ``max |err[i]| / (ATOL + RTOL * max(|y_old|, |y_new|))``
+        for the 5th-order (``err[0]``) and 3rd-order (``err[1]``) estimates.
+        """
         w = y_old.shape[-1]
         scale, tmp = self.press[:, :w], self.tmp[:, :w]
         np.abs(y_old, out=scale)
@@ -308,7 +372,10 @@ class _Workspace:
         np.add(ATOL, scale, out=scale)
         np.abs(err, out=err)
         np.divide(err, scale, out=err)
-        return float(err.max())
+        e5, e3 = err.max(axis=(1, 2)).tolist()
+        if e5 == 0.0:
+            return 0.0
+        return e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3)
 
 
 def nonlocal_apply(stencil: Stencil, field_values: np.ndarray,
@@ -394,17 +461,19 @@ def dt_max(params: Params, alpha_bar: float) -> float:
 def step(y: np.ndarray, dt: float, alphas, params: Params, st1: Stencil, st2: Stencil,
          k1: np.ndarray, live: tuple[int, ...] = (0, 1),
          work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Dormand-Prince 5(4) step of the stacked state ``y = (u, v)``.
+    """One DOP853 step of the stacked state ``y = (u, v)``.
 
-    ``alphas`` is the habitat on the cells of ``y`` at the six distinct
-    stage times ``t + c*dt``, ``c`` in ``(0, 1/5, 3/10, 4/5, 8/9, 1)``, and
-    ``k1`` the stacked right-hand side at ``y`` and ``alphas[0]``.  Returns
-    the 5th-order solution, its error estimate (5th minus embedded 4th
-    order) and the right-hand side at the solution and ``alphas[-1]``,
-    which is the next step's ``k1``.  ``y`` and ``k1`` hold only the rows
-    of the species in ``live`` (0 for u, 1 for v); the others are absent.
-    The results are views into ``work`` (``simulate``'s workspace, made for
-    ``live``, ``st1`` and ``st2``), which the next step overwrites.
+    ``alphas`` is the habitat on the cells of ``y`` at the twelve distinct
+    stage times ``t + c*dt``, ``c`` in ``_NODES`` (the first 0, the last 1),
+    and ``k1`` the stacked right-hand side at ``y`` and ``alphas[0]``.
+    Returns the 8th-order solution, its two error estimates stacked as
+    ``(2, live, w)`` (``dt * sum(E5_j k_j)`` and ``dt * sum(E3_j k_j)``, of
+    the embedded 5th- and 3rd-order solutions) and the right-hand side at
+    the solution and ``alphas[-1]``, which is the next step's ``k1``.  ``y``
+    and ``k1`` hold only the rows of the species in ``live`` (0 for u, 1 for
+    v); the others are absent.  The results are views into ``work``
+    (``simulate``'s workspace, made for ``live``, ``st1`` and ``st2``),
+    which the next step overwrites.
     """
     w = y.shape[-1]
     if work is None:
@@ -416,10 +485,12 @@ def step(y: np.ndarray, dt: float, alphas, params: Params, st1: Stencil, st2: St
         # y + dt * sum(a_ij k_j): each cell sums the products in tableau order.
         np.einsum("j,jlw->lw", np.multiply(dt, row), ks[:j], out=stage)
         np.add(y, stage, out=stage)
-        rhs(stage, alphas[min(j, 5)], params, st1, st2, live, ks[j], work)
-    # The last row of _A holds the 5th-order weights: the last stage state is the solution.
-    err = np.einsum("j,jlw->lw", np.multiply(dt, _E), ks, out=work.err[:, :w])
-    return stage, err, ks[6]
+        rhs(stage, alphas[min(j, len(_NODES) - 1)], params, st1, st2, live, ks[j], work)
+    # The last row of _A holds the 8th-order weights: the last stage state is the solution.
+    err = work.err[:, :, :w]
+    for weights, out in zip((_E5, _E3), err):
+        np.einsum("j,jlw->lw", np.multiply(dt, weights), ks[:-1], out=out)
+    return stage, err, ks[-1]
 
 
 def step_count(t_final: float, dt: float) -> int:
@@ -477,8 +548,9 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
     """Integrate to ``t_final`` with snapshots every ``snapshot_stride`` ticks of ``dt``.
 
     ``dt`` is shortened to ``t_final / step_count(t_final, dt)``; it is the
-    snapshot clock and the first trial step, after which the controller
-    picks the steps and clips them to land on every snapshot time.  The
+    snapshot clock and the first trial step, after which the error control
+    of the DOP853 steps (see the module docstring) picks the steps and
+    clips them to land on every snapshot time.  The
     boundary monitor watches the outermost grid cells of the selected
     sides ("both", "left", "right", or "none"): density above 1e-6 of the
     species peak records a domain-too-small warning, above 1e-3 the run
@@ -526,7 +598,7 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
     n = grid.n
     live = tuple(i for i in (0, 1) if lows[i] != 0.0 or peaks[i] != 0.0) or (0,)
     names = tuple("uv"[i] for i in live)
-    reach = 7 * max(st1.halfwidth, st2.halfwidth)
+    reach = (len(_A) + 1) * max(st1.halfwidth, st2.halfwidth)
     first, last = extent or (0, 0)
     lo, hi = max(first - reach, 0), min(last + reach, n)
     y[:, :lo] = y[:, hi:] = 0.0
@@ -559,7 +631,7 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
     if on_snapshot is not None:
         on_snapshot(0.0, us[0], vs[0])
 
-    # The habitat at the five new stage times of an attempt, one row each,
+    # The habitat at the eleven new stage times of an attempt, one row each,
     # in one read; a static one is read once.
     static = params.s == 0.0 or profile.family == CONSTANT_ONE
     alpha0 = profile.alpha_shifted(x, 0.0, params.s)
@@ -576,7 +648,7 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
             t_end = target if clipped else t + h
             win = slice(lo, hi)
             if static:
-                alphas = (alpha0[win],) * 6
+                alphas = (alpha0[win],) * len(_NODES)
             else:
                 stage_times = [t + c * h_try for c in _NODES[1:-1]] + [t_end]
                 ahead = profile.alpha_shifted(x, np.array(stage_times)[:, None], params.s)
@@ -585,12 +657,12 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
             if not have_k1:
                 rhs(y_old, alphas[0], params, st1, st2, live, k1[:, win], work)
                 have_k1 = True
-            y_new, err, k7 = step(y_old, h_try, alphas, params, st1, st2, k1[:, win],
-                                  live, work)
+            y_new, err, k_last = step(y_old, h_try, alphas, params, st1, st2, k1[:, win],
+                                      live, work)
             norm = work.error_norm(y_old, y_new, err)
             if not math.isfinite(norm):
                 raise NumericFailureError(f"non-finite values in u or v at t={t:g}")
-            factor = min(5.0, max(0.2, 0.9 * norm ** -0.2)) if norm > 0.0 else 5.0
+            factor = min(5.0, max(0.2, 0.9 * norm ** -0.125)) if norm > 0.0 else 5.0
             lows, highs, extent = _tally(y_new)
             undershoot = float(lows.min()) < _ABORT_FLOOR
             if norm > 1.0 or undershoot:
@@ -605,7 +677,7 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
                 have_k1 = have_k1 and w_min > -TAIL_FLOOR
                 h_worst[name + "_min"] = min(h_worst[name + "_min"], w_min)
                 h_worst[name + "_max"] = max(h_worst[name + "_max"], w_max)
-            ys[:, win], k1[:, win] = y_new, k7
+            ys[:, win], k1[:, win] = y_new, k_last
             peaks = highs
             t, a_start = t_end, ahead[-1]
             n_steps += 1

@@ -60,7 +60,7 @@ def test_tracer_spans_a_two_species_simulation(unit_kernel):
     attempts = traj.diagnostics["n_steps"] + traj.diagnostics["n_rejected"]
     assert calls["dynamics.simulate"] == 1
     assert calls["dynamics.step"] == attempts > 0
-    assert calls["dynamics.rhs"] == calls["dynamics.nonlocal_apply"] == 1 + 6 * attempts
+    assert calls["dynamics.rhs"] == calls["dynamics.nonlocal_apply"] == 1 + 12 * attempts
     assert calls["habitat.alpha_shifted"] == 1 + attempts
     assert tracer.counts["dynamics.conv_flops"] > 0
     assert np.isfinite(traj.u).all()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,7 +192,7 @@ def test_step_zero_state_stays_zero(unit_kernel):
     grid = fl.grid_from_spacing(-5, 5, 1 / 8)
     st1 = unit_kernel.discretize(grid.dx)
     zeros, ones = np.zeros((2, grid.n)), np.ones(grid.n)
-    y, err, k_last = fl.step(zeros, 0.01, (ones,) * 6, params, st1, st1,
+    y, err, k_last = fl.step(zeros, 0.01, (ones,) * 12, params, st1, st1,
                              fl.rhs(zeros, ones, params, st1, st1))
     assert np.all(y == 0.0) and np.all(err == 0.0) and np.all(k_last == 0.0)
 
@@ -203,7 +205,7 @@ def test_step_leaves_out_an_absent_species_exactly(unit_kernel):
     st1, st2 = unit_kernel.discretize(grid.dx), fl.smooth_bump(1.5).discretize(grid.dx)
     dt = 0.1
     alphas = tuple(fl.logistic(A=0.5, L=1.0).alpha_shifted(grid.x, c * dt, 0.3)
-                   for c in (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0))
+                   for c in dynamics._NODES)
     bump = sample_bump(fl.BumpSpec(0.0, 3.0, 0.6), grid.x)
     for i in (0, 1):
         y = np.zeros((2, grid.n))
@@ -214,20 +216,38 @@ def test_step_leaves_out_an_absent_species_exactly(unit_kernel):
         assert rates.shape == (1, grid.n)
         alone = fl.step(y[i:i + 1], dt, alphas, params, st1, st2, rates, live=(i,))
         for full, part in zip(both, alone):
-            assert part.shape == (1, grid.n)
-            assert full[i].tobytes() == part[0].tobytes() and not full[1 - i].any()
+            # the error estimates are stacked along a leading axis
+            full, part = full.reshape(-1, 2, grid.n), part.reshape(-1, 1, grid.n)
+            assert part.shape[0] == full.shape[0]
+            assert full[:, i].tobytes() == part[:, 0].tobytes() and not full[:, 1 - i].any()
 
 
 # The stepping formulas as they read before the stage buffers were stacked, as
 # a bit-for-bit reference: each species convolved with its own unpadded block,
 # and every stage sum accumulated term by term, skipping zero coefficients.
-_REF_A = ((1 / 5,),
-          (3 / 40, 9 / 40),
-          (44 / 45, -56 / 15, 32 / 9),
-          (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-          (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-          (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
-_REF_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# The tableau is the module's, which the test below checks against the
+# published DOP853 coefficients.
+_REF_A = dynamics._A
+_REF_E = (dynamics._E5, dynamics._E3)
+
+
+def test_tableau_is_the_published_dop853():
+    # a mistyped digit fails here instead of moving a front speed; scipy's copy
+    # of Hairer's coefficients is a private module, so its absence skips the test
+    dop853 = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    n = dop853.N_STAGES
+    assert len(dynamics._A) == n and dynamics._NODES == tuple(dop853.C[:n])
+    for i, row in enumerate(dynamics._A[:-1], start=1):
+        assert row == tuple(dop853.A[i, :i]), i
+    assert dynamics._A[-1] == tuple(dop853.B)
+    assert dynamics._E5 == tuple(dop853.E5[:n]) and dop853.E5[n] == 0.0
+    assert dynamics._E3 == tuple(dop853.E3[:n]) and dop853.E3[n] == 0.0
+    # each stage's node is its row sum, the weights sum to 1, and the error
+    # weights, differences of consistent weights, to 0
+    for c, row in zip(dynamics._NODES[1:] + (1.0,), dynamics._A):
+        assert abs(math.fsum(row) - c) <= 1e-15 * math.fsum(map(abs, row)), row
+    for row in (dynamics._E5, dynamics._E3):
+        assert abs(math.fsum(row)) <= 1e-15 * math.fsum(map(abs, row)), row
 
 
 def _reference_nonlocal(stencil, w):
@@ -271,7 +291,7 @@ def _reference_step(y, dt, alphas, params, st1, st2, live):
     for row, alpha in zip(_REF_A, alphas[1:] + alphas[-1:]):
         stage = y + _reference_combine(row, ks, dt)
         ks.append(_reference_rhs(stage, alpha, params, st1, st2, live))
-    return stage, _reference_combine(_REF_E, ks, dt), ks[-1]
+    return stage, np.stack([_reference_combine(e, ks, dt) for e in _REF_E]), ks[-1]
 
 
 @pytest.mark.parametrize("live", [(0, 1), (0,), (1,)])
@@ -290,7 +310,7 @@ def test_step_and_rhs_match_the_per_species_reference_bit_for_bit(live, wider):
     x = np.linspace(-8.0, 8.0, n)
     dt = 0.05
     alphas = tuple(fl.logistic(A=0.5, L=1.0).alpha_shifted(x, c * dt, 0.3)
-                   for c in (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0))
+                   for c in dynamics._NODES)
     rng = np.random.default_rng(21)
     y = np.stack([_mixed_field(rng, n) for _ in live])
     work = dynamics._workspace(live, st1, st2, n)
@@ -406,7 +426,7 @@ def test_step_uniform_logistic_matches_closed_form(unit_kernel):
     ones = np.ones(grid.n)
     dt, k1 = 0.03, fl.rhs(y, ones, params, st1, st1)
     for _ in range(100):
-        y, _, k1 = fl.step(y, dt, (ones,) * 6, params, st1, st1, k1)
+        y, _, k1 = fl.step(y, dt, (ones,) * 12, params, st1, st1, k1)
     t = 100 * dt
     exact = u0 / (u0 + (1.0 - u0) * np.exp(-params.r1 * t))
     mid = grid.n // 2
@@ -416,7 +436,7 @@ def test_step_uniform_logistic_matches_closed_form(unit_kernel):
 
 def test_simulate_uniform_logistic_matches_closed_form(unit_kernel):
     # the controller's 12 steps, clipped to the snapshot times, follow the logistic
-    # ODE (1.0e-8 off here)
+    # ODE (1.8e-13 off here)
     params = fl.Params(d1=1, d2=1, r1=1, r2=0.5, a=0.5, b=2)
     grid = fl.grid_from_spacing(-30, 30, 1 / 8)
     u0 = 0.2
@@ -430,9 +450,10 @@ def test_simulate_uniform_logistic_matches_closed_form(unit_kernel):
 
 
 def test_step_richardson_order(unit_kernel):
-    # DP5(4): halving dt cuts the one-interval error of the solution by about 2^5
-    # (the ratio falls toward 32 as dt shrinks: 56, 44, 38 at dt = 0.2, 0.1, 0.05),
-    # and the one-step error estimate, of the embedded 4th-order solution, by 2^5
+    # DOP853: halving dt cuts the error of the solution over an interval by about
+    # 2^8 (the measured order is 7.67 and 7.97 at dt = 0.8, 0.4, 0.2 and at 0.4,
+    # 0.2, 0.1; smaller steps reach roundoff), and the one-step error estimates,
+    # of the embedded 5th- and 3rd-order solutions, by 2^6 and 2^4
     params = fl.Params(d1=1, d2=1, r1=1, r2=0.5, a=0.5, b=2, s=0.3)
     profile = fl.logistic(A=0.5, L=1.0)
     grid = fl.grid_from_spacing(-15, 15, 1 / 8)
@@ -440,7 +461,7 @@ def test_step_richardson_order(unit_kernel):
 
     def alphas_at(t, dt):
         return tuple(profile.alpha_shifted(grid.x, t + c * dt, params.s)
-                     for c in (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0))
+                     for c in dynamics._NODES)
 
     def one_step(y, t, dt):
         alphas = alphas_at(t, dt)
@@ -455,12 +476,13 @@ def test_step_richardson_order(unit_kernel):
     # warm up so the field is smooth and generic
     y = advance(np.stack((sample_bump(fl.BumpSpec(0.0, 3.0, 0.6), grid.x),
                           sample_bump(fl.BumpSpec(0.0, 2.0, 0.3), grid.x))), 0.0, 0.02, 10)
-    coarse, medium, fine = (advance(y, 0.2, 0.4 / n, n) for n in (8, 16, 32))
-    ratio = np.max(np.abs(coarse - medium)) / np.max(np.abs(medium - fine))
-    assert 30.0 <= ratio <= 42.0
-    errs = [np.max(np.abs(one_step(y, 0.2, dt)[1])) for dt in (0.1, 0.05, 0.025)]
+    coarse, medium, fine = (advance(y, 0.2, 1.6 / n, n) for n in (4, 8, 16))
+    order = np.log2(np.max(np.abs(coarse - medium)) / np.max(np.abs(medium - fine)))
+    assert 7.7 <= order <= 8.3
+    errs = [one_step(y, 0.2, dt)[1] for dt in (0.1, 0.05, 0.025)]
     for big, small in zip(errs, errs[1:]):
-        assert 29.0 <= big / small <= 35.0
+        e5, e3 = (np.max(np.abs(big[i])) / np.max(np.abs(small[i])) for i in (0, 1))
+        assert 58.0 <= e5 <= 70.0 and 14.0 <= e3 <= 17.5
 
 
 def test_make_initial_bump_geometry():
@@ -670,7 +692,7 @@ def test_simulate_snapshot_rows_for_any_stride(unit_kernel, stride):
         assert traj.u.shape == traj.v.shape == (rows, grid.n)
         assert traj.times[-1] == 3.3 and traj.t_final == 3.3
         # every row is taken at the time of the same tick as with stride 1; clipping
-        # the steps to other snapshot times moves it (8.3e-9 at most here)
+        # the steps to other snapshot times moves it (2.3e-10 at most here)
         ticks = list(range(0, n_ticks, stride)) + [n_ticks]
         assert np.array_equal(traj.times, every.times[ticks])
         gap = max(np.max(np.abs(traj.u - every.u[ticks])),
@@ -726,20 +748,20 @@ def test_simulate_reads_habitat_once_per_stage_time(unit_kernel, monkeypatch):
         # last stage of each accepted step, extended by zeros where the window
         # grows, is the first stage of the next
         assert traj.diagnostics["h_worst"]["u_min"] == traj.diagnostics["h_worst"]["v_min"] == 0.0
-        assert len(rhs_calls) == 1 + 6 * (accepted + rejected)
-        # t = 0 once, then the five new stage times of each attempt in one read;
+        assert len(rhs_calls) == 1 + 12 * (accepted + rejected)
+        # t = 0 once, then the eleven new stage times of each attempt in one read;
         # the start of an attempt is the end of the last accepted one and is not
         # read again
-        assert reads == [1] + [5] * (accepted + rejected)
-        assert times[0] == 0.0 and len(times) == 1 + 5 * (accepted + rejected)
+        assert reads == [1] + [11] * (accepted + rejected)
+        assert times[0] == 0.0 and len(times) == 1 + 11 * (accepted + rejected)
         assert len(set(times)) == len(times)
         start, ends = 0.0, []
-        for i, stage in enumerate(np.reshape(times[1:], (-1, 5))):
+        for i, stage in enumerate(np.reshape(times[1:], (-1, 11))):
             dt = stage[-1] - start
             assert dt > 0.0
-            assert np.allclose(stage, start + dt * np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0]),
+            assert np.allclose(stage, start + dt * np.array(dynamics._NODES[1:]),
                                rtol=0.0, atol=1e-12)
-            if i + 1 == accepted + rejected or times[1 + 5 * (i + 1)] > stage[-1]:
+            if i + 1 == accepted + rejected or times[1 + 11 * (i + 1)] > stage[-1]:
                 start = stage[-1]
                 ends.append(start)
         assert len(ends) == accepted
@@ -781,7 +803,7 @@ def test_simulate_fresh_first_stage_only_after_a_clamp_past_the_floor(
     attempts = traj.diagnostics["n_steps"] + traj.diagnostics["n_rejected"]
     assert floors == [False] + [True] * attempts
     assert traj.diagnostics["h_worst"]["u_min"] == dip
-    assert len(rhs_calls) == 1 + fresh + 6 * attempts
+    assert len(rhs_calls) == 1 + fresh + 12 * attempts
 
 
 def test_simulate_reads_static_habitat_once(unit_kernel, monkeypatch):
@@ -818,6 +840,10 @@ _WINDOW_CASES = {
     "unequal_taps": (_B, fl.logistic(A=0.5, L=1.0), 1.5, 30, (-2.0, 2.0, 0.5),
                      (2.0, 1.5, 0.4), 3.0),
     "both_absent": (_B, fl.constant_one(), None, 20, (0.0, 2.0, 0.0), (0.0, 1.5, 0.0), 1.0),
+    # every stencil's outermost taps are zeros of the kernel at its support end,
+    # so a stage widens the nonzero set by h - 1 cells; only from h = 14 on do a
+    # step's 13 stages reach past 12h, and a reach of 12h fails here (h = 16)
+    "wide_stencil": (_B, fl.constant_one(), 2.0, 100, (0.0, 2.0, 0.5), (0.0, 1.5, 0.4), 0.5),
 }
 
 
@@ -874,7 +900,7 @@ def test_simulate_window_starts_from_positive_zeros(unit_kernel, monkeypatch):
 
 def test_simulate_error_against_tight_tolerance_on_shifting_front(unit_kernel, monkeypatch):
     # both species spread behind a moving habitat edge; the run at 1e-4 times the
-    # tolerances stands in for the exact solution (9.8e-7 apart here, mostly in u)
+    # tolerances stands in for the exact solution (4.8e-8 apart here, mostly in u)
     params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2, s=0.2)
     grid = fl.grid_from_spacing(-20, 40, 1 / 8)
     init = fl.make_initial(fl.BumpSpec(0.0, 3.0, 0.6), fl.BumpSpec(0.0, 2.0, 0.3),
@@ -889,7 +915,10 @@ def test_simulate_error_against_tight_tolerance_on_shifting_front(unit_kernel, m
     monkeypatch.setattr(dynamics, "RTOL", 1e-4 * dynamics.RTOL)
     monkeypatch.setattr(dynamics, "ATOL", 1e-4 * dynamics.ATOL)
     tight = run()
-    assert tight.diagnostics["n_steps"] > 5 * base.diagnostics["n_steps"]
+    # an 8th-order pair takes about 1e4**(1/8) = 3.2 times as many steps at 1e-4
+    # times the tolerances, fewer where steps are clipped to the 20 snapshot times
+    # (43 and 104 steps here)
+    assert tight.diagnostics["n_steps"] > 2 * base.diagnostics["n_steps"]
     assert base.v[-1].max() > 0.1
     assert np.array_equal(base.times, tight.times)
     gap = max(np.max(np.abs(base.u - tight.u)), np.max(np.abs(base.v - tight.v)))
@@ -977,17 +1006,17 @@ def _reference_solution(x, u0, v0, radii, params, A, L, times):
 
 # (radii, bump center, predator height, s, gap in u, gap in v).  The gaps are
 # max |simulate - reference| over the 7 snapshots with simulate at RTOL 1e-9
-# and ATOL 1e-12 (693 steps), measured on x86-64 with numpy 2.4 and scipy 1.17.
+# and ATOL 1e-12 (87 to 89 steps), measured on x86-64 with numpy 2.4 and scipy 1.17.
 # The reference itself moves by at most 9e-11 in u and 1.2e-13 in v when its
 # tolerances are tightened to 1e-13 and 1e-16.
 # In every case the active window grows from the bump to both walls by t = 2.
 _REFERENCE_CASES = {
-    "both_alive": ((1.0, 1.0), 5.0, 0.2, 0.15, 2.42e-9, 2.62e-12),
-    "prey_only": ((1.0, 1.5), 5.0, 0.0, 0.15, 2.42e-9, 0.0),
-    "unequal_halfwidths": ((1.0, 1.5), 5.0, 0.2, 0.15, 2.41e-9, 1.24e-11),
+    "both_alive": ((1.0, 1.0), 5.0, 0.2, 0.15, 1.70e-9, 9.54e-14),
+    "prey_only": ((1.0, 1.5), 5.0, 0.0, 0.15, 1.79e-9, 0.0),
+    "unequal_halfwidths": ((1.0, 1.5), 5.0, 0.2, 0.15, 1.67e-9, 1.85e-12),
     # the window starts against the right wall and the prey front runs into it
-    "front_at_wall": ((1.0, 1.5), 40.0, 0.2, 0.15, 2.18e-9, 1.35e-11),
-    "static_habitat": ((1.0, 1.5), 5.0, 0.2, 0.0, 2.39e-9, 1.29e-11),
+    "front_at_wall": ((1.0, 1.5), 40.0, 0.2, 0.15, 1.47e-9, 2.23e-12),
+    "static_habitat": ((1.0, 1.5), 5.0, 0.2, 0.0, 1.64e-9, 2.07e-12),
 }
 
 

@@ -64,14 +64,24 @@ def test_sweep_verdicts_flip_across_speed_range(bench_speeds, tmp_path):
     assert row_fast[7] == "extinct"       # v cannot outlive the prey
 
 
-def test_dying_predator_steps_stay_above_the_abort_floor(bench_speeds):
+def test_dying_predator_steps_stay_above_the_abort_floor(bench_speeds, monkeypatch):
     # the dying predator dips below zero within the controller's tolerance;
-    # with snapshots every 50 ticks the steps are long enough to reach the
-    # floor, and the accept test retries them shorter instead of aborting
+    # with snapshots every 100 ticks the steps are long enough to reach the
+    # floor, and the accept test retries them shorter instead of aborting:
+    # every rejected attempt is one whose new state lies below the floor
+    tally = dynamics._tally
+    undershoots = []
+
+    def watching(y, floor=True):
+        lows, highs, extent = tally(y, floor)
+        undershoots.append(float(lows.min()) < dynamics._ABORT_FLOOR)
+        return lows, highs, extent
+
+    monkeypatch.setattr(dynamics, "_tally", watching)
     fast = 1.5 * bench_speeds.s_star
     cfg = H.parse_config_text(SWEEP_CFG + f"params.s = {fast:.17g}\n"
-                              "solver.snapshot_stride = 50\n")
+                              "solver.snapshot_stride = 100\n")
     diag = H.run_experiment(cfg).trajectory.diagnostics
-    assert diag["n_rejected"] > 0
+    assert sum(undershoots) == diag["n_rejected"] > 0
     assert min(diag["h_worst"]["u_min"], diag["h_worst"]["v_min"]) >= dynamics._ABORT_FLOOR
     assert diag["h_invariant_ok"]
