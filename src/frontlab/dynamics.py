@@ -63,35 +63,51 @@ Snapshot rows after the first are written for the live species only; an
 absent one's rows are zero pages that are never written.
 
 The live species are stepped as one stacked ``(live, n)`` array through
-one workspace per run: the thirteen stages in one ``(13, live, n)``
-buffer, the stage state, the two error estimates and the convolution's
-padded input, row and product buffers, all allocated once and indexed from
-the window's first cell.  Each stage state ``y + dt * sum_j a_ij k_j`` and
-each error estimate are one ``einsum`` over the stage buffer and, for the
-stage state, one addition.  The ``einsum`` sums each cell's products in
-tableau order, multiplying and adding separately, so it gives the bits of
-accumulating ``(dt * a_ij) * k_j`` one term at a time.  A zero tableau
-entry, skipped there, adds a zero product here, which leaves a partial sum
-as it is up to the sign of an exact zero, and the floor turns every stored
-zero to +0.0.  One ``rhs`` per stage evaluates both species, with one
-``nonlocal_apply``.
+one workspace per run, whose buffers are allocated once and cut for each
+window width ``w`` (``_Layout``): in every row a species takes ``period``
+cells, the window's ``w`` and then zeros, ``period`` being the fewest whole
+blocks of ``BLOCK`` cells that hold ``w + h``.  The stage buffer has 14
+such rows: ``y`` in slot 0, then the thirteen stages.  Each stage state
+``1 * y + sum_j (dt * a_ij) k_j`` is one matrix product of a coefficient
+block with the buffer's first ``j + 1`` slots, written straight into the
+convolution's input row, and one more product gives the 8th-order
+solution and both error estimates.  OpenBLAS's ``gemm`` sums each output
+as one chain of fused multiply-adds in slot order, starting from zero, so
+every cell gets the bits of adding ``(dt * a_ij) * k_j`` one term at a
+time, each rounded once; exact rational sums confirm it on OpenBLAS's
+SkylakeX and Haswell kernels.  It holds under two rules.  No product has
+one row: a one-row product goes to ``gemv``, which sums in another order,
+so a stage state's block carries a zero second row, and the last block a
+zero fourth row after the solution and the two estimates (Haswell's
+kernel sums a lone third row in another order too).  And every row is a
+whole number of blocks long, so no cell falls in a kernel's tail loop:
+with 16 terms or more, the tail cells of a row whose length is not a
+multiple of 8 took other bits on the SkylakeX kernels.  Zero
+coefficients add zero products, which leave a partial sum as it is, and
+the floor turns every stored zero to +0.0.  One ``rhs`` per stage
+evaluates both species, with one ``nonlocal_apply``.
 
 ``simulate`` steps only an active window of the grid.  The kernels have
 compact support, so one stage widens the nonzero set of u and v by at most
-``h`` cells (the larger stencil half-width) and one step, through its
-twelve stage states, by ``12h``; every cell outside stays exactly +0.0.
+``h`` cells (the larger stencil half-width, whose end taps are nonzero,
+see ``Kernel.discretize``) and one step, through its twelve stage states,
+by ``12h``; every cell outside stays exactly +0.0.
 The window is the nonzero extent padded by ``13h`` cells: ``12h`` for the
 growth within the step, and ``h`` more so that the stencils truncated at
 the window edges read only zeros.  After the floor, the nonzero cells are
 those at or above ``TAIL_FLOOR``.  Every cell inside the window then gets
 the same bits as in a full-grid step.
-``nonlocal_apply`` forms ``J*w`` of both species as one batched matrix
-product of rows of ``BLOCK + 2h`` cells with one Toeplitz block per
-species (``Stencil.padded_block``), the narrower stencil's padded with
-zero rows to the wider half-width ``h``: a cell at offset ``j`` of its row
-meets ``j`` exact-zero block entries (and the padding's), then its taps in
-ascending order, then zeros again, and adding a zero product leaves a
-partial sum as it is.  A cell's bits therefore depend neither on its
+``nonlocal_apply`` forms ``d * (J*w - w)`` of both species as one batched
+matrix product of rows of ``BLOCK + 2h`` cells with one Toeplitz block per
+species (``Stencil.padded_block``).  A block holds the taps
+``d * (weights * dx)``, with ``d * (weights[h] * dx - 1)`` on its diagonal,
+so the ``-w`` term and the dispersal rate take no pass of their own.  The
+narrower stencil's block is padded with zero rows to the wider half-width
+``h``: a cell at offset ``j`` of its row meets ``j`` exact-zero block
+entries (and the padding's), then its taps in ascending order, then zeros
+again, and adding a zero product leaves a partial sum as it is.  The
+product has a multiple of 8 rows, so on the Haswell kernels no row falls
+in a tail loop either.  A cell's bits therefore depend neither on its
 offset in a row, nor on the padding, nor on where the window starts or
 how long it is, as long as the BLAS sums each output in one pass over its
 row.  OpenBLAS does while ``BLOCK + 2h`` fits its inner block (384 on its
@@ -194,6 +210,17 @@ _E5 = (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
 _E3 = tuple(b - c for b, c in zip(_A[-1], (0.244094488188976377952755905512, 0.0, 0.0, 0.0,
                                            0.0, 0.0, 0.0, 0.0, 0.733846688281611857341361741547,
                                            0.0, 0.0, 0.220588235294117647058823529412e-1)))
+
+
+# The stage sums as matrix products over the stage buffer's slots (y, k_1,
+# ..., k_13).  Block j - 1, for j = 1..11, holds in row 0 the weights of stage
+# state j + 1 over (y, k_1, ..., k_j); block 11 holds those of the solution
+# and of the 5th- and 3rd-order error estimates over (y, k_1, ..., k_12).
+# ``_Workspace.coefficients`` scales them by dt and sets the weight of y.
+_TABLEAU = np.zeros((len(_A), 4, len(_A) + 1))
+for _j, _row in enumerate(_A):
+    _TABLEAU[_j, 0, 1:_j + 2] = _row
+_TABLEAU[-1, 1:3, 1:] = _E5, _E3
 
 
 @dataclass(frozen=True)
@@ -306,56 +333,115 @@ def make_initial(u_spec, v_spec, grid: Grid, params: Params) -> State:
     return State(u=fields[0], v=fields[1])
 
 
+class _Layout:
+    """Views of a workspace's buffers for one window width ``w``.
+
+    Each species takes ``period`` cells of a stage slot and of the
+    convolution's input row: its ``w`` cells, then zeros.  ``slots`` is the
+    stage buffer as ``(14, live * period)``, one row per slot, and ``ks``
+    the same as ``(14, live, period)``; ``out`` is the convolution's input
+    row, the two error rows and a spare row as ``(4, live * period)``;
+    ``state`` is each species' ``w`` cells of the input row and ``err``
+    those of the error rows, ``(2, live, w)``.
+    """
+
+    def __init__(self, work: _Workspace, w: int):
+        m, h = len(work.stencils), work.stencil.halfwidth
+        self.w = w
+        self.period = period = BLOCK * -(-(w + h) // BLOCK)
+        self.slots = work.stage_cells[:len(_A) + 2, :m * period]
+        self.ks = self.slots.reshape(len(_A) + 2, m, period)
+        self.out = work.pad[:, h:h + m * period]
+        rows = self.out.reshape(4, m, period)
+        self.state, self.err = rows[0, :, :w], rows[1:3, :, :w]
+        # Rows of the convolution, a multiple of 8 of them (see the module docstring).
+        n_rows = 8 * -(-max(w, 1) // (8 * BLOCK))
+        cell = work.pad.itemsize
+        self.windows = as_strided(work.pad[0], (m, n_rows, BLOCK + 2 * h),
+                                  (period * cell, BLOCK * cell, cell), writeable=False)
+        self.rows = work.rows[:, :n_rows]
+        self.conv = work.conv[:, :n_rows * BLOCK]
+
+    def clear(self, pad: np.ndarray, h: int) -> None:
+        """Zero the cells past ``w`` of each species in the stage slots and the
+        input row, and the ``h`` cells past the input row's last species."""
+        self.ks[:, :, self.w:] = 0.0
+        self.out[0].reshape(-1, self.period)[:, self.w:] = 0.0
+        end = h + self.out.shape[1]
+        pad[0, end:end + h] = 0.0
+
+
 class _Workspace:
     """Buffers for stepping the stacked rows of the live species on up to ``n`` cells.
 
     ``simulate`` makes one per run; ``step``, ``rhs`` and ``nonlocal_apply``
-    make a throwaway one when called without it.  Every buffer is indexed
-    from the first cell of the window being stepped.  ``stencils`` holds one
-    stencil per row; ``blocks`` stacks their Toeplitz blocks, zero-padded to
-    the widest half-width ``h``, and ``windows`` is the strided view that
-    cuts the zero-padded rows in ``pad`` into rows of ``BLOCK + 2h`` cells.
+    make a throwaway one when called without it.  ``stencils`` holds one
+    stencil per row; ``blocks`` stacks their Toeplitz blocks of
+    ``d * (J*w - w)``, zero-padded to the widest half-width ``h``, with the
+    dispersal rates ``d`` of the last ``params`` given to :meth:`rates`
+    (1 before).  ``stage_cells`` holds the stage buffer's 14 slots, ``pad``
+    the convolution's input row, zero on its first ``h`` cells, the two
+    error rows and a spare row; :meth:`layout` cuts them for a window width.
     """
 
     def __init__(self, stencils: tuple[Stencil, ...], n: int):
+        self.stencils = stencils
         self.stencil = max(stencils, key=lambda st: st.halfwidth)
         h = self.stencil.halfwidth
-        m, n_rows = len(stencils), -(-n // BLOCK)
-        self.blocks = np.stack([st.padded_block(h) for st in stencils])
-        self.pad = np.zeros((m, n_rows * BLOCK + 2 * h))
-        cell = self.pad.itemsize
-        self.windows = as_strided(self.pad, (m, n_rows, BLOCK + 2 * h),
-                                  (self.pad.strides[0], BLOCK * cell, cell), writeable=False)
-        self.rows = np.empty(self.windows.shape)
+        m = len(stencils)
+        period = BLOCK * -(-(n + h) // BLOCK)
+        self.stage_cells = np.zeros((len(_A) + 2, m * period))
+        self.pad = np.zeros((4, m * period + 8 * BLOCK + 2 * h))
+        n_rows = 8 * -(-max(n, 1) // (8 * BLOCK))
+        self.rows = np.empty((m, n_rows, BLOCK + 2 * h))
         self.conv = np.empty((m, n_rows * BLOCK))
-        self.conv_blocks = self.conv.reshape(m, n_rows, BLOCK)
-        self.filled = 0  # cells of ``pad`` past its first h that may be nonzero
-        self.stages = np.empty((len(_A) + 1, m, n))
-        self.state, self.press, self.tmp = np.empty((3, m, n))
-        self.err = np.empty((2, m, n))
-        self.rates = (None, None, None, None)  # params, live, d column, r column
+        self.press, self.tmp = np.empty((2, m, n))
+        self.coefs = np.empty(_TABLEAU.shape)
+        self.blocks = np.stack([st.padded_block(h) for st in stencils])
+        self.params = self.growth = None
+        self.current = None
+
+    def layout(self, w: int) -> _Layout:
+        """The views for window width ``w``; a new period or a narrower window
+        zeroes the cells past ``w`` that earlier windows left."""
+        lay = self.current
+        if lay is None or lay.w != w:
+            new = _Layout(self, w)
+            if lay is None or new.period != lay.period or w < lay.w:
+                new.clear(self.pad, self.stencil.halfwidth)
+            self.current = lay = new
+        return lay
+
+    def rates(self, params: Params, live: tuple[int, ...]) -> np.ndarray:
+        """The growth rates ``r`` of the ``live`` rows, as a column; folds
+        their dispersal rates ``d`` into ``blocks`` when ``params`` change."""
+        if self.params is not params:
+            h = self.stencil.halfwidth
+            self.blocks = np.stack([st.padded_block(h, (params.d1, params.d2)[i])
+                                    for st, i in zip(self.stencils, live)])
+            self.growth = np.array([[params.r1], [params.r2]])[list(live)]
+            self.params = params
+        return self.growth
 
     def nonlocal_part(self, values: np.ndarray) -> np.ndarray:
-        """``J*w - w`` for the stacked rows ``values``, in ``conv``."""
-        h, w = self.stencil.halfwidth, values.shape[-1]
-        if w < self.filled:
-            self.pad[:, h + w:h + self.filled] = 0.0
-        self.filled = w
-        self.pad[:, h:h + w] = values
-        n_rows = -(-w // BLOCK)
-        rows = self.rows[:, :n_rows]
-        np.copyto(rows, self.windows[:, :n_rows])
-        np.matmul(rows, self.blocks, out=self.conv_blocks[:, :n_rows])
-        out = self.conv[:, :w]
-        return np.subtract(out, values, out=out)
+        """``d * (J*w - w)`` for the stacked rows ``values``, in ``conv``.
 
-    def columns(self, params: Params, live: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """The dispersal rates ``d`` and growth rates ``r`` of the ``live`` rows, as columns."""
-        if self.rates[0] is not params or self.rates[1] != live:
-            d = np.array([[params.d1], [params.d2]])[list(live)]
-            r = np.array([[params.r1], [params.r2]])[list(live)]
-            self.rates = (params, live, d, r)
-        return self.rates[2], self.rates[3]
+        ``values`` is copied into the input row unless it is the stage state
+        that ``step`` wrote there.
+        """
+        w = values.shape[-1]
+        lay = self.layout(w)
+        if not np.may_share_memory(values, self.pad):
+            np.copyto(lay.state, values)
+        np.copyto(lay.rows, lay.windows)
+        np.matmul(lay.rows, self.blocks, out=lay.conv.reshape(lay.rows.shape[:2] + (BLOCK,)))
+        return lay.conv[:, :w]
+
+    def coefficients(self, dt: float) -> np.ndarray:
+        """``_TABLEAU`` times ``dt``, with each state's coefficient of ``y`` set to 1."""
+        coefs = np.multiply(dt, _TABLEAU, out=self.coefs)
+        coefs[:, 0, 0] = 1.0
+        return coefs
 
     def error_norm(self, y_old: np.ndarray, y_new: np.ndarray, err: np.ndarray) -> float:
         """Hairer's combined norm ``e5**2 / sqrt(e5**2 + 0.01 * e3**2)``; overwrites ``err``.
@@ -383,19 +469,20 @@ def nonlocal_apply(stencil: Stencil, field_values: np.ndarray,
     """Vectorized (J*w - w) over ``field_values`` with zero extension past its ends.
 
     ``field_values`` is one field or a stack of rows.  One matrix product
-    serves them all: each row, padded with ``h`` zeros on each side and up
-    to a whole number of blocks, is cut into rows of ``BLOCK + 2h`` cells
-    that start every ``BLOCK`` cells, and each of those times the block
-    gives ``J*w`` on its middle ``BLOCK`` cells, with bits that do not
-    depend on where a cell sits (see the module docstring).  ``simulate``
-    passes its active window, whose outer ``h`` cells are zero at every
-    stage, so the result equals the full-grid one cell for cell.  A
-    non-finite value turns the rows that read it to NaN (``0 * inf``).
+    serves them all: each row, padded with ``h`` zeros on each side, is cut
+    into rows of ``BLOCK + 2h`` cells that start every ``BLOCK`` cells, and
+    each of those times the Toeplitz block of ``J*w - w`` gives the result
+    on its middle ``BLOCK`` cells, with bits that do not depend on where a
+    cell sits (see the module docstring).  ``simulate`` passes its active
+    window, whose outer ``h`` cells are zero at every stage, so the result
+    equals the full-grid one cell for cell.  A non-finite value turns the
+    rows that read it to NaN (``0 * inf``).
 
     With ``work`` (see ``simulate``), the rows are those of the live
     species, each convolved with its own stencil zero-padded to the widest
-    half-width, which must be ``stencil``'s; the result is a view into
-    ``work`` that the next call overwrites.
+    half-width, which must be ``stencil``'s, and scaled by its dispersal
+    rate: the result is ``d * (J*w - w)``, a view into ``work`` that the
+    next call overwrites.
     """
     if work is None:
         values = np.asarray(field_values, dtype=float)
@@ -439,11 +526,9 @@ def rhs(y: np.ndarray, alpha: np.ndarray, params: Params, st1: Stencil, st2: Ste
         np.subtract(alpha, y[0], out=press[0])
     else:
         np.subtract(-1.0, y[0], out=press[0])
-    d, r = work.columns(params, live)
-    growth = np.multiply(r, y, out=work.tmp[:, :w])
+    growth = np.multiply(work.rates(params, live), y, out=work.tmp[:, :w])
     np.multiply(growth, press, out=growth)
-    np.multiply(d, nonlocal_apply(work.stencil, y, work), out=out)
-    return np.add(out, growth, out=out)
+    return np.add(nonlocal_apply(work.stencil, y, work), growth, out=out)
 
 
 def dt_max(params: Params, alpha_bar: float) -> float:
@@ -478,19 +563,20 @@ def step(y: np.ndarray, dt: float, alphas, params: Params, st1: Stencil, st2: St
     w = y.shape[-1]
     if work is None:
         work = _workspace(live, st1, st2, w)
-    ks = work.stages[:, :, :w]
-    np.copyto(ks[0], k1)
-    stage = work.state[:, :w]
-    for j, row in enumerate(_A, start=1):
-        # y + dt * sum(a_ij k_j): each cell sums the products in tableau order.
-        np.einsum("j,jlw->lw", np.multiply(dt, row), ks[:j], out=stage)
-        np.add(y, stage, out=stage)
-        rhs(stage, alphas[min(j, len(_NODES) - 1)], params, st1, st2, live, ks[j], work)
-    # The last row of _A holds the 8th-order weights: the last stage state is the solution.
-    err = work.err[:, :, :w]
-    for weights, out in zip((_E5, _E3), err):
-        np.einsum("j,jlw->lw", np.multiply(dt, weights), ks[:-1], out=out)
-    return stage, err, ks[-1]
+    lay = work.layout(w)
+    ks, slots = lay.ks, lay.slots
+    np.copyto(ks[0, :, :w], y)
+    np.copyto(ks[1, :, :w], k1)
+    coefs = work.coefficients(dt)
+    for j in range(1, len(_A)):
+        # y + dt * sum(a_ij k_j), one product into the convolution's input row;
+        # its second row, all zeros, keeps the product a gemm.
+        np.matmul(coefs[j - 1, :2, :j + 1], slots[:j + 1], out=lay.out[:2])
+        rhs(lay.state, alphas[j], params, st1, st2, live, ks[j + 1, :, :w], work)
+    # The 8th-order solution and both error estimates, one product.
+    np.matmul(coefs[-1], slots[:-1], out=lay.out)
+    rhs(lay.state, alphas[-1], params, st1, st2, live, ks[-1, :, :w], work)
+    return lay.state, lay.err, ks[-1, :, :w]
 
 
 def step_count(t_final: float, dt: float) -> int:

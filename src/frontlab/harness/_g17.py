@@ -7,12 +7,12 @@ For finite nonzero ``x`` let ``k = floor(log10|x|)`` and ``P =
 |x|·10^(16-k)``, which lies in ``[1e16, 1e17)``; the 17 significant digits
 are ``P`` rounded half to even (Gay 1990; Adams 2019).  ``P`` is formed in
 ``np.longdouble`` from correctly rounded powers of ten, so the computed
-value is off by less than :data:`BOUND`.  Wherever the fraction of the
-computed ``P`` is farther than that from 1/2, no half-integer lies between
-it and the true ``P``, and both round to the same integer.  The rest are
-formatted one at a time by ``'%.17g' %``: the values near a tie, the
-non-finite ones, and every value where the long double is float64 (then
-``BOUND`` exceeds 1/2) or not an IEEE format.
+value ``P~`` is off by less than ``P~ * BOUND`` (see :data:`BOUND`).
+Wherever the fraction of ``P~`` is farther than that from 1/2, no
+half-integer lies between it and the true ``P``, and both round to the same
+integer.  The rest are formatted one at a time by ``'%.17g' %``: the values
+near a tie, the non-finite ones, and every value where the long double is
+float64 (then ``P~ * BOUND`` exceeds 1/2) or not an IEEE format.
 """
 
 import numpy as np
@@ -21,12 +21,15 @@ WIDTH = 24  # the longest text: '-2.2250738585072014e-308'
 
 _EPS = np.finfo(np.longdouble).eps
 _BITS = np.finfo(np.longdouble).nmant + 1
-# The power of ten and the product are each rounded once, within eps/2
-# relative, and P < 1e17: |P~ - P| < 1e17·(eps + eps²/4) < BOUND, even
-# after BOUND's own rounding.  That holds for IEEE binary64, x87 extended
-# and binary128; IBM double-double rounds its products more loosely, so
-# there nothing is settled.
-BOUND = (np.longdouble(1e17) * _EPS * (1 + _EPS) if _BITS in (53, 64, 113)
+# Relative error bound of P~.  The power of ten and the product are each
+# rounded once, within eps/2 relative, so P~ = P·(1 + d), |d| <= eps + eps²/4,
+# and P <= P~ / (1 - eps): |P~ - P| <= P~·eps·(1 + 5eps/4 + O(eps²)).  The
+# settling test's own product P~·BOUND rounds down by at most eps/2, and
+# P~·eps·(1 + 2eps)·(1 - eps/2) still exceeds that error.  BOUND itself is
+# exact: 1 + 2eps has one significant bit less than the format.  That holds for IEEE
+# binary64, x87 extended and binary128; IBM double-double rounds its
+# products more loosely, so there nothing is settled.
+BOUND = (_EPS * (1 + 2 * _EPS) if _BITS in (53, 64, 113)
          else np.longdouble(np.inf))
 
 
@@ -123,7 +126,7 @@ def g17(values) -> tuple:
             p = along * np.take(_POW10, 16 - k - _P_LO)
         near = np.rint(p)  # half to even
         # |frac(p) - 1/2|, exact: p - near is a multiple of p's ulp
-        settled = finite & (0.5 - np.abs(p - near) > BOUND)
+        settled = finite & (0.5 - np.abs(p - near) > p * BOUND)
     n17 = np.where(settled, near, 1e16).astype(np.int64)
     carry = n17 == 10**17  # rounding up to 1e17 moves the exponent
     n17[carry] = 10**16

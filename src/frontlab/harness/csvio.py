@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import os
 import struct
 import subprocess
@@ -86,19 +87,21 @@ class SnapshotWriter:
 
     The child formats while the caller goes on computing.  The grid ``x``
     is sent once, then each :meth:`write` sends ``t, u, v`` as raw float64
-    over a pipe.  Where the OS allows, the pipe is raised to 1 MiB, so
-    the caller does not stall while the child starts and imports numpy;
-    its backpressure bounds what waits in the pipe, and neither process
-    holds more than about one snapshot.  The child (``_snapshot_writer.py``)
-    turns each snapshot into text with the numpy kernel in ``_g17.py`` and
-    writes a sibling temporary file; :meth:`close` sends an end mark,
-    waits for the child and renames the file to ``path``.  A child whose
-    input ends without the mark, because this process died, removes the
-    file and exits nonzero.  After an exception, from this writer or from
-    the caller, call :meth:`abort`: it stops the child and removes the
-    file.  A failed child makes :meth:`write` or :meth:`close` raise an
-    ``OSError`` with its exit status and stderr.
-    The text equals ``fmt`` of every value.
+    over a pipe.  Where the OS allows, the pipe is raised to 1 MiB.  The
+    pipe does not block: each :meth:`write` queues memoryviews of its
+    arrays, not copies, and sends what the pipe takes at once, so the caller
+    never waits for the child, not even while it starts and imports numpy;
+    :meth:`close` sends the rest.  ``u`` and ``v`` must therefore stay
+    unchanged until then, as the stored rows of a ``Trajectory`` do.  The
+    child (``_snapshot_writer.py``) turns each snapshot into text with the
+    numpy kernel in ``_g17.py`` and writes a sibling temporary file;
+    :meth:`close` then sends an end mark, waits for the child and renames
+    the file to ``path``.  A child whose input ends without the mark,
+    because this process died, removes the file and exits nonzero.  After
+    an exception, from this writer or from the caller, call :meth:`abort`:
+    it stops the child and removes the file.  A failed child makes
+    :meth:`write` or :meth:`close` raise an ``OSError`` with its exit
+    status and stderr.  The text equals ``fmt`` of every value.
     """
 
     def __init__(self, path, header: str, x: np.ndarray):
@@ -106,18 +109,30 @@ class SnapshotWriter:
         self.tmp = _temp_sibling(self.path)
         self._proc = subprocess.Popen(
             [sys.executable, "-I", "-S", str(_WRITER_SCRIPT), str(self.tmp), header, _NUMPY_DIR],
-            stdin=subprocess.PIPE, stderr=subprocess.PIPE,
+            stdin=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
             env=dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                      MKL_NUM_THREADS="1"))  # it does no linear algebra
         _widen(self._proc.stdin)
+        os.set_blocking(self._proc.stdin.fileno(), False)
+        self._backlog: collections.deque = collections.deque()
         x = np.ascontiguousarray(x, dtype=np.float64)
         self._send(struct.pack("=q", x.size), x)
 
     def _send(self, *chunks) -> None:
+        """Queue ``chunks`` (bytes or contiguous arrays) and send what the pipe takes."""
+        self._backlog.extend(memoryview(chunk).cast("B") for chunk in chunks)
+        fd, backlog = self._proc.stdin.fileno(), self._backlog
         try:
-            for chunk in chunks:
-                self._proc.stdin.write(chunk)
+            while backlog:
+                sent = os.write(fd, backlog[0])
+                if sent == len(backlog[0]):
+                    backlog.popleft()
+                else:
+                    backlog[0] = backlog[0][sent:]
+        except BlockingIOError:
+            pass
         except BrokenPipeError:
+            backlog.clear()
             status, err = self._reap()
             raise self._failure(status, err or "it stopped reading") from None
 
@@ -140,7 +155,9 @@ class SnapshotWriter:
         return OSError(f"{self.path.name} writer exited with status {status}: {err}")
 
     def close(self) -> Path:
-        """Send the end mark, wait for the child, then move the finished file to ``path``."""
+        """Send the rest and the end mark, wait for the child, then move the
+        finished file to ``path``."""
+        os.set_blocking(self._proc.stdin.fileno(), True)
         self._send(_END_MARK)
         status, err = self._reap()
         if status != 0:
@@ -151,6 +168,7 @@ class SnapshotWriter:
     def abort(self) -> None:
         """Stop and reap the child and remove the temporary file; ``path`` is untouched."""
         proc = self._proc
+        self._backlog.clear()
         if proc.returncode is None:
             proc.kill()
         for pipe in (proc.stdin, proc.stderr):

@@ -99,19 +99,23 @@ class Stencil:
     halfwidth: int
     dx: float
 
-    def padded_block(self, halfwidth: int) -> np.ndarray:
-        """The ``(BLOCK + 2*halfwidth) x BLOCK`` Toeplitz block of ``weights * dx``.
+    def padded_block(self, halfwidth: int, d: float = 1.0) -> np.ndarray:
+        """The ``(BLOCK + 2*halfwidth) x BLOCK`` Toeplitz block of ``d * (J*w - w)``.
 
-        Column ``j`` holds the taps in rows ``j + pad`` to
-        ``j + pad + 2*self.halfwidth``, with ``pad = halfwidth - self.halfwidth``
-        zero rows above and below, so ``BLOCK + 2*halfwidth`` consecutive
-        cells times the block give ``J * w`` at the middle ``BLOCK`` of them.
+        Column ``j`` holds the taps ``d * (weights * dx)`` in rows ``j + pad``
+        to ``j + pad + 2*self.halfwidth``, with ``pad = halfwidth -
+        self.halfwidth`` zero rows above and below, and the middle tap,
+        on the diagonal ``j + halfwidth``, is ``d * (weights[h] * dx - 1)``.
+        ``BLOCK + 2*halfwidth`` consecutive cells times the block give
+        ``d * (J*w - w)`` at the middle ``BLOCK`` of them.
         """
         if halfwidth < self.halfwidth:
             raise ValueError(f"half-width {halfwidth} is narrower than the stencil's "
                              f"{self.halfwidth}")
         h, pad = self.halfwidth, halfwidth - self.halfwidth
         taps = self.weights[::-1] * self.dx
+        taps[h] -= 1.0
+        taps *= d
         out = np.zeros((BLOCK + 2 * halfwidth, BLOCK))
         for j in range(BLOCK):
             out[pad + j:pad + j + 2 * h + 1, j] = taps
@@ -184,9 +188,13 @@ class Kernel:
     def discretize(self, dx: float) -> Stencil:
         """Symmetric quadrature weights for ``J * w`` at grid spacing ``dx``.
 
-        Requires ``dx <= support_radius / 8`` so the stencil carries at
-        least 17 points; the weights are renormalized so that the discrete
-        convolution preserves constants exactly.
+        Requires ``dx <= support_radius / 8``.  The kernel is sampled at
+        ``k * dx`` for ``|k| <= ceil(R/dx)``, and the weights are
+        renormalized so that the discrete convolution preserves constants
+        exactly.  End taps that are exactly 0.0 are then dropped in pairs:
+        the analytic families vanish at ``+-R``, so at ``dx = R/8`` the
+        stencil keeps 15 of its 17 points; a table keeps its end taps unless
+        its density there is 0.
         """
         r = self.support_radius
         if dx <= 0.0:
@@ -201,7 +209,9 @@ class Kernel:
         if total <= 0.0:
             raise InvalidKernelError("kernel has no mass on the stencil")
         w = w / total
-        return Stencil(weights=w, halfwidth=h, dx=dx)
+        nonzero = np.flatnonzero(w)
+        cut = min(nonzero[0], w.size - 1 - nonzero[-1])
+        return Stencil(weights=w[cut:w.size - cut], halfwidth=h - int(cut), dx=dx)
 
     def validate(self) -> KernelReport:
         """Check symmetry, nonnegativity, unit mass, compact support, and

@@ -133,9 +133,10 @@ def test_g17_power_of_ten_table_is_correctly_rounded():
 
 
 def test_g17_with_a_float64_bound_formats_every_value_one_at_a_time(monkeypatch):
-    # float64's eps makes the bound exceed 1/2: no value is settled in bulk
+    # float64's eps makes every value's bound, P~ times it, exceed 1/2: no
+    # value is settled in bulk
     eps = np.finfo(np.float64).eps
-    monkeypatch.setattr(_g17, "BOUND", np.longdouble(1e17) * eps * (1 + eps))
+    monkeypatch.setattr(_g17, "BOUND", np.longdouble(eps) * (1 + 2 * eps))
     one_at_a_time = []
     scalar = _g17._scalar
 
@@ -204,6 +205,33 @@ def test_snapshot_writer_pipe_holds_a_mebibyte(tmp_path):
     finally:
         writer.abort()
     assert size >= min(1 << 20, limit)
+
+
+def test_snapshot_writer_never_waits_for_a_slow_child(tmp_path, monkeypatch):
+    # a child that sleeps 0.5 s before it reads: the writes return at once,
+    # with more than the pipe holds, and close() sends the rest
+    script = tmp_path / "slow_writer.py"
+    real = csvio._WRITER_SCRIPT
+    script.write_text("import runpy, sys, time\n"
+                      "time.sleep(0.5)\n"
+                      f"sys.argv[0] = {str(real)!r}\n"
+                      f"runpy.run_path({str(real)!r}, run_name='__main__')\n")
+    monkeypatch.setattr(csvio, "_WRITER_SCRIPT", script)
+    traj = _synthetic_trajectory(40, 2001)
+    assert traj.u.nbytes + traj.v.nbytes > 1 << 20
+    start = time.perf_counter()
+    writer = SnapshotWriter(tmp_path / "snapshots.csv", SNAPSHOT_HEADER, traj.grid.x)
+    try:
+        for t, u, v in zip(traj.times.tolist(), traj.u, traj.v):
+            writer.write(t, u, v)
+        elapsed = time.perf_counter() - start
+    except BaseException:
+        writer.abort()
+        raise
+    writer.close()
+    assert elapsed < 0.2
+    written = (tmp_path / "snapshots.csv").read_bytes()
+    assert written == _reference_snapshots(traj).encode("utf-8")
 
 
 def test_snapshot_writer_child_runs_math_libraries_on_one_thread(tmp_path, monkeypatch):

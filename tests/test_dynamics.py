@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,7 +99,8 @@ def _tent(radius):
     return fl.tabulated(x, np.maximum(0.0, 1.0 - np.abs(x) / radius) / radius)
 
 
-# (kernel, radius, dx): half-widths 8, 16 and 80 > BLOCK for each family.
+# (kernel, radius, dx): half-widths 7, 15 and 79 > BLOCK for each family, named
+# by R/dx (the zero taps at +-R are dropped).
 _BLOCKED_STENCILS = {f"{family}_h{h}": (make, radius, dx)
                      for family, make in (("raised_cosine", fl.raised_cosine),
                                           ("smooth_bump", fl.smooth_bump), ("tabulated", _tent))
@@ -222,11 +224,12 @@ def test_step_leaves_out_an_absent_species_exactly(unit_kernel):
             assert full[:, i].tobytes() == part[:, 0].tobytes() and not full[:, 1 - i].any()
 
 
-# The stepping formulas as they read before the stage buffers were stacked, as
-# a bit-for-bit reference: each species convolved with its own unpadded block,
-# and every stage sum accumulated term by term, skipping zero coefficients.
-# The tableau is the module's, which the test below checks against the
-# published DOP853 coefficients.
+# The stepping formulas per species, as a bit-for-bit reference: each species
+# convolved with its own unpadded block of d * (J*w - w), and every stage sum
+# accumulated term by term from zero, each term added as one fused
+# multiply-add (rounded once), zero coefficients included.  The tableau is the
+# module's, which the test below checks against the published DOP853
+# coefficients.
 _REF_A = dynamics._A
 _REF_E = (dynamics._E5, dynamics._E3)
 
@@ -250,16 +253,17 @@ def test_tableau_is_the_published_dop853():
         assert abs(math.fsum(row)) <= 1e-15 * math.fsum(map(abs, row)), row
 
 
-def _reference_nonlocal(stencil, w):
-    h, n, block = stencil.halfwidth, w.size, dynamics.BLOCK
-    toeplitz = np.zeros((block + 2 * h, block))
-    for j in range(block):
-        toeplitz[j:j + 2 * h + 1, j] = stencil.weights[::-1] * stencil.dx
-    n_rows = -(-n // block)
-    padded = np.zeros(n_rows * block + 2 * h)
+def _reference_nonlocal(stencil, w, d=1.0):
+    h, n = stencil.halfwidth, w.size
+    taps = stencil.weights[::-1] * stencil.dx
+    taps[h] -= 1.0
+    taps *= d
+    padded = np.zeros(n + 2 * h)
     padded[h:h + n] = w
-    rows = np.array([padded[i * block:i * block + block + 2 * h] for i in range(n_rows)])
-    return (rows @ toeplitz).ravel()[:n] - w
+    acc = np.zeros(n)
+    for t, tap in enumerate(taps):
+        acc = _fma(tap, padded[t:t + n], acc)
+    return acc
 
 
 def _reference_rhs(y, alpha, params, st1, st2, live):
@@ -270,40 +274,91 @@ def _reference_rhs(y, alpha, params, st1, st2, live):
     rates = [None, None]
     if u is not None:
         pressure = alpha - u if v is None else alpha - u - params.a * v
-        rates[0] = params.d1 * _reference_nonlocal(st1, u) + params.r1 * u * pressure
+        rates[0] = _reference_nonlocal(st1, u, params.d1) + params.r1 * u * pressure
     if v is not None:
         pressure = -1.0 - v if u is None else -1.0 + params.b * u - v
-        rates[1] = params.d2 * _reference_nonlocal(st2, v) + params.r2 * v * pressure
+        rates[1] = _reference_nonlocal(st2, v, params.d2) + params.r2 * v * pressure
     return np.array([rates[i] for i in live])
 
 
-def _reference_combine(coefs, ks, dt):
-    acc = None
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _split(a):
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _two_product(a, b):
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _fma(c, k, acc):
+    """``acc + c * k`` rounded once, elementwise, in float64 arithmetic alone:
+    Boldo & Melquiond's (2008) emulation, the exact product and sum split into
+    float64 pairs and their low parts added with rounding to odd."""
+    uh, ul = _two_product(c, k)
+    th, tl = _two_sum(acc, uh)
+    v, e = _two_sum(tl, ul)
+    inexact_even = (e != 0.0) & ((v.view(np.int64) & 1) == 0)
+    v = np.where(inexact_even, np.nextafter(v, np.copysign(np.inf, e)), v)
+    return th + v
+
+
+def test_reference_fma_is_rounded_once():
+    # against exact rational arithmetic, on random terms, near-cancellations
+    # and exact ties between two floats
+    rng = np.random.default_rng(5)
+    n = 3000
+    c = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 2, n)
+    k = rng.standard_normal(n) * 10.0 ** rng.integers(-250, 3, n)
+    acc = rng.standard_normal(n) * 10.0 ** rng.integers(-250, 3, n)
+    near = rng.random(n) < 0.3
+    acc[near] = -(c[near] * k[near]) * (1.0 + rng.integers(-4, 5, near.sum()) * 2.0 ** -52)
+    tie = rng.random(n) < 0.2
+    c[tie] = rng.integers(1, 2 ** 26, tie.sum())
+    k[tie] = rng.integers(1, 2 ** 27, tie.sum()) + 0.5
+    acc[tie] = rng.integers(1, 2 ** 53, tie.sum()) * 2.0 ** rng.integers(-3, 4, tie.sum())
+    got = _fma(c, k, acc)
+    want = np.array([float(Fraction(a) + Fraction(x) * Fraction(y))
+                     for a, x, y in zip(acc.tolist(), c.tolist(), k.tolist())])
+    assert got.tobytes() == want.tobytes()
+
+
+def _reference_combine(coefs, ks):
+    acc = np.zeros(ks[0].shape)
     for c, k in zip(coefs, ks):
-        if c:
-            term = (dt * c) * k
-            acc = term if acc is None else acc + term
+        acc = _fma(c, k, acc)
     return acc
 
 
 def _reference_step(y, dt, alphas, params, st1, st2, live):
+    # each stage state weighs y with 1 and k_j with dt * a_ij; the error
+    # estimates weigh y with 0
     ks = [_reference_rhs(y, alphas[0], params, st1, st2, live)]
     for row, alpha in zip(_REF_A, alphas[1:] + alphas[-1:]):
-        stage = y + _reference_combine(row, ks, dt)
+        stage = _reference_combine([1.0] + [dt * a for a in row], [y] + ks)
         ks.append(_reference_rhs(stage, alpha, params, st1, st2, live))
-    return stage, np.stack([_reference_combine(e, ks, dt) for e in _REF_E]), ks[-1]
+    errors = [_reference_combine([0.0] + [dt * c for c in e], [y] + ks[:-1]) for e in _REF_E]
+    return stage, np.stack(errors), ks[-1]
 
 
 @pytest.mark.parametrize("live", [(0, 1), (0,), (1,)])
 @pytest.mark.parametrize("wider", ["v", "u"])
 def test_step_and_rhs_match_the_per_species_reference_bit_for_bit(live, wider):
-    # the stacked stage sums (einsum) and the one convolution of both species,
+    # the stage sums as matrix products and the one convolution of both species,
     # the narrower stencil zero-padded to the wider half-width, on window slices
     # at every offset mod BLOCK, growing and shrinking, with and without a
     # workspace kept across calls as simulate keeps it
     params = fl.Params(d1=1, d2=0.7, r1=1, r2=0.5, a=0.5, b=2)
     narrow, wide = fl.raised_cosine(1.0).discretize(1 / 8), fl.smooth_bump(1.5).discretize(1 / 8)
-    assert (narrow.halfwidth, wide.halfwidth) == (8, 12)
+    assert (narrow.halfwidth, wide.halfwidth) == (7, 11)
     st1, st2 = (narrow, wide) if wider == "v" else (wide, narrow)
     block = dynamics.BLOCK
     n = 4 * block + 9
@@ -325,6 +380,42 @@ def test_step_and_rhs_match_the_per_species_reference_bit_for_bit(live, wider):
             out = fl.step(yw, dt, aw, params, st1, st2, k1, live, shared)
             for got, want in zip(out, ref):
                 assert got.tobytes() == want.tobytes(), (offset, shared)
+
+
+@pytest.mark.parametrize("live", [(0, 1), (0,), (1,)])
+def test_step_bits_do_not_depend_on_window_offset_or_length(live):
+    # one random nonzero patch, with zero margins wider than a step's reach,
+    # stepped in windows at every offset mod BLOCK and every length mod 8:
+    # every cell gets the same bits, and each stage sum, recomputed from the
+    # step's own stages as fused multiply-adds in slot order, gives the stage
+    # that follows it (a one-row product, a gemv, sums in another order)
+    params = fl.Params(d1=1, d2=0.7, r1=1, r2=0.5, a=0.5, b=2)
+    st1, st2 = fl.raised_cosine(1.0).discretize(1 / 8), fl.smooth_bump(1.5).discretize(1 / 8)
+    margin = (len(dynamics._A) + 1) * st2.halfwidth
+    rng = np.random.default_rng(23)
+    patch = rng.random((len(live), 45)) + 0.05
+    habitat = rng.random((len(dynamics._NODES), 45)) - 0.2
+    span = patch.shape[1] + 2 * margin
+    dt = 0.3
+    want = None
+    for offset in range(dynamics.BLOCK):
+        for extra in range(8):
+            cells = (margin + offset, margin + extra)
+            y = np.pad(patch, ((0, 0), cells))
+            alphas = tuple(np.pad(a, cells, constant_values=0.5) for a in habitat)
+            work = dynamics._workspace(live, st1, st2, y.shape[1])
+            k1 = fl.rhs(y, alphas[0], params, st1, st2, live)
+            out = fl.step(y, dt, alphas, params, st1, st2, k1, live, work)
+            got = [part[..., offset:offset + span].tobytes() for part in (k1, *out)]
+            want = want or got
+            assert got == want, (offset, extra)
+            if extra == 0:
+                ks = [y] + list(work.layout(y.shape[1]).ks[1:, :, :y.shape[1]])
+                for j, (row, alpha) in enumerate(zip(dynamics._A, alphas[1:] + alphas[-1:])):
+                    stage = _reference_combine([1.0] + [dt * a for a in row], ks[:j + 2])
+                    rates = fl.rhs(stage, alpha, params, st1, st2, live)
+                    assert rates.tobytes() == ks[j + 2].tobytes(), (offset, j)
+                assert stage.tobytes() == out[0].tobytes()
 
 
 def _simulate_from(unit_kernel, u0, dt, grid):
@@ -840,9 +931,9 @@ _WINDOW_CASES = {
     "unequal_taps": (_B, fl.logistic(A=0.5, L=1.0), 1.5, 30, (-2.0, 2.0, 0.5),
                      (2.0, 1.5, 0.4), 3.0),
     "both_absent": (_B, fl.constant_one(), None, 20, (0.0, 2.0, 0.0), (0.0, 1.5, 0.0), 1.0),
-    # every stencil's outermost taps are zeros of the kernel at its support end,
-    # so a stage widens the nonzero set by h - 1 cells; only from h = 14 on do a
-    # step's 13 stages reach past 12h, and a reach of 12h fails here (h = 16)
+    # the stencils keep no zero end taps, so each of a step's 13 stages widens
+    # the nonzero set by h cells; a reach of 12h fails here (h = 15), as it
+    # fails four of the cases above
     "wide_stencil": (_B, fl.constant_one(), 2.0, 100, (0.0, 2.0, 0.5), (0.0, 1.5, 0.4), 0.5),
 }
 

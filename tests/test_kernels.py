@@ -76,12 +76,24 @@ def test_mgf_at_least_one_all_families(make):
 
 
 def test_discretize_halfwidth_and_mass(unit_kernel):
+    # 17 samples at k/8, k = -8..8, less the zeros at the support ends
     st_ = unit_kernel.discretize(0.125)
-    assert st_.halfwidth == 8
-    assert st_.weights.size == 17
+    assert st_.halfwidth == 7
+    assert st_.weights.size == 15
+    assert st_.weights[0] > 0.0
     assert st_.weights.sum() * st_.dx == pytest.approx(1.0, abs=1e-15)
     assert np.all(st_.weights >= 0.0)
     assert np.allclose(st_.weights, st_.weights[::-1], atol=0.0)
+
+
+@pytest.mark.parametrize("end, halfwidth", [(0.0, 7), (1e-13, 8)])
+def test_discretize_drops_only_exact_zero_end_taps(end, halfwidth):
+    # a table keeps the taps at its support ends unless its density there is 0
+    x, d = _rc_table(n=201)
+    d[[0, -1]] = end
+    st_ = fl.tabulated(x, d).discretize(0.125)
+    assert st_.halfwidth == halfwidth and st_.weights.size == 2 * halfwidth + 1
+    assert st_.weights[0] > 0.0 and st_.weights[-1] > 0.0
 
 
 def test_discretize_rejects_coarse_spacing(unit_kernel):
