@@ -24,8 +24,7 @@ from .speeds import (SpeedProblem, SpeedResult, SystemSpeeds, candidate_speed,
                      min_speed, predator_speed, prey_speed, system_speeds)
 from .subsolution import (SubsolutionParams, SubsolutionReport,
                           amplitude_speed_bound, construct_subsolution,
-                          match_decay_rate, max_linear_rate,
-                          optimal_decay_rate, tilt_speed, verify_subsolution,
-                          wave_profile)
+                          match_decay_rate, max_linear_rate, tilt_speed,
+                          verify_subsolution, wave_profile)
 
 __version__ = "0.1.0"

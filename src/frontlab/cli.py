@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Subcommands: ``speeds``, ``simulate``, ``sweep``, ``check-hypotheses``,
-``verify-subsolution``.  Exit codes: 0 on success, 2 when ``--strict`` is
-given and a hypothesis (or verification) check fails, 1 on runtime error.
-The output root comes from ``--out``, the ``FRONTLAB_OUT`` environment
-variable, or ``./frontlab-out``, in that order.
+``verify-subsolution``.  Each table goes to stdout through the row
+function that writes its file in a bundle; ``simulate`` prints every row
+of ``persistence.csv``, ``unavailable`` ones included.  Exit codes: 0 on
+success, 2 when ``--strict`` is given and a hypothesis (or verification)
+check fails, 1 on runtime error.  The output root comes from ``--out``,
+the ``FRONTLAB_OUT`` environment variable, or ``./frontlab-out``, in that
+order.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from .errors import FrontLabError
 from .harness.config import parse_config
 from .harness.csvio import fmt, write_csv
 from .harness.runner import (HYPOTHESES_HEADER, PERSISTENCE_HEADER,
-                             SPEEDS_HEADER, SWEEP_HEADER, persistence_rows,
-                             run_experiment, speeds_row, sweep)
+                             SPEEDS_HEADER, SWEEP_HEADER, run_experiment,
+                             speeds_row, sweep)
 from .subsolution import TILT_TOL, construct_subsolution, verify_subsolution
 
 
@@ -49,9 +52,7 @@ def _cmd_simulate(args) -> int:
     cfg = parse_config(cfg_path)
     out = _out_dir(args, cfg_path)
     result = run_experiment(cfg, out_dir=out)
-    reports = [r for r in (result.u_report, result.v_report) if r is not None]
-    if reports:
-        write_csv(sys.stdout, PERSISTENCE_HEADER, persistence_rows(reports))
+    write_csv(sys.stdout, PERSISTENCE_HEADER, result.persistence_rows())
     sys.stdout.write(f"bundle written to {out}\n")
     if args.strict and not cfg.hypotheses.all_ok:
         return 2

@@ -1,4 +1,8 @@
-"""Experiment orchestration: single runs, artifact bundles, and sweeps."""
+"""Experiment orchestration: single runs, artifact bundles, and sweeps.
+
+A run is one frozen :class:`ExperimentResult`; every bundle table, sweep
+row and CLI print is built from it by the one row function of its file.
+"""
 
 from __future__ import annotations
 
@@ -23,33 +27,44 @@ SWEEP_HEADER = ("value,s_star,s_lower_star,s_underline,"
 
 
 def speeds_row(cfg: ExperimentConfig) -> tuple:
+    """``speeds.csv``: NaN for the predator's speeds when ``b <= 1``."""
     sp = cfg.speeds
     if sp is None:
         return (cfg.prey.speed, cfg.prey.rate, float("nan"), float("nan"), float("nan"))
     return (sp.s_star, sp.rate1, sp.s_lower_star, sp.rate2, sp.s_underline)
 
 
-def level_set_rows(series_left: LevelSetSeries, series_right: LevelSetSeries):
-    theta = series_right.theta
-    return [(t, theta, xl, xr) for t, xl, xr in zip(series_right.times.tolist(),
-            series_left.positions.tolist(), series_right.positions.tolist())]
-
-
-def persistence_rows(reports: list[PersistenceReport]) -> list[tuple]:
-    return [(r.species, r.eta, r.epsilon, r.band_min, r.verdict) for r in reports]
-
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentResult:
-    """Everything a single experiment produced, plus where it was written."""
+    """The one record of a run, and where it was written.
+
+    ``u_series``/``v_series`` are the rightmost level sets, ``u_left``/``v_left``
+    the leftmost; the reports are None when the config has no band."""
 
     config: ExperimentConfig
     trajectory: Trajectory
+    u_left: LevelSetSeries
     u_series: LevelSetSeries
+    v_left: LevelSetSeries
     v_series: LevelSetSeries
     u_report: PersistenceReport | None
     v_report: PersistenceReport | None
     out_dir: Path | None
+
+    def level_set_rows(self, species: str) -> list[tuple]:
+        """``level_sets_<species>.csv``: both crossings at each snapshot."""
+        left, right = ((self.u_left, self.u_series) if species == "u"
+                       else (self.v_left, self.v_series))
+        return [(t, right.theta, xl, xr) for t, xl, xr in zip(
+            right.times.tolist(), left.positions.tolist(), right.positions.tolist())]
+
+    def persistence_rows(self) -> list[tuple]:
+        """``persistence.csv``: one row per species, ``unavailable`` with no band."""
+        if self.u_report is None:
+            nan, epsilon = float("nan"), self.config.values["band.epsilon"]
+            return [(sp, nan, epsilon, nan, "unavailable") for sp in ("u", "v")]
+        return [(r.species, r.eta, r.epsilon, r.band_min, r.verdict)
+                for r in (self.u_report, self.v_report)]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
@@ -73,63 +88,46 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
                         snapshot_stride=cfg.snapshot_stride,
                         boundary_monitor=cfg.boundary_monitor,
                         on_snapshot=None if writer is None else writer.write)
-        u_left = level_set_series(traj, cfg.theta, "u", "left")
-        u_right = level_set_series(traj, cfg.theta, "u", "right")
-        v_left = level_set_series(traj, cfg.theta, "v", "left")
-        v_right = level_set_series(traj, cfg.theta, "v", "right")
-
-        u_report = v_report = None
-        if cfg.band is not None:
-            u_report = frame_band_min(traj, cfg.band, "u")
-            v_report = frame_band_min(traj, cfg.band, "v")
-
+        result = ExperimentResult(
+            config=cfg, trajectory=traj,
+            u_left=level_set_series(traj, cfg.theta, "u", "left"),
+            u_series=level_set_series(traj, cfg.theta, "u", "right"),
+            v_left=level_set_series(traj, cfg.theta, "v", "left"),
+            v_series=level_set_series(traj, cfg.theta, "v", "right"),
+            u_report=None if cfg.band is None else frame_band_min(traj, cfg.band, "u"),
+            v_report=None if cfg.band is None else frame_band_min(traj, cfg.band, "v"),
+            out_dir=out_path)
         if out_path is not None:
             write_text(out_path / "config_echo.txt", [echo_config(cfg)])
             write_csv(out_path / "speeds.csv", SPEEDS_HEADER, [speeds_row(cfg)])
             write_csv(out_path / "hypotheses.csv", HYPOTHESES_HEADER, cfg.hypotheses.rows())
-            write_csv(out_path / "level_sets_u.csv", LEVELSET_HEADER,
-                      level_set_rows(u_left, u_right))
-            write_csv(out_path / "level_sets_v.csv", LEVELSET_HEADER,
-                      level_set_rows(v_left, v_right))
-            nan, epsilon = float("nan"), cfg.values["band.epsilon"]
-            rows = (persistence_rows([r for r in (u_report, v_report) if r is not None])
-                    or [(sp, nan, epsilon, nan, "unavailable") for sp in ("u", "v")])
-            write_csv(out_path / "persistence.csv", PERSISTENCE_HEADER, rows)
+            write_csv(out_path / "level_sets_u.csv", LEVELSET_HEADER, result.level_set_rows("u"))
+            write_csv(out_path / "level_sets_v.csv", LEVELSET_HEADER, result.level_set_rows("v"))
+            write_csv(out_path / "persistence.csv", PERSISTENCE_HEADER, result.persistence_rows())
             writer.close()
     except BaseException:
         if writer is not None:
             writer.abort()
         raise
-    return ExperimentResult(config=cfg, trajectory=traj,
-                            u_series=u_right, v_series=v_right,
-                            u_report=u_report, v_report=v_report,
-                            out_dir=out_path)
+    return result
 
 
-def sweep_row(value: float, result: ExperimentResult | None,
-              error: str | None = None) -> tuple:
-    if result is None:
-        return (value, float("nan"), float("nan"), float("nan"),
-                float("nan"), float("nan"), f"error:{error}", f"error:{error}")
-    cfg = result.config
-    s_star, _, s_lower, _, s_under = speeds_row(cfg)
-    if result.u_report is not None:
-        u_min, u_verdict = result.u_report.band_min, result.u_report.verdict
-        v_min, v_verdict = result.v_report.band_min, result.v_report.verdict
-    else:
-        u_min = v_min = float("nan")
-        u_verdict = v_verdict = "unavailable"
+def sweep_row(value: float, result: ExperimentResult) -> tuple:
+    """``sweep.csv``: ``value``, then fields of the speeds and persistence rows."""
+    s_star, _, s_lower, _, s_under = speeds_row(result.config)
+    (_, _, _, u_min, u_verdict), (_, _, _, v_min, v_verdict) = result.persistence_rows()
     return (value, s_star, s_lower, s_under, u_min, v_min, u_verdict, v_verdict)
 
 
 def _sweep_worker(task) -> tuple:
+    """One member's ``sweep.csv`` row; the run's record is dropped here."""
     text, base_dir, key, value, run_dir = task
     try:
         cfg = parse_config_text(override_config_text(text, key, value), base_dir)
-        result = run_experiment(cfg, out_dir=run_dir)
-        return sweep_row(value, result)
+        return sweep_row(value, run_experiment(cfg, out_dir=run_dir))
     except Exception as exc:
-        return sweep_row(value, None, error=type(exc).__name__)
+        nan, error = float("nan"), f"error:{type(exc).__name__}"
+        return (value, nan, nan, nan, nan, nan, error, error)
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values, workers: int = 1,
@@ -155,4 +153,3 @@ def sweep(cfg: ExperimentConfig, axis: str, values, workers: int = 1,
     if out_path is not None:
         write_csv(out_path / "sweep.csv", SWEEP_HEADER, rows)
     return rows
-

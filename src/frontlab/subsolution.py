@@ -33,7 +33,7 @@ import numpy as np
 from .dynamics import Params
 from .errors import NoRootError, NumericFailureError
 from .kernels import Kernel, exp_integral, quad, tilted_mean
-from .speeds import SpeedProblem, brentq, min_speed
+from .speeds import brentq
 
 _DECAY_CEILING_OVER_R = 200.0
 # Largest |tilt_speed(decay) - frame_speed| a decay rate may leave.
@@ -169,21 +169,6 @@ def match_decay_rate(frame_speed: float, window: float, params: Params,
     if resid > TILT_TOL:
         raise NumericFailureError("decay-rate solve left a large residual", residual=resid)
     return beta
-
-
-def optimal_decay_rate(linear_rate: float, gamma: float, params: Params,
-                       kernel: Kernel) -> float:
-    """Minimizer of the infinite-window amplitude speed bound.
-
-    The bound is the candidate speed of :func:`~frontlab.speeds.min_speed`
-    with ``d = d1`` and ``r*k = linear_rate - gamma + d1``, so its
-    minimizer is the tangency root found there, where the tilt speed
-    meets the bound.
-    """
-    if not linear_rate - gamma + params.d1 > 0.0:
-        raise ValueError("no interior minimizer: linear_rate - gamma + d1 must be positive")
-    problem = SpeedProblem(d=params.d1, r=linear_rate - gamma + params.d1, k=1.0, kernel=kernel)
-    return min_speed(problem).rate
 
 
 @dataclass(frozen=True)

@@ -180,7 +180,10 @@ def test_criterion_8_derivative_identities(bench_speeds, unit_kernel):
         h = 1e-5 * beta
         fd = (A(beta + h) - A(beta - h)) / (2.0 * h)
         worst_fd = max(worst_fd, abs(fd - (B(beta) - A(beta)) / beta))
-    bstar = fl.optimal_decay_rate(m, gamma, params, unit_kernel)
+    # the bound is min_speed's candidate speed with d = d1, r*k = m - gamma + d1,
+    # so its minimizer is that problem's tangency rate
+    bstar = fl.min_speed(fl.SpeedProblem(d=params.d1, r=m - gamma + params.d1, k=1.0,
+                                          kernel=unit_kernel)).rate
     tangency = abs(A(bstar) - B(bstar))
     minimal = A(0.99 * bstar) > A(bstar) and A(1.01 * bstar) > A(bstar)
     ok = worst_fd <= 1e-5 and tangency <= 1e-6 and minimal

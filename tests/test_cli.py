@@ -93,6 +93,21 @@ def test_simulate_out_flag_overrides_env(cfg_file, tmp_path):
     assert not (tmp_path / "ignored").exists()
 
 
+@pytest.mark.parametrize("old, new", [
+    ("params.b = 1.5\n", "params.b = 0.9\n"),
+    ("solver.t_final", "band.mode = none\nsolver.t_final"),
+], ids=["weak-predator", "band-mode-none"])
+def test_simulate_prints_the_persistence_rows_without_a_band(tmp_path, old, new):
+    path = tmp_path / "noband.cfg"
+    path.write_text(CFG.replace(old, new).replace("initial.v_height = 0.2", "initial.v_height = 0.0"))
+    out = tmp_path / "run"
+    proc = run_cli("simulate", str(path), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    table = (out / "persistence.csv").read_text()
+    assert proc.stdout == table + f"bundle written to {out}\n"
+    assert table.count(",unavailable\n") == 2
+
+
 def test_verify_subsolution_pass_report(cfg_file):
     proc = run_cli("verify-subsolution", str(cfg_file))
     assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import sys
 
@@ -387,6 +388,46 @@ def test_sweep_workers_deterministic(tmp_path):
     assert rows1 == rows4
     assert ((tmp_path / "w1" / "sweep.csv").read_bytes()
             == (tmp_path / "w4" / "sweep.csv").read_bytes())
+
+
+def test_sweep_row_is_text_of_the_members_speeds_and_persistence_rows(tmp_path):
+    # params.b = 0.9 leaves the first member without a band
+    cfg = H.parse_config_text(MINIMAL + "params.s = 0.1\nsolver.t_final = 8.0\n")
+    rows = H.sweep(cfg, "b", [0.9, 1.5], workers=1, out_dir=tmp_path / "w1")
+    rows2 = H.sweep(cfg, "b", [0.9, 1.5], workers=2, out_dir=tmp_path / "w2")
+    assert repr(rows2) == repr(rows)  # NaN fields compare by their text
+    table = (tmp_path / "w1" / "sweep.csv").read_bytes()
+    assert (tmp_path / "w2" / "sweep.csv").read_bytes() == table
+    lines = table.decode().splitlines()
+    assert lines[0] == runner.SWEEP_HEADER and len(lines) == 3
+    for i, line in enumerate(lines[1:]):
+        run = tmp_path / "w1" / f"run_{i:03d}"
+        speeds = (run / "speeds.csv").read_text().splitlines()[1].split(",")
+        u, v = [r.split(",") for r in (run / "persistence.csv").read_text().splitlines()[1:]]
+        assert line.split(",") == [fmt(rows[i][0]), speeds[0], speeds[2], speeds[4],
+                                   u[3], v[3], u[4], v[4]]
+    assert lines[1].endswith(",nan,nan,nan,nan,unavailable,unavailable")
+    assert "unavailable" not in lines[2] and "nan" not in lines[2]
+
+
+def test_run_record_is_frozen_and_keeps_both_level_sets(tmp_path):
+    cfg = H.parse_config_text(DESK + "solver.t_final = 8.0\n")
+    res = H.run_experiment(cfg, out_dir=tmp_path / "run")
+    for field in dataclasses.fields(res):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(res, field.name, None)
+    for sp, left, right in (("u", res.u_left, res.u_series), ("v", res.v_left, res.v_series)):
+        expected = fl.level_set_series(res.trajectory, cfg.theta, sp, "left")
+        assert left.side == "left" and right.side == "right"
+        np.testing.assert_array_equal(left.times, expected.times)
+        np.testing.assert_array_equal(left.positions, expected.positions)
+        crossed = np.isfinite(left.positions)
+        assert crossed.any()
+        assert (left.positions[crossed] < right.positions[crossed]).all()
+        fields = [line.split(",") for line in
+                  (tmp_path / "run" / f"level_sets_{sp}.csv").read_text().splitlines()[1:]]
+        assert [f[2] for f in fields] == [fmt(x) for x in left.positions.tolist()]
+        assert [f[3] for f in fields] == [fmt(x) for x in right.positions.tolist()]
 
 
 def test_sweep_records_failures_and_continues(tmp_path):

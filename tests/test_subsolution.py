@@ -164,7 +164,10 @@ def test_optimal_decay_rate_tangency_and_ordering(bench, unit_kernel):
     params, _, p = bench
     gamma = p.growth_rate(params)
     m = p.linear_rate
-    bstar = fl.optimal_decay_rate(m, gamma, params, unit_kernel)
+    # the bound is min_speed's candidate speed with d = d1, r*k = m - gamma + d1,
+    # so its minimizer is that problem's tangency rate
+    bstar = fl.min_speed(fl.SpeedProblem(d=params.d1, r=m - gamma + params.d1, k=1.0,
+                                          kernel=unit_kernel)).rate
     A = lambda b: fl.amplitude_speed_bound(b, m, gamma, params, unit_kernel, None)
     B = lambda b: fl.tilt_speed(b, params, unit_kernel, None)
     assert abs(A(bstar) - B(bstar)) <= 1e-6
