@@ -99,6 +99,7 @@ def test_simulate_out_flag_overrides_env(cfg_file, tmp_path):
 ], ids=["weak-predator", "band-mode-none"])
 def test_simulate_prints_the_persistence_rows_without_a_band(tmp_path, old, new):
     path = tmp_path / "noband.cfg"
+    # initial.v_height may not exceed max(b - 1, 0)
     path.write_text(CFG.replace(old, new).replace("initial.v_height = 0.2", "initial.v_height = 0.0"))
     out = tmp_path / "run"
     proc = run_cli("simulate", str(path), "--out", str(out))
