@@ -13,7 +13,7 @@ from .habitat import (HabitatProfile, HabitatValidation, constant_one,
                       logistic, piecewise_linear)
 from .habitat import validate as validate_habitat
 from .hypotheses import HypothesisReport, check_hypotheses
-from .kernels import (Kernel, KernelReport, Stencil, exp_integral,
+from .kernels import (Kernel, Stencil, exp_integral,
                       load_tabulated, raised_cosine, smooth_bump, tabulated,
                       tilted_mean)
 from .observers import (FrameBandSpec, LevelSetSeries, PersistenceReport,

@@ -249,7 +249,7 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
 
     t_final = values["solver.t_final"]
     if values["solver.dt"] == "auto":
-        values["solver.dt"] = dt_max(params, hypotheses.habitat.alpha_bar)
+        values["solver.dt"] = dt_max(params, profile.alpha_bar)
     dt = values["solver.dt"]
     if not math.isfinite(t_final / dt):
         raise ConfigError(f"solver.t_final={t_final:g} is too long: it overflows the step count "
@@ -274,7 +274,9 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     support_lo = min(u_spec.center - u_spec.half_width, v_spec.center - v_spec.half_width)
     support_hi = max(u_spec.center + u_spec.half_width, v_spec.center + v_spec.half_width)
     required_x_max = support_hi + halo + (base_speed + margin) * t_final + 10.0
-    required_x_min = support_lo - halo - 5.0
+    # A favorable left limit (-A > 0) lets the fronts spread left as well.
+    required_x_min = (support_lo - halo - (base_speed + margin) * t_final - 10.0
+                      if profile.A < 0.0 else support_lo - halo - 5.0)
     if not math.isfinite(required_x_max):
         raise ConfigError(f"solver.t_final={t_final:g} and grid.margin={margin:g} put the "
                           "grid horizon at infinity")

@@ -5,8 +5,10 @@ Evaluates, with explicit margins:
 - (H1):  b > 1;
 - the prey diffusion inequality  d1 > r1*abar + r1*a/2 + r2*b*(b-1)/2;
 - the predator diffusion inequality  d2 > r2*(b-1) + r2*b*(b-1)/2 + a*r1/2;
-- the shift condition  s < min of the two species speeds;
-- the habitat assumptions (via :mod:`frontlab.habitat` validation).
+- the shift condition  s < min of the two species speeds, less the
+  speeds' quadrature error;
+- the habitat assumptions, from the family's closed form
+  (:func:`frontlab.habitat.validate`), with margin ``A = -alpha(-inf)``.
 
 The margins of the two diffusion inequalities are exactly the decay
 constants k1, k2 of the compactness estimate, and k = min(k1, k2), so
@@ -18,12 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynamics import Params
-from .habitat import HabitatValidation, validate as validate_habitat
-from .kernels import Kernel
+from .habitat import HabitatProfile, validate as validate_habitat
+from .kernels import _SELF_CHECK_RTOL, Kernel
 from .speeds import SystemSpeeds, system_speeds
-
-# Accuracy of the minimized speeds, propagated into the shift margin.
-SPEED_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,6 @@ class HypothesisReport:
     s_margin: float
     alpha_margin: float
     speeds: SystemSpeeds | None
-    habitat: HabitatValidation
 
     @property
     def all_ok(self) -> bool:
@@ -58,10 +56,24 @@ class HypothesisReport:
         ]
 
 
-def check_hypotheses(params: Params, profile, kernel1: Kernel, kernel2: Kernel) -> HypothesisReport:
+def _speed_error(p: Params, sp: SystemSpeeds) -> float:
+    """Bound on the quadrature error of ``sp.s_underline``.
+
+    A speed is ``c = (d*(M - 1) + r*k)/lam`` at its minimizing rate, and
+    ``quad`` certifies ``M`` to the relative error ``_SELF_CHECK_RTOL`` (the
+    tilted density is positive), so ``|dc| <= _SELF_CHECK_RTOL * d*M/lam``
+    with ``d*M = c*lam - r*k + d``.  An error in the rate moves ``c`` only to
+    second order, since ``c`` is stationary there.
+    """
+    return _SELF_CHECK_RTOL * max((c * lam - r * k + d) / lam for d, r, k, c, lam in (
+        (p.d1, p.r1, 1.0, sp.s_star, sp.rate1), (p.d2, p.r2, p.b - 1.0, sp.s_lower_star, sp.rate2)))
+
+
+def check_hypotheses(params: Params, profile: HabitatProfile, kernel1: Kernel,
+                     kernel2: Kernel) -> HypothesisReport:
     """Report-style check; never raises on a failed hypothesis."""
     hv = validate_habitat(profile)
-    abar = hv.alpha_bar
+    abar = profile.alpha_bar
     p = params
     k1 = p.d1 - p.r1 * abar - p.r1 * p.a / 2.0 - p.r2 * p.b * (p.b - 1.0) / 2.0
     k2 = (p.d2 + p.r2 - p.r2 * p.b - p.r2 * p.b * (p.b - 1.0) / 2.0
@@ -71,11 +83,10 @@ def check_hypotheses(params: Params, profile, kernel1: Kernel, kernel2: Kernel) 
 
     if p.b > 1.0:
         sp = system_speeds(params, kernel1, kernel2)
-        s_margin = sp.s_underline - p.s - SPEED_TOL
+        s_margin = sp.s_underline - p.s - _speed_error(params, sp)
     else:
         sp = None
         s_margin = float("nan")
-    alpha_margin = min(hv.slacks.values())
     return HypothesisReport(
         h1_ok=h1_margin > 0.0,
         d1_ok=k1 > 0.0,
@@ -87,7 +98,6 @@ def check_hypotheses(params: Params, profile, kernel1: Kernel, kernel2: Kernel) 
         k=k,
         h1_margin=h1_margin,
         s_margin=s_margin,
-        alpha_margin=alpha_margin,
+        alpha_margin=hv.margin,
         speeds=sp,
-        habitat=hv,
     )

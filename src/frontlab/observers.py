@@ -174,7 +174,10 @@ def _band_min_at(x: np.ndarray, values: np.ndarray, lo: float, hi: float) -> flo
     """Minimum of a sampled field over [lo, hi], endpoints interpolated."""
     if lo > x[-1]:
         raise ConfigError(
-            f"band start {lo:g} lies beyond the grid end {x[-1]:g}")
+            f"band [{lo:g}, {hi:g}] starts beyond the grid end {x[-1]:g}")
+    if hi < x[0]:
+        raise ConfigError(
+            f"band [{lo:g}, {hi:g}] ends before the grid start {x[0]:g}")
     hi = min(hi, float(x[-1]))
     lo = max(lo, float(x[0]))
     vals = [float(np.interp(lo, x, values)), float(np.interp(hi, x, values))]

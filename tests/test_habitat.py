@@ -51,47 +51,55 @@ def test_alpha_shifted_constant_along_characteristics(x, t, delta):
 
 
 def test_validate_logistic_reports_bound_and_alpha_bar():
-    rep = fl.validate_habitat(fl.logistic(A=0.5, L=1.0))
-    assert rep.ok, rep.failures
-    assert rep.alpha_bar == 1.0
-    assert rep.derivative_bound == pytest.approx(0.375)
-    assert rep.measured_slope <= rep.derivative_bound + 1e-9
-    assert rep.xi_hi < 20.0
-    assert rep.xi_lo > -20.0
+    prof = fl.logistic(A=0.5, L=1.0)
+    rep = fl.validate_habitat(prof)
+    assert rep.ok and rep.failures == ()
+    assert rep.margin == 0.5
+    assert prof.alpha_bar == 1.0
+    assert prof.slope_bound() == 0.375
 
 
 def test_validate_alpha_bar_deep_unfavorable():
-    rep = fl.validate_habitat(fl.logistic(A=2.0, L=1.0))
+    prof = fl.logistic(A=2.0, L=1.0)
+    rep = fl.validate_habitat(prof)
     assert rep.ok
-    assert rep.alpha_bar == 2.0
+    assert rep.margin == 2.0
+    assert prof.alpha_bar == 2.0
 
 
 def test_validate_piecewise_linear():
     rep = fl.validate_habitat(fl.piecewise_linear(A=0.5, L=2.0))
     assert rep.ok, rep.failures
+    assert rep.margin == 0.5
 
 
 def test_validate_constant_one_flags_left_limit():
     rep = fl.validate_habitat(fl.constant_one())
     assert not rep.ok
-    assert "alpha2_left_negative" in rep.failures
-    assert rep.alpha_bar == 1.0
+    assert rep.failures == ("alpha2_left_negative",)
+    assert rep.margin == -1.0
 
 
-class _DecreasingProfile:
-    """A deliberately invalid profile: decreasing in xi."""
-
-    A = 0.5
-    L = 1.0
-
-    def alpha(self, xi):
-        return -np.tanh(np.asarray(xi, dtype=float))
-
-
-def test_validate_rejects_decreasing_profile():
-    rep = fl.validate_habitat(_DecreasingProfile())
-    assert not rep.ok
-    assert "alpha1_monotone" in rep.failures
+@pytest.mark.parametrize("prof", [
+    fl.logistic(A=0.5, L=2.0), fl.logistic(A=2.0, L=0.3), fl.logistic(A=0.1, L=5.0),
+    fl.piecewise_linear(A=0.5, L=2.0), fl.piecewise_linear(A=3.0, L=0.3),
+    fl.constant_one(),
+], ids=lambda p: f"{p.family}-{p.A:g}-{p.L:g}")
+def test_family_closed_form_facts_hold_on_samples(prof):
+    # what validate() takes from the closed form: nondecreasing, alpha(+inf) = 1,
+    # alpha(-inf) = -A, and no finite-difference slope above slope_bound()
+    xi = np.linspace(-40.0, 40.0, 80_001) * prof.L
+    vals = prof.alpha(xi)
+    assert np.all(np.diff(vals) >= 0.0)
+    assert prof.alpha(1e6 * prof.L) == pytest.approx(1.0, abs=1e-15)
+    assert prof.alpha(-1e6 * prof.L) == pytest.approx(-prof.A, abs=1e-15)
+    assert vals[-1] == pytest.approx(1.0, abs=1e-15)
+    assert vals[0] == pytest.approx(-prof.A, abs=1e-15)
+    slope = np.max(np.diff(vals) / np.diff(xi))
+    bound = prof.slope_bound()
+    assert slope <= bound * (1.0 + 1e-9)
+    # the bound is the supremum, which the samples come within 0.1% of
+    assert slope >= 0.999 * bound
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

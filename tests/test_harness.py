@@ -124,7 +124,7 @@ def test_minimal_config_defaults():
     assert cfg.values["params.s"] == 0.0
     assert cfg.values["kernel1.family"] == "raised_cosine"
     assert cfg.values["solver.dt"] == pytest.approx(
-        fl.dt_max(cfg.params, cfg.hypotheses.habitat.alpha_bar))
+        fl.dt_max(cfg.params, cfg.profile.alpha_bar))
     assert cfg.band is not None and cfg.band.kind == "theorem"
 
 
@@ -240,7 +240,7 @@ def test_observer_range_edges():
 def test_dt_above_dt_max_parses_and_echoes():
     # solver.dt is the snapshot clock and the first trial step, not a step bound
     cfg = H.parse_config_text(DESK + "solver.dt = 0.5\n")
-    assert cfg.values["solver.dt"] == 0.5 > fl.dt_max(cfg.params, cfg.hypotheses.habitat.alpha_bar)
+    assert cfg.values["solver.dt"] == 0.5 > fl.dt_max(cfg.params, cfg.profile.alpha_bar)
     assert "solver.dt = 0.5\n" in H.echo_config(cfg)
 
 
@@ -300,6 +300,24 @@ def test_echo_round_trips_for_random_valid_configs(drawn):
     again = H.parse_config_text(echoed)
     assert again.values == cfg.values
     assert H.echo_config(again) == echoed
+
+
+def test_constant_one_config_mirrors_the_horizon_and_simulates():
+    # the constant habitat is favorable on the left too, so the fronts spread
+    # both ways and the auto grid must reach as far left as it reaches right
+    text = (MINIMAL + "params.s = 0.118\nhabitat.family = constant_one\n"
+            "solver.t_final = 60.0\n")
+    cfg = H.parse_config_text(text)
+    logistic = H.parse_config_text(text.replace("constant_one", "logistic"))
+    assert cfg.values["grid.x_max"] == logistic.values["grid.x_max"]
+    assert cfg.values["grid.x_min"] == -cfg.values["grid.x_max"]
+    assert logistic.values["grid.x_min"] == -11.0
+    assert not cfg.hypotheses.alpha_ok
+    res = H.run_experiment(cfg)
+    for series in (res.u_left, res.v_left, res.u_series, res.v_series):
+        assert np.all(np.isfinite(series.positions))
+    # the prey's left front ends past where a logistic grid starts
+    assert res.u_left.positions[-1] < logistic.values["grid.x_min"]
 
 
 def test_band_falls_back_ahead_of_front():

@@ -13,6 +13,7 @@ def test_worked_margins(bench_params, unit_kernel):
     assert rep.k2 == pytest.approx(1.0 - 0.475, abs=1e-12)
     assert rep.k == pytest.approx(min(rep.k1, rep.k2))
     assert rep.d1_ok and rep.d2_ok and rep.h1_ok and rep.alpha_ok and rep.s_ok
+    assert rep.alpha_margin == 0.5  # A, the depth of the unfavorable limit
     assert rep.all_ok
 
 
@@ -33,6 +34,20 @@ def test_shift_too_fast(bench_params, bench_speeds, unit_kernel):
     assert rep.s_margin < 0.0
 
 
+def test_shift_margin_subtracts_the_quadrature_error_bound(bench_speeds, unit_kernel):
+    # each speed is (d*(M - 1) + r*k)/lam with M certified to relative 1e-10,
+    # so a shift 1e-6 below s_underline still passes
+    sp = bench_speeds
+    s = sp.s_underline - 1e-6
+    params = fl.Params(d1=1, d2=1, r1=0.5, r2=0.4, a=0.5, b=1.5, s=s)
+    rep = fl.check_hypotheses(params, fl.logistic(0.5, 1.0), unit_kernel, unit_kernel)
+    tol = 1e-10 * max(unit_kernel.mgf(sp.rate1) / sp.rate1,
+                      unit_kernel.mgf(sp.rate2) / sp.rate2)
+    assert 0.0 < tol < 1e-9
+    assert rep.s_margin == pytest.approx(sp.s_underline - s - tol, rel=0.0, abs=1e-15)
+    assert rep.s_ok
+
+
 def test_alpha_bar_uses_habitat_depth(unit_kernel):
     params = fl.Params(d1=2, d2=2, r1=0.5, r2=0.4, a=0.5, b=1.5, s=0.0)
     shallow = fl.check_hypotheses(params, fl.logistic(0.5, 1.0), unit_kernel, unit_kernel)
@@ -44,6 +59,7 @@ def test_constant_one_flagged_but_reported(unit_kernel):
     params = fl.Params(d1=1, d2=1, r1=0.5, r2=0.4, a=0.5, b=1.5, s=0.0)
     rep = fl.check_hypotheses(params, fl.constant_one(), unit_kernel, unit_kernel)
     assert not rep.alpha_ok
+    assert rep.alpha_margin == -1.0
     assert rep.k1 == pytest.approx(0.225, abs=1e-12)
 
 

@@ -158,6 +158,16 @@ def test_frame_band_min_band_beyond_grid():
         fl.frame_band_min(traj, band, "u")
 
 
+def test_frame_band_min_mirrored_band_left_of_grid():
+    # the right band [0.3t, 0.5t] lies on the grid; its mirror lies wholly
+    # left of x_min = -10 and must not be read off the wall cell
+    plateau = lambda x, t: np.where(x <= 0.25 * t, 0.5, 0.0)
+    traj = _synthetic_trajectory(plateau)
+    band = fl.FrameBandSpec(c_lo=0.3, c_hi=0.5, eta=0.05, epsilon=0.01, two_sided=True)
+    with pytest.raises(ConfigError, match=r"band \[-25, -15\] ends before the grid start -10"):
+        fl.frame_band_min(traj, band, "u")
+
+
 def test_theorem_band_margin_validation():
     with pytest.raises(ConfigError):
         fl.theorem_band(s=0.2, s_underline=0.3, eta=0.06, epsilon=0.01)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import integrate, optimize
 
 import frontlab as fl
 from frontlab.errors import BracketFailureError, HypothesisViolationError
@@ -101,6 +101,36 @@ def test_min_speed_rate_is_tangent(d, r, k, kernel):
     # At the minimizer the candidate speed equals its tangent slope d*M'(rate).
     res = fl.min_speed(fl.SpeedProblem(d=d, r=r, k=k, kernel=kernel))
     assert abs(d * fl.tilted_mean(kernel, res.rate) - res.speed) <= 1e-12 * res.speed
+
+
+_REFERENCE_DENSITIES = {
+    "raised_cosine": lambda y: (1.0 + np.cos(np.pi * y)) / 2.0,
+    "smooth_bump": lambda y: np.exp(-1.0 / (1.0 - y * y)) if abs(y) < 1.0 else 0.0,
+}
+
+
+def _reference_speed(family, d, r, k):
+    """Minimum of (d*(M(lam) - 1) + r*k)/lam, from the unit-radius density
+    alone: scipy's quad at epsrel 1e-13 and its bounded scalar minimizer."""
+    density = _REFERENCE_DENSITIES[family]
+    mass = integrate.quad(density, -1.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    def speed(lam):
+        tilted = integrate.quad(lambda y: density(y) * math.exp(lam * y), -1.0, 1.0,
+                                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        return (d * (tilted / mass - 1.0) + r * k) / lam
+
+    return optimize.minimize_scalar(speed, bounds=(1e-3, 50.0), method="bounded",
+                                    options={"xatol": 1e-10}).fun
+
+
+@pytest.mark.parametrize("family", sorted(_REFERENCE_DENSITIES))
+@pytest.mark.parametrize("d, r, k", [(1.0, 0.5, 1.0), (1.0, 0.4, 0.5)])
+def test_min_speed_matches_a_scipy_reference(family, d, r, k):
+    # the shift margin allows each speed its quadrature error, about 1e-10 relative
+    kernel = fl.raised_cosine(1.0) if family == "raised_cosine" else fl.smooth_bump(1.0)
+    got = fl.min_speed(fl.SpeedProblem(d=d, r=r, k=k, kernel=kernel)).speed
+    assert got == pytest.approx(_reference_speed(family, d, r, k), rel=1e-12, abs=0.0)
 
 
 def test_min_speed_bracket_failure(unit_kernel):
