@@ -4,6 +4,14 @@ Format: one ``section.key = value`` per line, ``#`` comments, blank lines
 ignored.  Every default is resolved at parse time and recorded in the
 echo, so parsing an echoed config reproduces the validated configuration
 bit for bit.
+
+The frame band follows from the model: none when ``b <= 1``, the theorem
+band ``[(s+eta)t, (s_underline-eta)t]`` when ``s < s_underline`` (an
+explicit ``band.eta`` must lie in ``(0, (s_underline - s)/2)``), and the
+probe band ``[(s_underline+eta)t, (s_underline+2*eta)t]`` ahead of the
+front otherwise.  The auto ``grid.x_max`` reaches the band's upper edge at
+``t_final``, so a band that would leave the grid fails here, not after the
+run.
 """
 
 from __future__ import annotations
@@ -72,12 +80,9 @@ _KEYS: dict[str, tuple] = {
     "solver.dt": ("afloat", "auto", *_POSITIVE),
     "solver.t_final": ("float", 100.0, *_POSITIVE),
     "solver.snapshot_stride": ("aint", "auto", *_COUNT),
-    "solver.boundary_monitor": ("str", "both", *_one_of("both", "left", "right", "none")),
     "band.eta": ("afloat", "auto", *_POSITIVE),
     "band.epsilon": ("float", 1e-2, *_POSITIVE),
     "band.t_window": ("float", 0.5, *_FRACTION),
-    "band.two_sided": ("bool", False, *_ANY),
-    "band.mode": ("str", "auto", *_one_of("auto", "theorem", "ahead", "none")),
     "observer.theta": ("float", 0.1, "in (0, 1)", lambda x: 0.0 < x < 1.0),
     "observer.window_fraction": ("float", 0.5, *_FRACTION),
     "subsolution.c": ("afloat", "auto", *_POSITIVE),
@@ -113,10 +118,6 @@ def _parse_value(key: str, raw: str):
             if raw == "auto":
                 return "auto"
             return float(raw) if kind == "afloat" else int(raw)
-        if kind == "bool":
-            if raw in ("true", "false"):
-                return raw == "true"
-            raise ValueError(raw)
         return raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
@@ -147,7 +148,6 @@ class ExperimentConfig:
     dt: float
     t_final: float
     snapshot_stride: int
-    boundary_monitor: str
     band: FrameBandSpec | None
     theta: float
     window_fraction: float
@@ -237,7 +237,19 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     v_spec = BumpSpec(values["initial.v_center"], values["initial.v_half_width"],
                       values["initial.v_height"])
 
-    # Grid defaults: spacing from the kernels, horizon from the speeds.
+    # Frame band (see the module docstring).  With b <= 1 there is no
+    # slower-species speed: band keys stay "auto".
+    band: FrameBandSpec | None = None
+    if sp is not None:
+        s_under = sp.s_underline
+        gap = s_under - params.s
+        if values["band.eta"] == "auto":
+            values["band.eta"] = 0.1 * gap if gap > 0.0 else 0.1 * s_under
+        spec = values["band.eta"], values["band.epsilon"], values["band.t_window"]
+        band = theorem_band(params.s, s_under, *spec) if gap > 0.0 else ahead_band(s_under, *spec)
+
+    # Grid defaults: spacing from the kernels, horizon from the speeds
+    # and the band.
     r_min = min(kernel1.support_radius, kernel2.support_radius)
     halo = max(kernel1.support_radius, kernel2.support_radius)
     if values["grid.dx"] == "auto":
@@ -273,7 +285,8 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     margin = values["grid.margin"]
     support_lo = min(u_spec.center - u_spec.half_width, v_spec.center - v_spec.half_width)
     support_hi = max(u_spec.center + u_spec.half_width, v_spec.center + v_spec.half_width)
-    required_x_max = support_hi + halo + (base_speed + margin) * t_final + 10.0
+    horizon_speed = base_speed + margin if band is None else max(base_speed + margin, band.c_hi)
+    required_x_max = support_hi + halo + horizon_speed * t_final + 10.0
     # A favorable left limit (-A > 0) lets the fronts spread left as well.
     required_x_min = (support_lo - halo - (base_speed + margin) * t_final - 10.0
                       if profile.A < 0.0 else support_lo - halo - 5.0)
@@ -283,7 +296,7 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     x_max_origin = ""
     if values["grid.x_max"] == "auto":
         values["grid.x_max"] = required_x_max
-        x_max_origin = " (auto, from solver.t_final and grid.margin)"
+        x_max_origin = " (auto, from solver.t_final, grid.margin and the band)"
     if values["grid.x_min"] == "auto":
         values["grid.x_min"] = required_x_min
     if values["grid.x_max"] < required_x_max - 1e-9:
@@ -302,25 +315,6 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
             f"{2.0 * n_snapshots * n_points:.4g} values, more than 2**31")
     grid = grid_from_spacing(values["grid.x_min"], values["grid.x_max"], dx)
 
-    # Frame band: theorem band between s and the slower speed when it
-    # exists, probe band ahead of the front otherwise.
-    band: FrameBandSpec | None = None
-    mode = values["band.mode"]
-    if sp is not None and mode != "none":
-        s_under = sp.s_underline
-        gap = s_under - params.s
-        if values["band.eta"] == "auto":
-            values["band.eta"] = 0.1 * gap if gap > 0.0 else 0.1 * s_under
-        eta = values["band.eta"]
-        epsilon = values["band.epsilon"]
-        t_window = values["band.t_window"]
-        two_sided = values["band.two_sided"]
-        if mode == "theorem" or (mode == "auto" and 0.0 < eta < gap / 2.0):
-            band = theorem_band(params.s, s_under, eta, epsilon, t_window, two_sided)
-        elif mode == "ahead" or mode == "auto":
-            band = ahead_band(s_under, eta, epsilon, t_window, two_sided)
-    # With b <= 1 there is no slower-species speed: band keys stay "auto".
-
     if values["subsolution.c"] == "auto" and sp is not None:
         values["subsolution.c"] = 0.5 * (params.s + sp.s_underline)
 
@@ -329,7 +323,7 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         profile=profile, hypotheses=hypotheses, speeds=sp, prey=prey, grid=grid,
         u_spec=u_spec, v_spec=v_spec, dt=dt, t_final=t_final,
         snapshot_stride=values["solver.snapshot_stride"],
-        boundary_monitor=values["solver.boundary_monitor"], band=band,
+        band=band,
         theta=values["observer.theta"], window_fraction=values["observer.window_fraction"],
         base_dir=base_dir,
     )

@@ -86,7 +86,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         traj = simulate(cfg.params, cfg.profile, cfg.kernel1, cfg.kernel2, cfg.grid,
                         initial, dt=cfg.dt, t_final=cfg.t_final,
                         snapshot_stride=cfg.snapshot_stride,
-                        boundary_monitor=cfg.boundary_monitor,
                         on_snapshot=None if writer is None else writer.write)
         result = ExperimentResult(
             config=cfg, trajectory=traj,

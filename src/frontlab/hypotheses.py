@@ -27,11 +27,9 @@ from .speeds import SystemSpeeds, system_speeds
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    h1_ok: bool
-    d1_ok: bool
-    d2_ok: bool
-    s_ok: bool
-    alpha_ok: bool
+    """Each clause's margin; a clause holds when its margin is positive
+    (a NaN ``s_margin``, with no speeds when ``b <= 1``, fails)."""
+
     k1: float
     k2: float
     k: float
@@ -42,18 +40,18 @@ class HypothesisReport:
 
     @property
     def all_ok(self) -> bool:
-        return self.h1_ok and self.d1_ok and self.d2_ok and self.s_ok and self.alpha_ok
+        return all(ok for _, _, ok in self.rows())
 
     def rows(self) -> list[tuple[str, float, bool]]:
         """(clause, margin, ok) rows in a fixed order for reporting."""
-        return [
-            ("h1_b_gt_1", self.h1_margin, self.h1_ok),
-            ("d1_inequality", self.k1, self.d1_ok),
-            ("d2_inequality", self.k2, self.d2_ok),
-            ("shift_below_speeds", self.s_margin, self.s_ok),
-            ("habitat_assumptions", self.alpha_margin, self.alpha_ok),
-            ("k_min_constant", self.k, self.k > 0.0),
-        ]
+        return [(clause, margin, bool(margin > 0.0)) for clause, margin in (
+            ("h1_b_gt_1", self.h1_margin),
+            ("d1_inequality", self.k1),
+            ("d2_inequality", self.k2),
+            ("shift_below_speeds", self.s_margin),
+            ("habitat_assumptions", self.alpha_margin),
+            ("k_min_constant", self.k),
+        )]
 
 
 def _speed_error(p: Params, sp: SystemSpeeds) -> float:
@@ -88,11 +86,6 @@ def check_hypotheses(params: Params, profile: HabitatProfile, kernel1: Kernel,
         sp = None
         s_margin = float("nan")
     return HypothesisReport(
-        h1_ok=h1_margin > 0.0,
-        d1_ok=k1 > 0.0,
-        d2_ok=k2 > 0.0,
-        s_ok=bool(s_margin > 0.0),
-        alpha_ok=hv.ok,
         k1=k1,
         k2=k2,
         k=k,

@@ -40,7 +40,8 @@ class SpeedEstimate:
 
 @dataclass(frozen=True)
 class FrameBandSpec:
-    """A moving band of frame speeds [c_lo * t, c_hi * t] to scan.
+    """A moving band of frame speeds [c_lo * t, c_hi * t] to scan, on the
+    side the habitat edge moves to.
 
     ``eta`` records the margin used to build the band; ``kind`` says how
     (theorem band between the shift and the slower species speed, or a
@@ -53,7 +54,6 @@ class FrameBandSpec:
     eta: float
     epsilon: float
     t_window: float = 0.5
-    two_sided: bool = False
     kind: str = "theorem"
 
     def __post_init__(self):
@@ -66,25 +66,23 @@ class FrameBandSpec:
 
 
 def theorem_band(s: float, s_underline: float, eta: float, epsilon: float,
-                 t_window: float = 0.5, two_sided: bool = False) -> FrameBandSpec:
+                 t_window: float = 0.5) -> FrameBandSpec:
     """The persistence band [(s+eta)t, (s_underline-eta)t]."""
     if not 0.0 < eta < (s_underline - s) / 2.0:
         raise ConfigError(
-            f"band margin eta={eta:g} must lie in (0, (s_underline - s)/2 = "
-            f"{(s_underline - s) / 2.0:g})")
+            f"band.eta={eta:g} must lie in (0, (s_underline - s)/2 = "
+            f"{(s_underline - s) / 2.0:g}) for the theorem band")
     return FrameBandSpec(c_lo=s + eta, c_hi=s_underline - eta, eta=eta,
-                         epsilon=epsilon, t_window=t_window, two_sided=two_sided,
-                         kind="theorem")
+                         epsilon=epsilon, t_window=t_window, kind="theorem")
 
 
 def ahead_band(s_underline: float, eta: float, epsilon: float,
-               t_window: float = 0.5, two_sided: bool = False) -> FrameBandSpec:
+               t_window: float = 0.5) -> FrameBandSpec:
     """A probe band [(s_underline+eta)t, (s_underline+2*eta)t] ahead of the front."""
     if not eta > 0.0:
         raise ConfigError("band margin eta must be positive")
     return FrameBandSpec(c_lo=s_underline + eta, c_hi=s_underline + 2.0 * eta, eta=eta,
-                         epsilon=epsilon, t_window=t_window, two_sided=two_sided,
-                         kind="ahead")
+                         epsilon=epsilon, t_window=t_window, kind="ahead")
 
 
 @dataclass(frozen=True)
@@ -94,8 +92,6 @@ class PersistenceReport:
     epsilon: float
     band_min: float
     verdict: str          # persists / extinct / inconclusive
-    sides: str            # "right" or "both"
-    band_kind: str
     t_first: float
     t_last: float
 
@@ -199,10 +195,7 @@ def frame_band_min(traj: Trajectory, band: FrameBandSpec, species: str) -> Persi
         if t < t_cut or t <= 0.0:
             continue
         lo, hi = band.c_lo * t, band.c_hi * t
-        m = _band_min_at(x, field[i], lo, hi)
-        if band.two_sided:
-            m = min(m, _band_min_at(x, field[i], -hi, -lo))
-        band_min = min(band_min, m)
+        band_min = min(band_min, _band_min_at(x, field[i], lo, hi))
         t_first = t if t_first is None else t_first
         t_last = t
     if t_first is None:
@@ -216,9 +209,7 @@ def frame_band_min(traj: Trajectory, band: FrameBandSpec, species: str) -> Persi
         verdict = "inconclusive"
     return PersistenceReport(species=species, eta=band.eta, epsilon=band.epsilon,
                              band_min=band_min, verdict=verdict,
-                             sides="both" if band.two_sided else "right",
-                             band_kind=band.kind, t_first=float(t_first),
-                             t_last=float(t_last))
+                             t_first=float(t_first), t_last=float(t_last))
 
 
 def decay_sup(traj: Trajectory, c: float, species: str) -> tuple[np.ndarray, np.ndarray]:

@@ -95,8 +95,7 @@ def test_simulate_out_flag_overrides_env(cfg_file, tmp_path):
 
 @pytest.mark.parametrize("old, new", [
     ("params.b = 1.5\n", "params.b = 0.9\n"),
-    ("solver.t_final", "band.mode = none\nsolver.t_final"),
-], ids=["weak-predator", "band-mode-none"])
+], ids=["weak-predator"])
 def test_simulate_prints_the_persistence_rows_without_a_band(tmp_path, old, new):
     path = tmp_path / "noband.cfg"
     # initial.v_height may not exceed max(b - 1, 0)

@@ -22,7 +22,7 @@ params.a = 0.5
 params.b = 1.5
 """
 
-# The echo of MINIMAL, pinned as text: all 46 keys, their defaults and their order.
+# The echo of MINIMAL, pinned as text: all 43 keys, their defaults and their order.
 MINIMAL_ECHO = """# resolved experiment configuration (all defaults explicit)
 
 # [params]
@@ -67,14 +67,11 @@ initial.v_height = 0.25
 solver.dt = 0.060150375939849621
 solver.t_final = 100
 solver.snapshot_stride = 8
-solver.boundary_monitor = both
 
 # [band]
 band.eta = 0.023682813590736696
 band.epsilon = 0.01
 band.t_window = 0.5
-band.two_sided = false
-band.mode = auto
 
 # [observer]
 observer.theta = 0.10000000000000001
@@ -147,6 +144,16 @@ def test_removed_observer_side_is_an_unknown_key():
     assert "observer.side" in str(err.value)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("band.mode", "auto"), ("band.two_sided", "false"), ("solver.boundary_monitor", "both"),
+])
+def test_deleted_band_and_monitor_keys_are_unknown(key, value):
+    # the band follows from b and s, and config runs monitor both walls
+    with pytest.raises(ConfigError) as err:
+        H.parse_config_text(MINIMAL + f"{key} = {value}\n")
+    assert str(err.value) == f"unknown configuration key: {key!r}"
+
+
 def test_missing_required_key_named():
     with pytest.raises(ConfigError) as err:
         H.parse_config_text("params.d1 = 1.0\n")
@@ -155,7 +162,7 @@ def test_missing_required_key_named():
 
 def test_minimal_echo_golden():
     assert H.echo_config(H.parse_config_text(MINIMAL)) == MINIMAL_ECHO
-    assert len(config._KEYS) == 46
+    assert len(config._KEYS) == 43
 
 
 def test_prey_speed_computed_once_per_weak_predator_config(monkeypatch, tmp_path):
@@ -205,9 +212,9 @@ def test_out_of_range_key_rejected_and_named(key, value):
 
 # Candidate values per kind; the table decides which are out of range.
 _CANDIDATES = {"float": ("-1", "0", "1", "2", "-inf", "inf", "nan"),
-               "int": ("-3", "0"), "str": ("banana", "auto"), "bool": ()}
+               "int": ("-3", "0"), "str": ("banana", "auto")}
 _CANDIDATES["afloat"], _CANDIDATES["aint"] = _CANDIDATES["float"], _CANDIDATES["int"]
-_UNRANGED = ("kernel1.file", "kernel2.file", "band.two_sided")
+_UNRANGED = ("kernel1.file", "kernel2.file")
 
 
 @pytest.mark.parametrize("key", [k for k in config._KEYS if k not in _UNRANGED])
@@ -224,9 +231,8 @@ def test_every_ranged_key_rejects_out_of_range_values(key):
 
 
 def test_unranged_keys_accept_any_value():
-    cfg = H.parse_config_text(DESK + "kernel2.file = unused.txt\nband.two_sided = true\n")
+    cfg = H.parse_config_text(DESK + "kernel2.file = unused.txt\n")
     assert cfg.values["kernel2.file"] == "unused.txt"
-    assert cfg.band.two_sided
 
 
 def test_observer_range_edges():
@@ -268,9 +274,8 @@ def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
-# Valid ranges for every drawn key.  b below 1 takes the prey-only path; "auto"
-# picks the theorem band when s is below s_underline and the ahead band when not,
-# and "theorem" is left out because it fails for s past s_underline.
+# Valid ranges for every drawn key.  b below 1 takes the prey-only path; the
+# band is the theorem band when s is below s_underline and the ahead band when not.
 _RANDOM_KEYS = {
     "params.d1": _floats(0.2, 2.0), "params.d2": _floats(0.2, 2.0),
     "params.r1": _floats(0.1, 1.0), "params.r2": _floats(0.1, 1.0),
@@ -284,9 +289,6 @@ _RANDOM_KEYS = {
     "habitat.A": _floats(0.1, 3.0), "habitat.L": _floats(0.5, 5.0),
     "initial.u_center": _floats(-5.0, 5.0), "initial.u_height": _floats(0.0, 1.0),
     "solver.t_final": _floats(1.0, 100.0),
-    "solver.boundary_monitor": st.sampled_from(["both", "left", "right", "none"]),
-    "band.two_sided": st.booleans(),
-    "band.mode": st.sampled_from(["auto", "ahead", "none"]),
     "observer.theta": _floats(0.01, 0.99),
 }
 
@@ -312,7 +314,7 @@ def test_constant_one_config_mirrors_the_horizon_and_simulates():
     assert cfg.values["grid.x_max"] == logistic.values["grid.x_max"]
     assert cfg.values["grid.x_min"] == -cfg.values["grid.x_max"]
     assert logistic.values["grid.x_min"] == -11.0
-    assert not cfg.hypotheses.alpha_ok
+    assert ("habitat_assumptions", -1.0, False) in cfg.hypotheses.rows()
     res = H.run_experiment(cfg)
     for series in (res.u_left, res.v_left, res.u_series, res.v_series):
         assert np.all(np.isfinite(series.positions))
@@ -325,6 +327,41 @@ def test_band_falls_back_ahead_of_front():
     assert cfg.band is not None
     assert cfg.band.kind == "ahead"
     assert cfg.band.c_lo > cfg.speeds.s_underline
+
+
+def test_theorem_band_eta_too_wide_fails_before_the_run(monkeypatch):
+    # README's exp.cfg (its habitat keys are the defaults): s_underline - s is
+    # 0.1188, so eta = 0.1 leaves an empty theorem band; it used to fall back
+    # to the ahead band [0.337t, 0.437t] without a word
+    calls = _count_calls(monkeypatch, fl.simulate)
+    text = MINIMAL + "params.s = 0.118\nsolver.t_final = 50.0\nband.eta = 0.1\n"
+    with pytest.raises(ConfigError, match=r"^band\.eta=0\.1 must lie in \(0, "):
+        H.run_experiment(H.parse_config_text(text))
+    assert calls == []
+
+
+@pytest.mark.parametrize("eta, x_max", [(0.5, 139.6828135907367), (0.2, 79.6828135907367)])
+def test_band_past_the_speed_horizon_sets_the_grid_end_at_parse(monkeypatch, eta, x_max):
+    # s past s_underline = 0.2368: the ahead band [(s_underline + eta)t,
+    # (s_underline + 2 eta)t] reaches past the speeds' horizon, x_max = 62
+    text = MINIMAL + "params.s = 0.41\nsolver.t_final = 100.0\n"
+    assert H.parse_config_text(text).values["grid.x_max"] == 62.0
+    calls = _count_calls(monkeypatch, fl.simulate)
+    with pytest.raises(ConfigError, match=r"^grid\.x_max=62 too small .* need x_max >= "):
+        H.run_experiment(H.parse_config_text(text + f"band.eta = {eta}\ngrid.x_max = 62\n"))
+    assert calls == []
+    cfg = H.parse_config_text(text + f"band.eta = {eta}\n")
+    assert cfg.band.kind == "ahead"
+    assert cfg.values["grid.x_max"] == pytest.approx(x_max, rel=1e-15)
+    assert cfg.grid.x[-1] >= cfg.band.c_hi * cfg.t_final
+
+
+def test_band_past_the_speed_horizon_runs_and_reports_both_verdicts():
+    cfg = H.parse_config_text(MINIMAL + "params.s = 0.41\nsolver.t_final = 100.0\n"
+                              "band.eta = 0.5\n")
+    res = H.run_experiment(cfg)
+    assert [row[0] for row in res.persistence_rows()] == ["u", "v"]
+    assert res.u_report.verdict == res.v_report.verdict == "extinct"
 
 
 def test_weak_predator_config_roundtrips_without_band():

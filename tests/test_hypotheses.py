@@ -1,8 +1,15 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frontlab as fl
+
+
+def _ok(rep) -> dict:
+    """Each clause's ``ok`` as ``hypotheses.csv`` prints it."""
+    return {clause: ok for clause, _, ok in rep.rows()}
 
 
 def test_worked_margins(bench_params, unit_kernel):
@@ -12,7 +19,7 @@ def test_worked_margins(bench_params, unit_kernel):
     assert rep.k1 == pytest.approx(1.0 - 0.775, abs=1e-12)
     assert rep.k2 == pytest.approx(1.0 - 0.475, abs=1e-12)
     assert rep.k == pytest.approx(min(rep.k1, rep.k2))
-    assert rep.d1_ok and rep.d2_ok and rep.h1_ok and rep.alpha_ok and rep.s_ok
+    assert list(_ok(rep).values()) == [True] * 6
     assert rep.alpha_margin == 0.5  # A, the depth of the unfavorable limit
     assert rep.all_ok
 
@@ -20,9 +27,11 @@ def test_worked_margins(bench_params, unit_kernel):
 def test_h1_boundary(unit_kernel):
     params = fl.Params(d1=1, d2=1, r1=0.5, r2=0.4, a=0.5, b=1.0, s=0.0)
     rep = fl.check_hypotheses(params, fl.logistic(0.5, 1.0), unit_kernel, unit_kernel)
-    assert not rep.h1_ok
-    assert rep.h1_margin == 0.0
+    assert rep.rows()[0] == ("h1_b_gt_1", 0.0, False)
     assert rep.speeds is None
+    # no speeds: the shift margin is NaN, and NaN is not positive
+    clause, margin, ok = rep.rows()[3]
+    assert clause == "shift_below_speeds" and math.isnan(margin) and ok is False
     assert not rep.all_ok
 
 
@@ -30,7 +39,7 @@ def test_shift_too_fast(bench_params, bench_speeds, unit_kernel):
     params = fl.Params(d1=1, d2=1, r1=0.5, r2=0.4, a=0.5, b=1.5,
                        s=2.0 * bench_speeds.s_underline)
     rep = fl.check_hypotheses(params, fl.logistic(0.5, 1.0), unit_kernel, unit_kernel)
-    assert not rep.s_ok
+    assert not _ok(rep)["shift_below_speeds"]
     assert rep.s_margin < 0.0
 
 
@@ -45,7 +54,7 @@ def test_shift_margin_subtracts_the_quadrature_error_bound(bench_speeds, unit_ke
                       unit_kernel.mgf(sp.rate2) / sp.rate2)
     assert 0.0 < tol < 1e-9
     assert rep.s_margin == pytest.approx(sp.s_underline - s - tol, rel=0.0, abs=1e-15)
-    assert rep.s_ok
+    assert _ok(rep)["shift_below_speeds"]
 
 
 def test_alpha_bar_uses_habitat_depth(unit_kernel):
@@ -58,7 +67,7 @@ def test_alpha_bar_uses_habitat_depth(unit_kernel):
 def test_constant_one_flagged_but_reported(unit_kernel):
     params = fl.Params(d1=1, d2=1, r1=0.5, r2=0.4, a=0.5, b=1.5, s=0.0)
     rep = fl.check_hypotheses(params, fl.constant_one(), unit_kernel, unit_kernel)
-    assert not rep.alpha_ok
+    assert not _ok(rep)["habitat_assumptions"]
     assert rep.alpha_margin == -1.0
     assert rep.k1 == pytest.approx(0.225, abs=1e-12)
 
@@ -71,7 +80,8 @@ def test_k_positive_iff_both_inequalities(d1, d2, r1, r2, a, b):
     kernel = fl.raised_cosine(1.0)
     params = fl.Params(d1=d1, d2=d2, r1=r1, r2=r2, a=a, b=b, s=0.0)
     rep = fl.check_hypotheses(params, fl.logistic(0.5, 1.0), kernel, kernel)
-    assert (rep.k > 0.0) == (rep.d1_ok and rep.d2_ok)
+    ok = _ok(rep)
+    assert ok["k_min_constant"] == (ok["d1_inequality"] and ok["d2_inequality"])
     # the reported inequality margins are exactly the two decay constants
     assert [row[1] for row in rep.rows()[1:3]] == [rep.k1, rep.k2]
 
@@ -83,7 +93,7 @@ def test_report_rows_fixed_order(bench_params, unit_kernel):
     assert names == ["h1_b_gt_1", "d1_inequality", "d2_inequality",
                      "shift_below_speeds", "habitat_assumptions", "k_min_constant"]
     for _, margin, ok in rep.rows():
-        assert ok == (margin > 0.0)
+        assert ok is (margin > 0.0)
 
 
 def test_report_deterministic(bench_params, unit_kernel):

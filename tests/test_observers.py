@@ -137,34 +137,11 @@ def test_frame_band_min_wider_band_not_larger():
     assert wide.band_min <= narrow.band_min + 1e-12
 
 
-def test_frame_band_min_two_sided():
-    # asymmetric field: healthy to the right of the origin, depleted left
-    lopsided = lambda x, t: np.where(x <= 0.25 * t, np.where(x >= -0.25 * t, 0.5, 0.0), 0.0) \
-        * np.where(x < 0, 0.1, 1.0)
-    traj = _synthetic_trajectory(lopsided, x_min=-100.0, x_max=100.0, n=801)
-    one = fl.frame_band_min(traj, fl.FrameBandSpec(0.1, 0.2, 0.05, 0.01), "u")
-    both = fl.frame_band_min(traj, fl.FrameBandSpec(0.1, 0.2, 0.05, 0.01,
-                                                    two_sided=True), "u")
-    assert one.sides == "right" and both.sides == "both"
-    assert one.band_min == pytest.approx(0.5)
-    assert both.band_min == pytest.approx(0.05)
-
-
 def test_frame_band_min_band_beyond_grid():
     plateau = lambda x, t: np.where(x <= 0.25 * t, 0.5, 0.0)
     traj = _synthetic_trajectory(plateau)
     band = fl.FrameBandSpec(c_lo=2.0, c_hi=3.0, eta=0.05, epsilon=0.01)
     with pytest.raises(ConfigError):
-        fl.frame_band_min(traj, band, "u")
-
-
-def test_frame_band_min_mirrored_band_left_of_grid():
-    # the right band [0.3t, 0.5t] lies on the grid; its mirror lies wholly
-    # left of x_min = -10 and must not be read off the wall cell
-    plateau = lambda x, t: np.where(x <= 0.25 * t, 0.5, 0.0)
-    traj = _synthetic_trajectory(plateau)
-    band = fl.FrameBandSpec(c_lo=0.3, c_hi=0.5, eta=0.05, epsilon=0.01, two_sided=True)
-    with pytest.raises(ConfigError, match=r"band \[-25, -15\] ends before the grid start -10"):
         fl.frame_band_min(traj, band, "u")
 
 
