@@ -119,8 +119,8 @@ to stepping the whole grid.  The window only grows, to the nonzero cells
 that the floor's comparison marks, until it covers the grid.  When it
 grows, the cells it gains are +0.0 and read only zeros, so the carried
 last stage is extended by zeros, not recomputed.  The boundary monitor
-divides the wall cells by each row's maximum over the window, which is
-the grid's wherever it clears the monitor's peak floor of 1e-8.
+divides the wall cells by each row's largest snapshot maximum so far over
+the window, the grid's wherever it clears the monitor's peak floor of 1e-8.
 """
 
 from __future__ import annotations
@@ -603,8 +603,8 @@ class Trajectory:
         return float(self.times[-1])
 
 
-# Below this peak a species is in global decay: no front exists, so the
-# edge-to-peak ratio stops meaning anything.
+# A species that never peaked above this has no front, so the edge-to-peak
+# ratio means nothing for it.
 _MONITOR_PEAK_FLOOR = 1e-8
 
 
@@ -639,8 +639,9 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
     clips them to land on every snapshot time.  The
     boundary monitor watches the outermost grid cells of the selected
     sides ("both", "left", "right", or "none"): density above 1e-6 of the
-    species peak records a domain-too-small warning, above 1e-3 the run
-    aborts because a front has reached the wall.  ``initial`` is not modified.
+    species' largest snapshot peak so far (a dying species' peak falls) records
+    a domain-too-small warning, above 1e-3 the run aborts because a front has
+    reached the wall.  ``initial`` is not modified.
 
     ``on_snapshot(t, u_row, v_row)``, when given, is called once for every
     stored snapshot, in order and as soon as it is stored, starting with
@@ -698,13 +699,15 @@ def simulate(params: Params, profile: HabitatProfile, kernel1: Kernel, kernel2: 
 
     boundary_warning = False
     max_boundary_fraction = 0.0
+    tops = np.zeros(len(names))  # each live row's largest snapshot maximum so far
 
     def check_boundary(t: float):
         nonlocal boundary_warning, max_boundary_fraction
-        for w, peak, name in zip(ys, peaks.tolist(), names):
-            if peak <= _MONITOR_PEAK_FLOOR:
+        np.maximum(tops, peaks, out=tops)
+        for w, top, name in zip(ys, tops.tolist(), names):
+            if top <= _MONITOR_PEAK_FLOOR:
                 continue
-            frac = float(w[ends].max(initial=0.0)) / peak
+            frac = float(w[ends].max(initial=0.0)) / top
             max_boundary_fraction = max(max_boundary_fraction, frac)
             if frac > 1e-3:
                 raise BoundaryContaminationError(

@@ -9,9 +9,9 @@ The frame band follows from the model: none when ``b <= 1``, the theorem
 band ``[(s+eta)t, (s_underline-eta)t]`` when ``s < s_underline`` (an
 explicit ``band.eta`` must lie in ``(0, (s_underline - s)/2)``), and the
 probe band ``[(s_underline+eta)t, (s_underline+2*eta)t]`` ahead of the
-front otherwise.  The auto ``grid.x_max`` reaches the band's upper edge at
-``t_final``, so a band that would leave the grid fails here, not after the
-run.
+front otherwise.  The auto ``grid.x_max`` is ``max(support_hi, 0) + halo +
+max(c, band's upper speed) * t_final + 10``, ``c = max(s*, s) + 0.05`` with
+``s*`` the prey's speed, so a band that would leave the grid fails here.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ _KEYS: dict[str, tuple] = {
     "grid.x_min": ("afloat", "auto", *_FINITE),
     "grid.x_max": ("afloat", "auto", *_FINITE),
     "grid.dx": ("afloat", "auto", *_POSITIVE),
-    "grid.margin": ("afloat", "auto", *_NONNEGATIVE),
     "initial.u_center": ("float", 0.0, *_FINITE),
     "initial.u_half_width": ("float", 5.0, *_POSITIVE),
     "initial.u_height": ("float", 0.5, "in [0, 1]", lambda x: 0.0 <= x <= 1.0),
@@ -272,31 +271,23 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     stride = values["solver.snapshot_stride"]
     n_snapshots = 1 + (n_steps + stride - 1) // stride  # as simulate allocates them
 
-    prey = None
-    if sp is not None:
-        fast = max(sp.s_star, sp.s_lower_star, params.s)
-        base_speed = sp.s_underline
-    else:
-        prey = prey_speed(params, kernel1)
-        fast = max(prey.speed, params.s)
-        base_speed = fast
-    if values["grid.margin"] == "auto":
-        values["grid.margin"] = fast - base_speed + 0.05
-    margin = values["grid.margin"]
+    # The predator cannot outrun its prey (past the prey's front its growth
+    # rate -1 + b*u - v is negative); the wall monitor catches a wrong bound.
+    prey = prey_speed(params, kernel1) if sp is None else None
+    c = max(sp.s_star if prey is None else prey.speed, params.s) + 0.05
     support_lo = min(u_spec.center - u_spec.half_width, v_spec.center - v_spec.half_width)
     support_hi = max(u_spec.center + u_spec.half_width, v_spec.center + v_spec.half_width)
-    horizon_speed = base_speed + margin if band is None else max(base_speed + margin, band.c_hi)
-    required_x_max = support_hi + halo + horizon_speed * t_final + 10.0
+    reach = c if band is None else max(c, band.c_hi)
+    required_x_max = max(support_hi, 0.0) + halo + reach * t_final + 10.0
     # A favorable left limit (-A > 0) lets the fronts spread left as well.
-    required_x_min = (support_lo - halo - (base_speed + margin) * t_final - 10.0
+    required_x_min = (support_lo - halo - c * t_final - 10.0
                       if profile.A < 0.0 else support_lo - halo - 5.0)
     if not math.isfinite(required_x_max):
-        raise ConfigError(f"solver.t_final={t_final:g} and grid.margin={margin:g} put the "
-                          "grid horizon at infinity")
+        raise ConfigError(f"solver.t_final={t_final:g} puts the grid horizon at infinity")
     x_max_origin = ""
     if values["grid.x_max"] == "auto":
         values["grid.x_max"] = required_x_max
-        x_max_origin = " (auto, from solver.t_final, grid.margin and the band)"
+        x_max_origin = " (auto, from solver.t_final, the speeds and the band)"
     if values["grid.x_min"] == "auto":
         values["grid.x_min"] = required_x_min
     if values["grid.x_max"] < required_x_max - 1e-9:

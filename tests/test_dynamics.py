@@ -708,16 +708,19 @@ def test_simulate_boundary_warning_flag(unit_kernel):
     assert traj.diagnostics["max_boundary_fraction"] < 1e-3
 
 
+# "predator_dies_right": with no prey the predator dies while it spreads
+# toward the right wall; against its falling peak it would abort at t = 4.5.
 _MONITOR_STARTS = {"prey_only": ((0.0, 2.0, 0.5), (0.0, 2.0, 0.0)),
                    "u_left_v_right": ((-3.0, 2.0, 0.5), (4.0, 2.0, 0.4)),
-                   "u_right_v_left": ((3.0, 2.0, 0.5), (-4.0, 2.0, 0.4))}
+                   "u_right_v_left": ((3.0, 2.0, 0.5), (-4.0, 2.0, 0.4)),
+                   "predator_dies_right": ((0.0, 2.0, 0.0), (10.0, 2.0, 0.4))}
 
 
 @pytest.mark.parametrize("side", ["both", "left", "right", "none"])
 @pytest.mark.parametrize("start", sorted(_MONITOR_STARTS))
 def test_simulate_boundary_monitor_reads_the_selected_walls(unit_kernel, start, side):
-    # the reference takes the full-row maximum of every stored snapshot of an
-    # unmonitored run, u before v, as the monitor must
+    # the reference divides by the running maximum of the full-row maxima of
+    # the stored snapshots of an unmonitored run, u before v, as the monitor must
     params = fl.Params(d1=1, d2=1, r1=1, r2=1, a=0.5, b=2)
     grid = fl.grid_from_spacing(-14, 14, 1 / 8)
     u_bump, v_bump = _MONITOR_STARTS[start]
@@ -730,9 +733,10 @@ def test_simulate_boundary_monitor_reads_the_selected_walls(unit_kernel, start, 
     ref = run("none")
     ends = {"both": [0, -1], "left": [0], "right": [-1], "none": []}[side]
     warning, largest, abort = False, 0.0, None
+    tops = {"u": 0.0, "v": 0.0}
     for t, u_row, v_row in zip(ref.times.tolist(), ref.u, ref.v):
         for name, row in (("u", u_row), ("v", v_row)):
-            peak = float(row.max())
+            peak = tops[name] = max(tops[name], float(row.max()))
             if peak <= 1e-8:
                 continue
             frac = max([0.0] + [float(row[c]) for c in ends]) / peak

@@ -22,7 +22,7 @@ params.a = 0.5
 params.b = 1.5
 """
 
-# The echo of MINIMAL, pinned as text: all 43 keys, their defaults and their order.
+# The echo of MINIMAL, pinned as text: all 42 keys, their defaults and their order.
 MINIMAL_ECHO = """# resolved experiment configuration (all defaults explicit)
 
 # [params]
@@ -53,7 +53,6 @@ habitat.L = 2
 grid.x_min = -11
 grid.x_max = 60.019278180554245
 grid.dx = 0.0625
-grid.margin = 0.20336464589817549
 
 # [initial]
 initial.u_center = 0
@@ -146,9 +145,11 @@ def test_removed_observer_side_is_an_unknown_key():
 
 @pytest.mark.parametrize("key, value", [
     ("band.mode", "auto"), ("band.two_sided", "false"), ("solver.boundary_monitor", "both"),
+    ("grid.margin", "0.2"),
 ])
 def test_deleted_band_and_monitor_keys_are_unknown(key, value):
-    # the band follows from b and s, and config runs monitor both walls
+    # the band follows from b and s, config runs monitor both walls, and the
+    # auto horizon follows from the prey's speed and the band
     with pytest.raises(ConfigError) as err:
         H.parse_config_text(MINIMAL + f"{key} = {value}\n")
     assert str(err.value) == f"unknown configuration key: {key!r}"
@@ -162,7 +163,7 @@ def test_missing_required_key_named():
 
 def test_minimal_echo_golden():
     assert H.echo_config(H.parse_config_text(MINIMAL)) == MINIMAL_ECHO
-    assert len(config._KEYS) == 43
+    assert len(config._KEYS) == 42
 
 
 def test_prey_speed_computed_once_per_weak_predator_config(monkeypatch, tmp_path):
@@ -184,7 +185,6 @@ def test_prey_speed_computed_once_per_weak_predator_config(monkeypatch, tmp_path
     ("initial.u_center", "nan"),
     ("habitat.A", "-1"),
     ("habitat.L", "0"),
-    ("grid.margin", "-100"),
     ("kernel1.radius", "-1"),
     ("initial.u_height", "2"),
     ("initial.u_height", "nan"),
@@ -200,7 +200,6 @@ def test_prey_speed_computed_once_per_weak_predator_config(monkeypatch, tmp_path
     ("initial.u_half_width", "-1"),
     ("initial.v_half_width", "0"),
     ("solver.t_final", "1e308"),
-    ("grid.margin", "1e308"),
     ("grid.x_max", "1e12"),
     ("initial.v_height", "3"),
 ])
@@ -287,7 +286,8 @@ _RANDOM_KEYS = {
     "kernel2.radius": _floats(0.5, 2.0),
     "habitat.family": st.sampled_from(["logistic", "piecewise_linear", "constant_one"]),
     "habitat.A": _floats(0.1, 3.0), "habitat.L": _floats(0.5, 5.0),
-    "initial.u_center": _floats(-5.0, 5.0), "initial.u_height": _floats(0.0, 1.0),
+    "initial.u_center": _floats(-60.0, 5.0), "initial.u_height": _floats(0.0, 1.0),
+    "initial.v_center": _floats(-60.0, 5.0),
     "solver.t_final": _floats(1.0, 100.0),
     "observer.theta": _floats(0.01, 0.99),
 }
@@ -302,6 +302,8 @@ def test_echo_round_trips_for_random_valid_configs(drawn):
     again = H.parse_config_text(echoed)
     assert again.values == cfg.values
     assert H.echo_config(again) == echoed
+    # the auto grid holds the band to t_final, wherever the initial data sit
+    assert cfg.band is None or cfg.values["grid.x_max"] >= cfg.band.c_hi * cfg.t_final
 
 
 def test_constant_one_config_mirrors_the_horizon_and_simulates():
@@ -320,6 +322,58 @@ def test_constant_one_config_mirrors_the_horizon_and_simulates():
         assert np.all(np.isfinite(series.positions))
     # the prey's left front ends past where a logistic grid starts
     assert res.u_left.positions[-1] < logistic.values["grid.x_min"]
+
+
+# The fast-predator regime: d2/r2 = 4/2 gives s_lower_star = 1.067 > s* = 0.390,
+# with s = 0.43 s*.  The predator cannot outrun its prey, so the auto grid
+# reaches (s* + 0.05) t_final, not (s_lower_star + 0.05) t_final (x_max 306.5).
+FAST_PREDATOR = (MINIMAL.replace("params.d2 = 1.0", "params.d2 = 4.0")
+                 .replace("params.r2 = 0.4", "params.r2 = 2.0")
+                 + "params.s = 0.16778289617638326\ngrid.dx = 0.125\nsolver.t_final = 260.0\n")
+
+
+def test_fast_predator_auto_grid_holds_both_fronts_at_the_prey_speed():
+    cfg = H.parse_config_text(FAST_PREDATOR)
+    sp = cfg.speeds
+    assert sp.s_lower_star > 2.7 * sp.s_star and sp.s_underline == sp.s_star
+    assert cfg.grid.n == 1133
+    res = H.run_experiment(cfg)
+    wide = H.run_experiment(H.parse_config_text(FAST_PREDATOR + "grid.x_max = 306.5\n"))
+    assert wide.trajectory.grid.n == 2541
+    for series in (res.u_series, res.v_series):
+        speed = fl.estimate_speed(series, cfg.window_fraction).speed
+        assert abs(speed - sp.s_star) < 0.03 * sp.s_star
+    assert [r[4] for r in res.persistence_rows()] == ["persists", "persists"]
+    assert [r[4] for r in wide.persistence_rows()] == ["persists", "persists"]
+    assert res.trajectory.diagnostics["max_boundary_fraction"] < 1e-6
+    n = cfg.grid.n
+    assert np.array_equal(res.trajectory.grid.x, wide.trajectory.grid.x[:n])
+    for name in ("u", "v"):
+        shared = getattr(wide.trajectory, name)[:, :n]
+        assert np.max(np.abs(getattr(res.trajectory, name) - shared)) < 1e-12
+
+
+# README's exp.cfg at t_final 100 with both species started deep in the
+# unfavorable region: the band still ends at (s_underline - eta) t_final = 22.49.
+def _left_start(center: float) -> str:
+    return (MINIMAL + "params.s = 0.118\nsolver.t_final = 100.0\n"
+            f"initial.u_center = {center}\ninitial.v_center = {center}\n")
+
+
+@pytest.mark.parametrize("center", [-45.0, -60.0])
+def test_auto_grid_holds_the_band_when_the_initial_data_sit_left(center):
+    cfg = H.parse_config_text(_left_start(center))
+    assert cfg.values["grid.x_max"] >= cfg.band.c_hi * cfg.t_final
+    with pytest.raises(ConfigError, match=r"^grid\.x_max=15 too small "):
+        H.parse_config_text(_left_start(center) + "grid.x_max = 15\n")
+
+
+def test_species_dying_in_the_unfavorable_region_run_to_t_final():
+    # both die while they spread toward the left wall; the wall monitor
+    # measures them against their largest peak, not their falling one
+    res = H.run_experiment(H.parse_config_text(_left_start(-45.0)))
+    assert res.trajectory.t_final == 100.0
+    assert [r[4] for r in res.persistence_rows()] == ["extinct", "extinct"]
 
 
 def test_band_falls_back_ahead_of_front():
