@@ -23,7 +23,7 @@ from .harness.csvio import fmt, write_csv
 from .harness.runner import (HYPOTHESES_HEADER, PERSISTENCE_HEADER,
                              SPEEDS_HEADER, SWEEP_HEADER, run_experiment,
                              speeds_row, sweep)
-from .subsolution import TILT_TOL, construct_subsolution, verify_subsolution
+from .subsolution import construct_subsolution, verify_subsolution
 
 
 def _out_dir(args, cfg_path: Path) -> Path:
@@ -79,12 +79,11 @@ def _cmd_verify_subsolution(args) -> int:
     window = vals["subsolution.window"]
     amplitude = vals["subsolution.amplitude"]
     p = construct_subsolution(
-        cfg.params, c,
+        cfg.params, c, cfg.kernel1,
         predator_level=vals["subsolution.delta1"],
         prey_level=vals["subsolution.delta2"],
         rate_offset=vals["subsolution.rate_offset"],
         amplitude=None if amplitude == "auto" else amplitude,
-        kernel=cfg.kernel1,
         window=None if window == "auto" else window,
         t_check=vals["subsolution.t_check"],
     )
@@ -96,10 +95,7 @@ def _cmd_verify_subsolution(args) -> int:
         ("frame_speed", p.frame_speed, True),
         ("window", p.window, True),
         ("decay_rate", p.decay, True),
-        ("amplitude_margin", report.amplitude_margin, report.amplitude_margin > 0),
-        ("tilt_residual", report.tilt_residual, report.tilt_residual <= TILT_TOL),
-        ("min_linear", report.min_linear, report.min_linear > 0),
-        ("min_reaction", report.min_reaction, report.min_reaction > 0),
+        *report.rows(),
     ])
     verdict = "PASS" if report.ok else "FAIL(" + ",".join(report.failures) + ")"
     sys.stdout.write(f"{verdict} worst_margin={fmt(report.worst_margin)}\n")

@@ -12,10 +12,6 @@ class InvalidKernelError(FrontLabError):
 class NumericFailureError(FrontLabError):
     """A numerical routine failed to reach its accuracy target."""
 
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class ResolutionError(FrontLabError):
     """Grid spacing too coarse for the requested operation."""

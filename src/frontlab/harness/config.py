@@ -12,6 +12,11 @@ probe band ``[(s_underline+eta)t, (s_underline+2*eta)t]`` ahead of the
 front otherwise.  The auto ``grid.x_max`` is ``max(support_hi, 0) + halo +
 max(c, band's upper speed) * t_final + 10``, ``c = max(s*, s) + 0.05`` with
 ``s*`` the prey's speed, so a band that would leave the grid fails here.
+The auto ``grid.x_min`` mirrors it, ``min(support_lo, 0) - halo - 5``, when
+the habitat's left limit is unfavorable: the prey's left front spreads
+back only to about the habitat edge ``x = s t``.  A favorable left limit
+lets the fronts spread left too, and gives ``support_lo - halo - c *
+t_final - 10``.  ``support_lo``/``support_hi`` bound the initial data.
 """
 
 from __future__ import annotations
@@ -185,10 +190,12 @@ def _build_profile(values: dict) -> HabitatProfile:
     return make(values["habitat.A"], values["habitat.L"])
 
 
-def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
+def parse_config_text(text: str, base_dir: str = ".",
+                      overrides: dict | None = None) -> ExperimentConfig:
     """Parse, fill defaults, validate, and build all model objects.
 
-    A relative ``kernelN.file`` is read from ``base_dir``.
+    A relative ``kernelN.file`` is read from ``base_dir``.  ``overrides``
+    maps keys to values that replace the text's (a sweep's axis value).
     """
     base_dir = os.path.abspath(base_dir)
     given: dict = {}
@@ -203,6 +210,7 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         if key not in _KEYS:
             raise ConfigError(f"unknown configuration key: {key!r}")
         given[key] = _parse_value(key, rhs)
+    given.update(overrides or {})
 
     values: dict = {}
     for key, (kind, default, need, ok) in _KEYS.items():
@@ -281,7 +289,7 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     required_x_max = max(support_hi, 0.0) + halo + reach * t_final + 10.0
     # A favorable left limit (-A > 0) lets the fronts spread left as well.
     required_x_min = (support_lo - halo - c * t_final - 10.0
-                      if profile.A < 0.0 else support_lo - halo - 5.0)
+                      if profile.A < 0.0 else min(support_lo, 0.0) - halo - 5.0)
     if not math.isfinite(required_x_max):
         raise ConfigError(f"solver.t_final={t_final:g} puts the grid horizon at infinity")
     x_max_origin = ""
@@ -340,26 +348,6 @@ def echo_config(cfg: ExperimentConfig) -> str:
             section = sec
         lines.append(f"{key} = {fmt(cfg.values[key])}")
     return "\n".join(lines) + "\n"
-
-
-def override_config_text(text: str, key: str, value) -> str:
-    """Replace (or append) one key in raw config text."""
-    if key not in _KEYS:
-        raise ConfigError(f"unknown configuration key: {key!r}")
-    out = []
-    replaced = False
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped and "=" in stripped:
-            k = stripped.partition("=")[0].strip()
-            if k == key:
-                out.append(f"{key} = {fmt(value)}")
-                replaced = True
-                continue
-        out.append(raw)
-    if not replaced:
-        out.append(f"{key} = {fmt(value)}")
-    return "\n".join(out) + "\n"
 
 
 def sweep_axis_key(axis: str) -> str:

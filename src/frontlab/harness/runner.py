@@ -13,8 +13,7 @@ from pathlib import Path
 from ..dynamics import Trajectory, make_initial, simulate
 from ..observers import (LevelSetSeries, PersistenceReport, frame_band_min,
                          level_set_series)
-from .config import (ExperimentConfig, echo_config, override_config_text,
-                     parse_config_text, sweep_axis_key)
+from .config import ExperimentConfig, echo_config, parse_config_text, sweep_axis_key
 from .csvio import SnapshotWriter, write_csv, write_text
 
 SPEEDS_HEADER = "s_star,lambda1,s_lower_star,lambda2,s_underline"
@@ -122,7 +121,7 @@ def _sweep_worker(task) -> tuple:
     """One member's ``sweep.csv`` row; the run's record is dropped here."""
     text, base_dir, key, value, run_dir = task
     try:
-        cfg = parse_config_text(override_config_text(text, key, value), base_dir)
+        cfg = parse_config_text(text, base_dir, {key: value})
         return sweep_row(value, run_experiment(cfg, out_dir=run_dir))
     except Exception as exc:
         nan, error = float("nan"), f"error:{type(exc).__name__}"

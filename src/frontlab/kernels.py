@@ -72,7 +72,7 @@ def _checked_sum(terms, n) -> np.ndarray:
     err = np.abs(fine - terms[:, :n].sum(axis=(1, 2)))
     if not np.all(err <= _SELF_CHECK_RTOL * np.abs(split).sum(axis=(1, 2))):
         raise NumericFailureError(
-            "kernel quadrature failed its split-panel check", residual=float(np.max(err)))
+            f"kernel quadrature failed its split-panel check (residual {np.max(err):.3e})")
     return fine
 
 

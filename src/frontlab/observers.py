@@ -35,7 +35,6 @@ class LevelSetSeries:
 class SpeedEstimate:
     speed: float
     stderr: float
-    n_used: int
 
 
 @dataclass(frozen=True)
@@ -43,10 +42,10 @@ class FrameBandSpec:
     """A moving band of frame speeds [c_lo * t, c_hi * t] to scan, on the
     side the habitat edge moves to.
 
-    ``eta`` records the margin used to build the band; ``kind`` says how
-    (theorem band between the shift and the slower species speed, or a
-    probe band ahead of the front).  ``t_window`` is the trailing fraction
-    of the run over which minima are taken.
+    ``eta`` records the margin used to build the band (the theorem band
+    between the shift and the slower species speed, or a probe band ahead
+    of the front).  ``t_window`` is the trailing fraction of the run over
+    which minima are taken.
     """
 
     c_lo: float
@@ -54,7 +53,6 @@ class FrameBandSpec:
     eta: float
     epsilon: float
     t_window: float = 0.5
-    kind: str = "theorem"
 
     def __post_init__(self):
         if not self.c_hi > self.c_lo:
@@ -73,7 +71,7 @@ def theorem_band(s: float, s_underline: float, eta: float, epsilon: float,
             f"band.eta={eta:g} must lie in (0, (s_underline - s)/2 = "
             f"{(s_underline - s) / 2.0:g}) for the theorem band")
     return FrameBandSpec(c_lo=s + eta, c_hi=s_underline - eta, eta=eta,
-                         epsilon=epsilon, t_window=t_window, kind="theorem")
+                         epsilon=epsilon, t_window=t_window)
 
 
 def ahead_band(s_underline: float, eta: float, epsilon: float,
@@ -82,7 +80,7 @@ def ahead_band(s_underline: float, eta: float, epsilon: float,
     if not eta > 0.0:
         raise ConfigError("band margin eta must be positive")
     return FrameBandSpec(c_lo=s_underline + eta, c_hi=s_underline + 2.0 * eta, eta=eta,
-                         epsilon=epsilon, t_window=t_window, kind="ahead")
+                         epsilon=epsilon, t_window=t_window)
 
 
 @dataclass(frozen=True)
@@ -92,8 +90,6 @@ class PersistenceReport:
     epsilon: float
     band_min: float
     verdict: str          # persists / extinct / inconclusive
-    t_first: float
-    t_last: float
 
 
 def level_set_position(x: np.ndarray, values: np.ndarray, theta: float,
@@ -163,7 +159,7 @@ def estimate_speed(series: LevelSetSeries, window_fraction: float = 0.5) -> Spee
     slope = float(np.sum((t - tbar) * (p - pbar)) / sxx)
     resid = p - (pbar + slope * (t - tbar))
     sigma2 = float(np.sum(resid ** 2)) / (t.size - 2)
-    return SpeedEstimate(speed=slope, stderr=float(np.sqrt(sigma2 / sxx)), n_used=t.size)
+    return SpeedEstimate(speed=slope, stderr=float(np.sqrt(sigma2 / sxx)))
 
 
 def _band_min_at(x: np.ndarray, values: np.ndarray, lo: float, hi: float) -> float:
@@ -188,18 +184,12 @@ def frame_band_min(traj: Trajectory, band: FrameBandSpec, species: str) -> Persi
     field = _species_field(traj, species)
     x = traj.grid.x
     t_cut = (1.0 - band.t_window) * traj.t_final
-    band_min = np.inf
-    t_first = None
-    t_last = None
-    for i, t in enumerate(traj.times):
-        if t < t_cut or t <= 0.0:
-            continue
-        lo, hi = band.c_lo * t, band.c_hi * t
-        band_min = min(band_min, _band_min_at(x, field[i], lo, hi))
-        t_first = t if t_first is None else t_first
-        t_last = t
-    if t_first is None:
+    kept = [(i, t) for i, t in enumerate(traj.times) if t >= t_cut and t > 0.0]
+    if not kept:
         raise ConfigError("no snapshots fall inside the trailing window")
+    band_min = np.inf
+    for i, t in kept:
+        band_min = min(band_min, _band_min_at(x, field[i], band.c_lo * t, band.c_hi * t))
     band_min = float(band_min)
     if band_min >= band.epsilon:
         verdict = "persists"
@@ -208,8 +198,7 @@ def frame_band_min(traj: Trajectory, band: FrameBandSpec, species: str) -> Persi
     else:
         verdict = "inconclusive"
     return PersistenceReport(species=species, eta=band.eta, epsilon=band.epsilon,
-                             band_min=band_min, verdict=verdict,
-                             t_first=float(t_first), t_last=float(t_last))
+                             band_min=band_min, verdict=verdict)
 
 
 def decay_sup(traj: Trajectory, c: float, species: str) -> tuple[np.ndarray, np.ndarray]:

@@ -47,12 +47,10 @@ class SpeedProblem:
 
 @dataclass(frozen=True)
 class SpeedResult:
-    """Minimized speed with the minimizing decay rate and its root bracket."""
+    """Minimized speed and its minimizing decay rate (None when unattained)."""
 
     speed: float
     rate: float | None
-    bracket: tuple[float, float]
-    attained: bool
 
 
 @dataclass(frozen=True)
@@ -140,12 +138,12 @@ def min_speed(problem: SpeedProblem) -> SpeedResult:
     """Minimize the candidate speed over decay rates.
 
     For ``k == 0`` the infimum is 0, approached as ``lam -> 0``, and is
-    reported unattained.  Otherwise the minimizer is the root of the
-    tangency function ``g`` (module docstring), bracketed by doubling from
-    ``1/R`` and solved by Brent's method to a tolerance of 1e-14.
+    unattained: ``rate`` is None.  Otherwise the minimizer is the root of
+    the tangency function ``g`` (module docstring), bracketed by doubling
+    from ``1/R`` and solved by Brent's method to a tolerance of 1e-14.
     """
     if problem.k == 0.0:
-        return SpeedResult(speed=0.0, rate=None, bracket=(0.0, 0.0), attained=False)
+        return SpeedResult(speed=0.0, rate=None)
     d, growth = problem.d, problem.r * problem.k
     # lam*M'(lam) - M(lam) + 1 = integral of J(y) * (exp(lam*y)*(lam*y - 1) + 1).
     g = lambda lam: d * (exp_integral(problem.kernel, lam, weight=lambda y: lam * y - 1.0)
@@ -160,8 +158,7 @@ def min_speed(problem: SpeedProblem) -> SpeedResult:
                 f"candidate speed still decreasing at lam={0.5 * hi:g} "
                 f"(ceiling {ceiling:g}); check kernel and parameters")
     rate = brentq(g, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
-    return SpeedResult(speed=candidate_speed(problem, rate), rate=rate,
-                       bracket=(0.0, hi), attained=True)
+    return SpeedResult(speed=candidate_speed(problem, rate), rate=rate)
 
 
 def prey_speed(params: Params, kernel1: Kernel) -> SpeedResult:

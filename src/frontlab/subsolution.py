@@ -21,6 +21,12 @@ speed (sine component).  Both conditions, their infinite-window limits,
 and the pointwise positivity of L[w] and Q[w] are verified numerically
 here; the time derivative of the wave is taken from its closed form, so
 no time-discretization noise enters the strict positivity check.
+
+:class:`SubsolutionReport` holds the four measured quantities only;
+:meth:`SubsolutionReport.rows` applies the one pass rule per clause
+(``amplitude_margin > 0``, ``tilt_residual <= TILT_TOL``, ``min_linear >
+0``, ``min_reaction > 0``), and ``ok``, ``failures`` and ``worst_margin``
+follow from those rows.
 """
 
 from __future__ import annotations
@@ -167,25 +173,41 @@ def match_decay_rate(frame_speed: float, window: float, params: Params,
     beta = brentq(f, 0.0, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
     resid = abs(tilt_speed(beta, params, kernel, window) - frame_speed)
     if resid > TILT_TOL:
-        raise NumericFailureError("decay-rate solve left a large residual", residual=resid)
+        raise NumericFailureError(
+            f"decay-rate solve left a residual {resid:.3e} above {TILT_TOL:g}")
     return beta
 
 
 @dataclass(frozen=True)
 class SubsolutionReport:
-    """Outcome of the numerical sub-solution verification."""
+    """The four quantities the numerical sub-solution verification measures."""
 
-    ok: bool
-    failures: tuple[str, ...]
     amplitude_margin: float      # amplitude speed bound minus frame speed
     tilt_residual: float         # |tilt speed - frame speed|
     min_linear: float            # pointwise minimum of L[wave]
     min_reaction: float          # pointwise minimum of Q[wave]
-    argmin_linear: tuple[float, float]    # (x - c*t, t) of the linear minimum
-    argmin_reaction: tuple[float, float]
-    wave_max: float              # largest wave value over the sample grid
-    within_prey_level: bool      # wave_max <= prey_level
-    worst_margin: float
+
+    def rows(self) -> list[tuple[str, float, bool]]:
+        """(clause, value, ok) rows in a fixed order for reporting."""
+        return [
+            ("amplitude_margin", self.amplitude_margin, bool(self.amplitude_margin > 0.0)),
+            ("tilt_residual", self.tilt_residual, bool(self.tilt_residual <= TILT_TOL)),
+            ("min_linear", self.min_linear, bool(self.min_linear > 0.0)),
+            ("min_reaction", self.min_reaction, bool(self.min_reaction > 0.0)),
+        ]
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        return tuple(clause for clause, _, ok in self.rows() if not ok)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    @property
+    def worst_margin(self) -> float:
+        return min(self.amplitude_margin, TILT_TOL - self.tilt_residual,
+                   self.min_linear, self.min_reaction)
 
 
 def _window_convolution(kernel: Kernel, p: SubsolutionParams, z: np.ndarray) -> np.ndarray:
@@ -233,38 +255,11 @@ def verify_subsolution(p: SubsolutionParams, params: Params, kernel: Kernel,
     reaction_lin = (params.d1 * conv - params.d1 * g
                     + params.r1 * (1.0 - params.a * p.predator_level) * g
                     - gamma * g + c * gp)
-    wave = growth[:, None] * g[None, :]
-    qvals = growth[:, None] * reaction_lin[None, :] - params.r1 * wave ** 2
-
-    i_lin = np.unravel_index(np.argmin(lin), lin.shape)
-    i_q = np.unravel_index(np.argmin(qvals), qvals.shape)
-    min_linear = float(lin[i_lin])
-    min_reaction = float(qvals[i_q])
-    wave_max = float(wave.max())
-
-    failures = []
-    if not amplitude_margin > 0.0:
-        failures.append("amplitude_condition")
-    if tilt_residual > TILT_TOL:
-        failures.append("tilt_condition")
-    if not min_linear > 0.0:
-        failures.append("linear_positivity")
-    if not min_reaction > 0.0:
-        failures.append("reaction_positivity")
-    worst = min(amplitude_margin, TILT_TOL - tilt_residual, min_linear, min_reaction)
-    return SubsolutionReport(
-        ok=not failures,
-        failures=tuple(failures),
-        amplitude_margin=float(amplitude_margin),
-        tilt_residual=float(tilt_residual),
-        min_linear=min_linear,
-        min_reaction=min_reaction,
-        argmin_linear=(float(z[i_lin[1]]), float(tgrid[i_lin[0]])),
-        argmin_reaction=(float(z[i_q[1]]), float(tgrid[i_q[0]])),
-        wave_max=wave_max,
-        within_prey_level=wave_max <= p.prey_level,
-        worst_margin=float(worst),
-    )
+    qvals = (growth[:, None] * reaction_lin[None, :]
+             - params.r1 * (growth[:, None] * g[None, :]) ** 2)
+    return SubsolutionReport(amplitude_margin=float(amplitude_margin),
+                             tilt_residual=float(tilt_residual),
+                             min_linear=float(lin.min()), min_reaction=float(qvals.min()))
 
 
 def wave_peak_factor(decay: float, window: float) -> float:
@@ -278,10 +273,9 @@ def wave_peak_factor(decay: float, window: float) -> float:
     return math.exp(-decay * z_star) * math.cos(theta)
 
 
-def construct_subsolution(params: Params, frame_speed: float,
+def construct_subsolution(params: Params, frame_speed: float, kernel: Kernel,
                           predator_level: float = 0.05, prey_level: float = 0.05,
                           rate_offset: float = 0.01, amplitude: float | None = None,
-                          kernel: Kernel | None = None,
                           window: float | None = None,
                           t_check: float = 10.0) -> SubsolutionParams:
     """Build wave parameters for a frame speed: pick the window, solve the
@@ -295,8 +289,6 @@ def construct_subsolution(params: Params, frame_speed: float,
     (the upwind edge of the window carries the wave's maximum, and the
     damped-reaction argument needs the wave below the prey level).
     """
-    if kernel is None:
-        raise ValueError("kernel is required")
     m = max_linear_rate(params, predator_level, prey_level) - rate_offset
     gamma = params.r1 * params.a * predator_level
 

@@ -126,6 +126,20 @@ def test_verify_subsolution_fail_strict_exit(cfg_file, tmp_path):
     assert relaxed.returncode == 0
 
 
+def test_verify_subsolution_fail_line_names_the_rows_marked_false(tmp_path):
+    bad = tmp_path / "amp.cfg"
+    bad.write_text(CFG + "subsolution.amplitude = 0.5\n")
+    proc = run_cli("verify-subsolution", str(bad))
+    *table, verdict = proc.stdout.splitlines()
+    assert table[0] == "clause,value,ok"
+    assert [row.split(",")[0] for row in table[1:]] == [
+        "frame_speed", "window", "decay_rate",
+        "amplitude_margin", "tilt_residual", "min_linear", "min_reaction"]
+    false_rows = [row.split(",")[0] for row in table[1:] if row.endswith(",false")]
+    assert false_rows == ["min_reaction"]
+    assert verdict.startswith("FAIL(" + ",".join(false_rows) + ") worst_margin=")
+
+
 def test_sweep_subcommand(cfg_file, tmp_path):
     proc = run_cli("sweep", str(cfg_file), "--axis", "b", "--values", "1.5 1.2",
                    "--out", str(tmp_path / "sw"))

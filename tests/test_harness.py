@@ -121,7 +121,9 @@ def test_minimal_config_defaults():
     assert cfg.values["kernel1.family"] == "raised_cosine"
     assert cfg.values["solver.dt"] == pytest.approx(
         fl.dt_max(cfg.params, cfg.profile.alpha_bar))
-    assert cfg.band is not None and cfg.band.kind == "theorem"
+    # the theorem band [(s + eta)t, (s_underline - eta)t]
+    eta, s_under = cfg.values["band.eta"], cfg.speeds.s_underline
+    assert (cfg.band.c_lo, cfg.band.c_hi) == (0.0 + eta, s_under - eta)
 
 
 def test_speeds_computed_once_per_parse(monkeypatch):
@@ -368,6 +370,17 @@ def test_auto_grid_holds_the_band_when_the_initial_data_sit_left(center):
         H.parse_config_text(_left_start(center) + "grid.x_max = 15\n")
 
 
+@pytest.mark.parametrize("center, n", [(50.0, 1857), (30.0, 1537)])
+def test_auto_grid_holds_the_left_front_of_initial_data_right_of_the_origin(center, n):
+    # the prey's left front spreads back from the initial data to about the
+    # habitat edge x = s t, so x_min keeps the origin, not the data's left end
+    cfg = H.parse_config_text(_left_start(center))
+    assert cfg.values["grid.x_min"] == -6.0 and cfg.grid.n == n
+    res = H.run_experiment(cfg)
+    assert res.trajectory.t_final == 100.0
+    assert res.trajectory.diagnostics["max_boundary_fraction"] < 1e-6
+
+
 def test_species_dying_in_the_unfavorable_region_run_to_t_final():
     # both die while they spread toward the left wall; the wall monitor
     # measures them against their largest peak, not their falling one
@@ -379,7 +392,9 @@ def test_species_dying_in_the_unfavorable_region_run_to_t_final():
 def test_band_falls_back_ahead_of_front():
     cfg = H.parse_config_text(MINIMAL + "params.s = 0.3\nsolver.t_final = 20.0\n")
     assert cfg.band is not None
-    assert cfg.band.kind == "ahead"
+    # the probe band [(s_underline + eta)t, (s_underline + 2 eta)t]
+    eta, s_under = cfg.values["band.eta"], cfg.speeds.s_underline
+    assert (cfg.band.c_lo, cfg.band.c_hi) == (s_under + eta, s_under + 2.0 * eta)
     assert cfg.band.c_lo > cfg.speeds.s_underline
 
 
@@ -405,7 +420,8 @@ def test_band_past_the_speed_horizon_sets_the_grid_end_at_parse(monkeypatch, eta
         H.run_experiment(H.parse_config_text(text + f"band.eta = {eta}\ngrid.x_max = 62\n"))
     assert calls == []
     cfg = H.parse_config_text(text + f"band.eta = {eta}\n")
-    assert cfg.band.kind == "ahead"
+    s_under = cfg.speeds.s_underline
+    assert (cfg.band.c_lo, cfg.band.c_hi) == (s_under + eta, s_under + 2.0 * eta)
     assert cfg.values["grid.x_max"] == pytest.approx(x_max, rel=1e-15)
     assert cfg.grid.x[-1] >= cfg.band.c_hi * cfg.t_final
 
@@ -473,6 +489,15 @@ def test_run_experiment_weak_predator_speeds_row(tmp_path):
     assert row[2] == row[4] == "nan"    # predator speed undefined for b <= 1
     verdicts = (tmp_path / "weak" / "persistence.csv").read_text()
     assert "unavailable" in verdicts
+
+
+def test_an_override_replaces_the_texts_value_and_is_validated():
+    # a sweep hands its axis value to the parser, not a rewritten text
+    text = MINIMAL + "params.s = 0.05  # a comment\n"
+    cfg = H.parse_config_text(text, overrides={"params.s": 0.1})
+    assert cfg.values == H.parse_config_text(MINIMAL + "params.s = 0.1\n").values
+    with pytest.raises(ConfigError, match=r"^params\.d1 must be positive and finite"):
+        H.parse_config_text(text, overrides={"params.d1": -2.0})
 
 
 def test_single_value_sweep_matches_run(tmp_path):

@@ -49,10 +49,9 @@ def test_candidate_speed_increasing_in_k(unit_kernel):
 
 def test_min_speed_benchmark_value(unit_kernel):
     res = fl.min_speed(fl.SpeedProblem(d=1.0, r=1.0, k=1.0, kernel=unit_kernel))
-    assert res.attained
+    assert res.rate is not None
     assert res.speed == pytest.approx(0.582, abs=5e-4)
     assert res.rate == pytest.approx(2.90, abs=0.02)
-    assert res.bracket[0] < res.rate < res.bracket[1]
     assert res.speed == pytest.approx(dense_scan_speed(1.0, 1.0, 1.0), abs=1e-4)
 
 
@@ -69,7 +68,6 @@ def test_min_speed_zero_carrying_level(unit_kernel):
     res = fl.min_speed(fl.SpeedProblem(d=1.0, r=1.0, k=0.0, kernel=unit_kernel))
     assert res.speed == 0.0
     assert res.rate is None
-    assert not res.attained
 
 
 def test_min_speed_monotone_in_k(unit_kernel):
@@ -87,7 +85,7 @@ def test_min_speed_candidate_grows_past_minimizer(unit_kernel):
 def test_min_speed_tiny_k_goes_to_zero(unit_kernel):
     # the minimizer falls far below the first bracket end 1/R
     res = fl.min_speed(fl.SpeedProblem(d=1.0, r=1.0, k=1e-9, kernel=unit_kernel))
-    assert res.attained
+    assert res.rate is not None
     assert 0.0 < res.speed < 1e-4
 
 

@@ -6,7 +6,7 @@ from scipy import integrate
 
 import frontlab as fl
 from frontlab.errors import NoRootError
-from frontlab.subsolution import _window_convolution
+from frontlab.subsolution import TILT_TOL, _window_convolution, wave_peak_factor
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +126,23 @@ def test_verify_subsolution_passes_on_bench(bench, unit_kernel):
     assert rep.tilt_residual <= 1e-8
     assert rep.min_linear > 0.0
     assert rep.min_reaction > 0.0
-    assert rep.within_prey_level
+    # the wave's largest value over [0, t_check] stays within the prey level
+    peak = (wave_peak_factor(p.decay, p.window) * p.amplitude
+            * math.exp(p.growth_rate(params) * 10.0))
+    assert peak <= p.prey_level
+
+
+def test_report_ok_and_failures_follow_its_rows(bench, unit_kernel):
+    params, _, p = bench
+    rep = fl.verify_subsolution(p, params, unit_kernel)
+    assert [clause for clause, *_ in rep.rows()] == [
+        "amplitude_margin", "tilt_residual", "min_linear", "min_reaction"]
+    assert rep.ok == all(ok for *_, ok in rep.rows())
+    bad = fl.SubsolutionReport(amplitude_margin=0.25, tilt_residual=2.0 * TILT_TOL,
+                               min_linear=0.0, min_reaction=1e-13)
+    assert [ok for *_, ok in bad.rows()] == [True, False, False, True]
+    assert bad.failures == ("tilt_residual", "min_linear") and not bad.ok
+    assert bad.worst_margin == -TILT_TOL
 
 
 def test_verify_rejects_linear_rate_at_cap(bench, unit_kernel):
@@ -228,4 +244,5 @@ def test_verify_subsolution_tabulated_kernel(frac):
     params, p = _wave_for(kernel, frac)
     rep = fl.verify_subsolution(p, params, kernel)
     assert rep.ok, rep.failures
+    assert rep.ok == all(ok for *_, ok in rep.rows())
     assert rep.tilt_residual <= 1e-8
