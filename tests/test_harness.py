@@ -123,7 +123,7 @@ def test_minimal_config_defaults():
         fl.dt_max(cfg.params, cfg.profile.alpha_bar))
     # the theorem band [(s + eta)t, (s_underline - eta)t]
     eta, s_under = cfg.values["band.eta"], cfg.speeds.s_underline
-    assert (cfg.band.c_lo, cfg.band.c_hi) == (0.0 + eta, s_under - eta)
+    assert (cfg.band.c_lo, cfg.band.c_hi) == (cfg.params.s + eta, s_under - eta)
 
 
 def test_speeds_computed_once_per_parse(monkeypatch):
