@@ -21,7 +21,7 @@ from .observers import (FrameBandSpec, LevelSetSeries, PersistenceReport,
                         frame_band_min, level_set_position, level_set_series,
                         theorem_band)
 from .speeds import (SpeedProblem, SpeedResult, SystemSpeeds, candidate_speed,
-                     min_speed, predator_speed, prey_speed, system_speeds)
+                     min_speed, system_speeds)
 from .subsolution import (SubsolutionParams, SubsolutionReport,
                           amplitude_speed_bound, construct_subsolution,
                           match_decay_rate, max_linear_rate, tilt_speed,

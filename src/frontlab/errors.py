@@ -21,10 +21,6 @@ class BracketFailureError(FrontLabError):
     """A minimizer could not bracket a minimum (pathological input)."""
 
 
-class HypothesisViolationError(FrontLabError):
-    """A standing hypothesis required by the operation is violated."""
-
-
 class NoRootError(FrontLabError):
     """Root solve failed: the target value is unreachable."""
 

@@ -5,18 +5,21 @@ ignored.  Every default is resolved at parse time and recorded in the
 echo, so parsing an echoed config reproduces the validated configuration
 bit for bit.
 
-The frame band follows from the model: none when ``b <= 1``, the theorem
-band ``[(s+eta)t, (s_underline-eta)t]`` when ``s < s_underline`` (an
-explicit ``band.eta`` must lie in ``(0, (s_underline - s)/2)``), and the
-probe band ``[(s_underline+eta)t, (s_underline+2*eta)t]`` ahead of the
-front otherwise.  The auto ``grid.x_max`` is ``max(support_hi, 0) + halo +
-max(c, band's upper speed) * t_final + 10``, ``c = max(s*, s) + 0.05`` with
-``s*`` the prey's speed, so a band that would leave the grid fails here.
-The auto ``grid.x_min`` mirrors it, ``min(support_lo, 0) - halo - 5``, when
-the habitat's left limit is unfavorable: the prey's left front spreads
-back only to about the habitat edge ``x = s t``.  A favorable left limit
-lets the fronts spread left too, and gives ``support_lo - halo - c *
-t_final - 10``.  ``support_lo``/``support_hi`` bound the initial data.
+The speeds record holds for every ``b``; its predator speeds are NaN
+when ``b <= 1``.  The frame band follows from the model: none when
+``b <= 1``, the theorem band ``[(s+eta)t, (s_underline-eta)t]`` when
+``s < s_underline`` (an explicit ``band.eta`` must lie in ``(0,
+(s_underline - s)/2)``), and the probe band ``[(s_underline+eta)t,
+(s_underline+2*eta)t]`` ahead of the front otherwise.  The auto
+``subsolution.c`` is ``(s + s_underline)/2`` when ``b > 1``, else "auto".
+The auto ``grid.x_max`` is ``max(support_hi, 0) + halo + max(c, band's
+upper speed) * t_final + 10``, ``c = max(s*, s) + 0.05`` with ``s*`` the
+prey's speed, so a band that would leave the grid fails here.  The auto
+``grid.x_min`` mirrors it, ``min(support_lo, 0) - halo - 5``, when the
+habitat's left limit is unfavorable: the prey's left front spreads back
+only to about the habitat edge ``x = s t``.  A favorable left limit lets
+the fronts spread left too, and gives ``support_lo - halo - c * t_final -
+10``.  ``support_lo``/``support_hi`` bound the initial data.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from ..habitat import HabitatProfile
 from ..hypotheses import HypothesisReport, check_hypotheses
 from ..kernels import Kernel, load_tabulated, raised_cosine, smooth_bump
 from ..observers import FrameBandSpec, ahead_band, theorem_band
-from ..speeds import SpeedResult, SystemSpeeds, prey_speed
+from ..speeds import SystemSpeeds
 from .csvio import fmt
 
 _POSITIVE = ("positive and finite", lambda x: 0.0 < x < math.inf)
@@ -97,7 +100,7 @@ _KEYS: dict[str, tuple] = {
     "subsolution.window": ("afloat", "auto", *_POSITIVE),
     "subsolution.t_check": ("float", 10.0, *_POSITIVE),
     "subsolution.n_space": ("int", 512, *_COUNT),
-    "subsolution.n_time": ("int", 64, *_COUNT),
+    "subsolution.n_time": ("int", 64, "an integer >= 2", lambda n: n >= 2),
 }
 
 # Largest snapshot array (u and v, every snapshot, every grid point) a
@@ -144,8 +147,7 @@ class ExperimentConfig:
     kernel2: Kernel
     profile: HabitatProfile
     hypotheses: HypothesisReport
-    speeds: SystemSpeeds | None
-    prey: SpeedResult | None   # the prey speed alone, when b <= 1 leaves no speeds
+    speeds: SystemSpeeds
     grid: Grid
     u_spec: BumpSpec
     v_spec: BumpSpec
@@ -244,10 +246,9 @@ def parse_config_text(text: str, base_dir: str = ".",
     v_spec = BumpSpec(values["initial.v_center"], values["initial.v_half_width"],
                       values["initial.v_height"])
 
-    # Frame band (see the module docstring).  With b <= 1 there is no
-    # slower-species speed: band keys stay "auto".
+    # Frame band (see the module docstring); band keys stay "auto" when b <= 1.
     band: FrameBandSpec | None = None
-    if sp is not None:
+    if params.b > 1.0:
         s_under = sp.s_underline
         gap = s_under - params.s
         if values["band.eta"] == "auto":
@@ -281,8 +282,7 @@ def parse_config_text(text: str, base_dir: str = ".",
 
     # The predator cannot outrun its prey (past the prey's front its growth
     # rate -1 + b*u - v is negative); the wall monitor catches a wrong bound.
-    prey = prey_speed(params, kernel1) if sp is None else None
-    c = max(sp.s_star if prey is None else prey.speed, params.s) + 0.05
+    c = max(sp.s_star, params.s) + 0.05
     support_lo = min(u_spec.center - u_spec.half_width, v_spec.center - v_spec.half_width)
     support_hi = max(u_spec.center + u_spec.half_width, v_spec.center + v_spec.half_width)
     reach = c if band is None else max(c, band.c_hi)
@@ -314,12 +314,12 @@ def parse_config_text(text: str, base_dir: str = ".",
             f"{2.0 * n_snapshots * n_points:.4g} values, more than 2**31")
     grid = grid_from_spacing(values["grid.x_min"], values["grid.x_max"], dx)
 
-    if values["subsolution.c"] == "auto" and sp is not None:
+    if values["subsolution.c"] == "auto" and params.b > 1.0:
         values["subsolution.c"] = 0.5 * (params.s + sp.s_underline)
 
     return ExperimentConfig(
         values=values, raw_text=text, params=params, kernel1=kernel1, kernel2=kernel2,
-        profile=profile, hypotheses=hypotheses, speeds=sp, prey=prey, grid=grid,
+        profile=profile, hypotheses=hypotheses, speeds=sp, grid=grid,
         u_spec=u_spec, v_spec=v_spec, dt=dt, t_final=t_final,
         snapshot_stride=values["solver.snapshot_stride"],
         band=band,

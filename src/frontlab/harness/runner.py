@@ -28,14 +28,12 @@ SWEEP_HEADER = ("value,s_star,s_lower_star,s_underline,"
 def speeds_row(cfg: ExperimentConfig) -> tuple:
     """``speeds.csv``: NaN for the predator's speeds when ``b <= 1``."""
     sp = cfg.speeds
-    if sp is None:
-        return (cfg.prey.speed, cfg.prey.rate, float("nan"), float("nan"), float("nan"))
     return (sp.s_star, sp.rate1, sp.s_lower_star, sp.rate2, sp.s_underline)
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """The one record of a run, and where it was written.
+    """The one record of a run.
 
     ``u_series``/``v_series`` are the rightmost level sets, ``u_left``/``v_left``
     the leftmost; the reports are None when the config has no band."""
@@ -48,7 +46,6 @@ class ExperimentResult:
     v_series: LevelSetSeries
     u_report: PersistenceReport | None
     v_report: PersistenceReport | None
-    out_dir: Path | None
 
     def level_set_rows(self, species: str) -> list[tuple]:
         """``level_sets_<species>.csv``: both crossings at each snapshot."""
@@ -93,8 +90,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             v_left=level_set_series(traj, cfg.theta, "v", "left"),
             v_series=level_set_series(traj, cfg.theta, "v", "right"),
             u_report=None if cfg.band is None else frame_band_min(traj, cfg.band, "u"),
-            v_report=None if cfg.band is None else frame_band_min(traj, cfg.band, "v"),
-            out_dir=out_path)
+            v_report=None if cfg.band is None else frame_band_min(traj, cfg.band, "v"))
         if out_path is not None:
             write_text(out_path / "config_echo.txt", [echo_config(cfg)])
             write_csv(out_path / "speeds.csv", SPEEDS_HEADER, [speeds_row(cfg)])

@@ -6,7 +6,8 @@ Evaluates, with explicit margins:
 - the prey diffusion inequality  d1 > r1*abar + r1*a/2 + r2*b*(b-1)/2;
 - the predator diffusion inequality  d2 > r2*(b-1) + r2*b*(b-1)/2 + a*r1/2;
 - the shift condition  s < min of the two species speeds, less the
-  speeds' quadrature error;
+  speeds' quadrature error (NaN, so failed, when b <= 1 leaves the
+  predator no speed);
 - the habitat assumptions, from the family's closed form
   (:func:`frontlab.habitat.validate`), with margin ``A = -alpha(-inf)``.
 
@@ -28,7 +29,7 @@ from .speeds import SystemSpeeds, system_speeds
 @dataclass(frozen=True)
 class HypothesisReport:
     """Each clause's margin; a clause holds when its margin is positive
-    (a NaN ``s_margin``, with no speeds when ``b <= 1``, fails)."""
+    (a NaN ``s_margin``, with no predator speed when ``b <= 1``, fails)."""
 
     k1: float
     k2: float
@@ -36,7 +37,7 @@ class HypothesisReport:
     h1_margin: float
     s_margin: float
     alpha_margin: float
-    speeds: SystemSpeeds | None
+    speeds: SystemSpeeds
 
     @property
     def all_ok(self) -> bool:
@@ -77,20 +78,13 @@ def check_hypotheses(params: Params, profile: HabitatProfile, kernel1: Kernel,
     k2 = (p.d2 + p.r2 - p.r2 * p.b - p.r2 * p.b * (p.b - 1.0) / 2.0
           - p.a * p.r1 / 2.0)
     k = min(k1, k2)
-    h1_margin = p.b - 1.0
-
-    if p.b > 1.0:
-        sp = system_speeds(params, kernel1, kernel2)
-        s_margin = sp.s_underline - p.s - _speed_error(params, sp)
-    else:
-        sp = None
-        s_margin = float("nan")
+    sp = system_speeds(params, kernel1, kernel2)
     return HypothesisReport(
         k1=k1,
         k2=k2,
         k=k,
-        h1_margin=h1_margin,
-        s_margin=s_margin,
+        h1_margin=p.b - 1.0,
+        s_margin=sp.s_underline - p.s - _speed_error(params, sp),
         alpha_margin=hv.margin,
         speeds=sp,
     )

@@ -11,6 +11,11 @@ vanishes where ``g(lam) = d * (lam*M'(lam) - M(lam) + 1) - r*k`` does.
 ``g(0) = -r*k`` and ``g'(lam) = d * lam * M''(lam) > 0``, so for ``k > 0``
 the minimizer is the only root of an increasing function: a bracket
 found by doubling and one bracketing root solve give it.
+
+The system's speeds are the prey's, ``(d1, r1, k = 1, J1)``, and the
+predator's over saturated prey, ``(d2, r2, k = b - 1, J2)``.  The predator
+has none when ``b <= 1`` ((H1) fails): its speed, its rate and the
+minimum ``s_underline`` are then NaN, and the prey's speed is kept.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .dynamics import Params
-from .errors import BracketFailureError, HypothesisViolationError
+from .errors import BracketFailureError
 from .kernels import Kernel, exp_integral
 
 # Doubling past this ceiling signals a kernel/parameter pathology: the
@@ -55,7 +60,7 @@ class SpeedResult:
 
 @dataclass(frozen=True)
 class SystemSpeeds:
-    """The two species speeds and their minimum."""
+    """The two species speeds and their minimum, NaN with no predator speed."""
 
     s_star: float
     rate1: float
@@ -64,6 +69,8 @@ class SystemSpeeds:
 
     @property
     def s_underline(self) -> float:
+        if math.isnan(self.s_lower_star):
+            return math.nan
         return min(self.s_star, self.s_lower_star)
 
 
@@ -161,24 +168,10 @@ def min_speed(problem: SpeedProblem) -> SpeedResult:
     return SpeedResult(speed=candidate_speed(problem, rate), rate=rate)
 
 
-def prey_speed(params: Params, kernel1: Kernel) -> SpeedResult:
-    """Spreading speed of the prey in the favorable region, no predator."""
-    return min_speed(SpeedProblem(d=params.d1, r=params.r1, k=1.0, kernel=kernel1))
-
-
-def predator_speed(params: Params, kernel2: Kernel) -> SpeedResult:
-    """Spreading speed of the predator over saturated prey; needs b > 1."""
-    if not params.b > 1.0:
-        raise HypothesisViolationError(
-            f"(H1) requires conversion rate b > 1 (got b={params.b:g}): "
-            "otherwise the prey cannot sustain the predator")
-    return min_speed(SpeedProblem(d=params.d2, r=params.r2, k=params.b - 1.0,
-                                  kernel=kernel2))
-
-
 def system_speeds(params: Params, kernel1: Kernel, kernel2: Kernel) -> SystemSpeeds:
-    """Both species speeds; raises on (H1) violation."""
-    sp = prey_speed(params, kernel1)
-    sq = predator_speed(params, kernel2)
+    """Both species speeds, for every ``b`` (module docstring)."""
+    sp = min_speed(SpeedProblem(d=params.d1, r=params.r1, k=1.0, kernel=kernel1))
+    sq = (min_speed(SpeedProblem(d=params.d2, r=params.r2, k=params.b - 1.0, kernel=kernel2))
+          if params.b > 1.0 else SpeedResult(speed=math.nan, rate=math.nan))
     return SystemSpeeds(s_star=sp.speed, rate1=sp.rate,
                         s_lower_star=sq.speed, rate2=sq.rate)

@@ -230,8 +230,12 @@ def verify_subsolution(p: SubsolutionParams, params: Params, kernel: Kernel,
 
     Positivity of L[wave] and Q[wave] is sampled on a window-frame grid
     shrunk by one sample spacing (the wave is merely continuous at the
-    window edge) crossed with times in [0, t_check].
+    window edge) crossed with ``n_time >= 2`` times in [0, t_check], ends
+    included: Q[wave] is concave in ``amplitude*e^(gamma t)``, so its
+    minimum over the times lies at an end.
     """
+    if n_time < 2:
+        raise ValueError(f"n_time must be at least 2 to hold both ends of [0, t_check], got {n_time}")
     validate_params(p, params, kernel)
     gamma = p.growth_rate(params)
     bound = amplitude_speed_bound(p.decay, p.linear_rate, gamma, params, kernel, p.window)

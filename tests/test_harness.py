@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import sys
 
@@ -175,10 +176,12 @@ def test_prey_speed_computed_once_per_weak_predator_config(monkeypatch, tmp_path
     res = H.run_experiment(cfg, out_dir=tmp_path / "weak")
     row = runner.sweep_row(0.8, res)
     assert len(calls) == 1
-    assert cfg.speeds is None
-    assert row[1] == cfg.prey.speed == fl.prey_speed(cfg.params, cfg.kernel1).speed
+    prey = fl.min_speed(fl.SpeedProblem(d=cfg.params.d1, r=cfg.params.r1, k=1.0,
+                                        kernel=cfg.kernel1))
+    assert row[1] == cfg.speeds.s_star == prey.speed
+    assert math.isnan(row[2]) and math.isnan(row[3])
     speeds_text = (tmp_path / "weak" / "speeds.csv").read_text().splitlines()[1]
-    assert speeds_text.split(",")[:2] == [fmt(cfg.prey.speed), fmt(cfg.prey.rate)]
+    assert speeds_text.split(",")[:2] == [fmt(prey.speed), fmt(prey.rate)]
 
 
 @pytest.mark.parametrize("key, value", [
@@ -199,6 +202,7 @@ def test_prey_speed_computed_once_per_weak_predator_config(monkeypatch, tmp_path
     ("observer.window_fraction", "-3"),
     ("subsolution.n_space", "0"),
     ("subsolution.n_time", "0"),
+    ("subsolution.n_time", "1"),
     ("initial.u_half_width", "-1"),
     ("initial.v_half_width", "0"),
     ("solver.t_final", "1e308"),
@@ -437,8 +441,8 @@ def test_band_past_the_speed_horizon_runs_and_reports_both_verdicts():
 def test_weak_predator_config_roundtrips_without_band():
     text = MINIMAL.replace("params.b = 1.5", "params.b = 0.9") + "solver.t_final = 10.0\n"
     cfg = H.parse_config_text(text)
-    assert cfg.speeds is None and cfg.band is None
-    assert cfg.values["band.eta"] == "auto"
+    assert math.isnan(cfg.speeds.s_underline) and cfg.band is None
+    assert cfg.values["band.eta"] == cfg.values["subsolution.c"] == "auto"
     echoed = H.echo_config(cfg)
     assert H.parse_config_text(echoed).values == cfg.values
 
@@ -483,10 +487,12 @@ def test_run_experiment_snapshot_csv_shape(tmp_path):
 
 def test_run_experiment_weak_predator_speeds_row(tmp_path):
     text = MINIMAL.replace("params.b = 1.5", "params.b = 0.9") + "solver.t_final = 8.0\n"
-    H.run_experiment(H.parse_config_text(text), out_dir=tmp_path / "weak")
+    cfg = H.parse_config_text(text)
+    H.run_experiment(cfg, out_dir=tmp_path / "weak")
     row = (tmp_path / "weak" / "speeds.csv").read_text().splitlines()[1].split(",")
     assert float(row[0]) > 0.0          # prey speed still computed
-    assert row[2] == row[4] == "nan"    # predator speed undefined for b <= 1
+    assert row[0] == fmt(cfg.speeds.s_star)
+    assert row[2:] == ["nan"] * 3       # predator speeds undefined for b <= 1
     verdicts = (tmp_path / "weak" / "persistence.csv").read_text()
     assert "unavailable" in verdicts
 

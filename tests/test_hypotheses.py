@@ -28,8 +28,9 @@ def test_h1_boundary(unit_kernel):
     params = fl.Params(d1=1, d2=1, r1=0.5, r2=0.4, a=0.5, b=1.0, s=0.0)
     rep = fl.check_hypotheses(params, fl.logistic(0.5, 1.0), unit_kernel, unit_kernel)
     assert rep.rows()[0] == ("h1_b_gt_1", 0.0, False)
-    assert rep.speeds is None
-    # no speeds: the shift margin is NaN, and NaN is not positive
+    assert rep.speeds.s_star > 0.0
+    assert math.isnan(rep.speeds.s_lower_star) and math.isnan(rep.speeds.s_underline)
+    # no predator speed: the shift margin is NaN, and NaN is not positive
     clause, margin, ok = rep.rows()[3]
     assert clause == "shift_below_speeds" and math.isnan(margin) and ok is False
     assert not rep.all_ok

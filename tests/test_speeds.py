@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, optimize
 
 import frontlab as fl
-from frontlab.errors import BracketFailureError, HypothesisViolationError
+from frontlab.errors import BracketFailureError
 from frontlab.speeds import brentq
 
 from conftest import raised_cosine_mgf_closed
@@ -155,11 +155,14 @@ def test_system_speeds_symmetric_case(unit_kernel):
     assert sp.s_underline == pytest.approx(sp.s_star, rel=1e-10)
 
 
-def test_system_speeds_requires_b_above_one(unit_kernel):
-    params = fl.Params(d1=1.0, d2=1.0, r1=1.0, r2=1.0, a=0.5, b=1.0, s=0.0)
-    with pytest.raises(HypothesisViolationError) as err:
-        fl.system_speeds(params, unit_kernel, unit_kernel)
-    assert "H1" in str(err.value)
+@pytest.mark.parametrize("b", [0.9, 1.0])
+def test_system_speeds_keep_the_prey_and_give_nan_without_a_predator_speed(unit_kernel, b):
+    # (H1) fails for b <= 1: the predator has no speed, the prey keeps its own
+    params = fl.Params(d1=1.0, d2=1.0, r1=0.5, r2=1.0, a=0.5, b=b, s=0.0)
+    sp = fl.system_speeds(params, unit_kernel, unit_kernel)
+    prey = fl.min_speed(fl.SpeedProblem(d=1.0, r=0.5, k=1.0, kernel=unit_kernel))
+    assert (sp.s_star, sp.rate1) == (prey.speed, prey.rate)
+    assert all(math.isnan(x) for x in (sp.s_lower_star, sp.rate2, sp.s_underline))
 
 
 def test_system_speeds_predator_slows_to_zero(unit_kernel):

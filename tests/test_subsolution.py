@@ -155,6 +155,13 @@ def test_verify_rejects_linear_rate_at_cap(bench, unit_kernel):
         fl.verify_subsolution(bad, params, unit_kernel)
 
 
+def test_verify_needs_both_ends_of_the_time_interval(bench, unit_kernel):
+    # one sample, t = 0, would never look at t_check
+    params, _, p = bench
+    with pytest.raises(ValueError, match="n_time"):
+        fl.verify_subsolution(p, params, unit_kernel, n_time=1)
+
+
 def test_verify_rejects_small_window(bench, unit_kernel):
     params, c, p = bench
     bad = fl.SubsolutionParams(window=0.4, decay=p.decay, amplitude=p.amplitude,
