@@ -17,9 +17,8 @@ from .kernels import (Kernel, Stencil, exp_integral,
                       load_tabulated, raised_cosine, smooth_bump, tabulated,
                       tilted_mean)
 from .observers import (FrameBandSpec, LevelSetSeries, PersistenceReport,
-                        SpeedEstimate, ahead_band, decay_sup, estimate_speed,
-                        frame_band_min, level_set_position, level_set_series,
-                        theorem_band)
+                        SpeedEstimate, decay_sup, estimate_speed, frame_band_min,
+                        level_set_position, level_set_series, theorem_band)
 from .speeds import (SpeedProblem, SpeedResult, SystemSpeeds, candidate_speed,
                      min_speed, system_speeds)
 from .subsolution import (SubsolutionParams, SubsolutionReport,

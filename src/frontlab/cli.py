@@ -2,8 +2,8 @@
 
 Subcommands: ``speeds``, ``simulate``, ``sweep``, ``check-hypotheses``,
 ``verify-subsolution``.  Each table goes to stdout through the row
-function that writes its file in a bundle; ``simulate`` prints every row
-of ``persistence.csv``, ``unavailable`` ones included.  Exit codes: 0 on
+function that writes its file in a bundle; ``simulate`` prints both rows
+of ``persistence.csv``, a band's or an extinction test's.  Exit codes: 0 on
 success, 2 when ``--strict`` is given and a hypothesis (or verification)
 check fails, 1 on runtime error.  The output root comes from ``--out``,
 the ``FRONTLAB_OUT`` environment variable, or ``./frontlab-out``, in that

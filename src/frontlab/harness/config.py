@@ -6,20 +6,23 @@ echo, so parsing an echoed config reproduces the validated configuration
 bit for bit.
 
 The speeds record holds for every ``b``; its predator speeds are NaN
-when ``b <= 1``.  The frame band follows from the model: none when
-``b <= 1``, the theorem band ``[(s+eta)t, (s_underline-eta)t]`` when
-``s < s_underline`` (an explicit ``band.eta`` must lie in ``(0,
-(s_underline - s)/2)``), and the probe band ``[(s_underline+eta)t,
-(s_underline+2*eta)t]`` ahead of the front otherwise.  The auto
+when ``b <= 1``.  Each species has a band speed ``c``: ``s_underline``
+for the predator (NaN when ``b <= 1``), and for the prey ``s_underline``
+while ``s < s_underline`` and ``s*`` otherwise.  A species with ``s < c``
+reads the frame band ``[(s+eta)t, (c-eta)t]``, so while both can persist
+they share the paper's band; one with ``s >= c`` has no band, and its
+row tests extinction.  The auto ``band.eta`` is ``0.1*(c - s)``, ``c``
+the prey's band speed, and an explicit one must lie in ``(0, (c -
+s)/2)``, an empty interval when ``s >= s*``.  The auto
 ``subsolution.c`` is ``(s + s_underline)/2`` when ``b > 1``, else "auto".
-The auto ``grid.x_max`` is ``max(support_hi, 0) + halo + max(c, band's
-upper speed) * t_final + 10``, ``c = max(s*, s) + 0.05`` with ``s*`` the
-prey's speed, so a band that would leave the grid fails here.  The auto
-``grid.x_min`` mirrors it, ``min(support_lo, 0) - halo - 5``, when the
-habitat's left limit is unfavorable: the prey's left front spreads back
-only to about the habitat edge ``x = s t``.  A favorable left limit lets
-the fronts spread left too, and gives ``support_lo - halo - c * t_final -
-10``.  ``support_lo``/``support_hi`` bound the initial data.
+The auto ``grid.x_max`` is ``max(support_hi, 0) + halo + c * t_final +
+10``, ``c = max(s*, s) + 0.05`` with ``s*`` the prey's speed, so every
+band ends inside it.  The auto ``grid.x_min`` mirrors it,
+``min(support_lo, 0) - halo - 5``, when the habitat's left limit is
+unfavorable: the prey's left front spreads back only to about the
+habitat edge ``x = s t``.  A favorable left limit lets the fronts spread
+left too, and gives ``support_lo - halo - c * t_final - 10``.
+``support_lo``/``support_hi`` bound the initial data.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from ..errors import ConfigError, InvalidKernelError
 from ..habitat import HabitatProfile
 from ..hypotheses import HypothesisReport, check_hypotheses
 from ..kernels import Kernel, load_tabulated, raised_cosine, smooth_bump
-from ..observers import FrameBandSpec, ahead_band, theorem_band
+from ..observers import FrameBandSpec, theorem_band
 from ..speeds import SystemSpeeds
 from .csvio import fmt
 
@@ -136,7 +139,8 @@ class ExperimentConfig:
 
     ``values`` is the flat resolved key/value map (echo source);
     ``raw_text`` keeps the pre-resolution text so sweeps can override an
-    axis and re-resolve dependent defaults; ``base_dir`` is the absolute
+    axis and re-resolve dependent defaults; ``bands`` holds the prey's and
+    the predator's frame bands, in that order; ``base_dir`` is the absolute
     directory its relative table paths are read from.
     """
 
@@ -154,7 +158,7 @@ class ExperimentConfig:
     dt: float
     t_final: float
     snapshot_stride: int
-    band: FrameBandSpec | None
+    bands: tuple[FrameBandSpec, FrameBandSpec]
     theta: float
     window_fraction: float
     base_dir: str
@@ -246,18 +250,20 @@ def parse_config_text(text: str, base_dir: str = ".",
     v_spec = BumpSpec(values["initial.v_center"], values["initial.v_half_width"],
                       values["initial.v_height"])
 
-    # Frame band (see the module docstring); band keys stay "auto" when b <= 1.
-    band: FrameBandSpec | None = None
-    if params.b > 1.0:
-        s_under = sp.s_underline
-        gap = s_under - params.s
-        if values["band.eta"] == "auto":
-            values["band.eta"] = 0.1 * gap if gap > 0.0 else 0.1 * s_under
-        spec = values["band.eta"], values["band.epsilon"], values["band.t_window"]
-        band = theorem_band(params.s, s_under, *spec) if gap > 0.0 else ahead_band(s_under, *spec)
+    # Frame bands (see the module docstring): each species' band speed c.
+    c_v = sp.s_underline
+    c_u = c_v if params.s < c_v else sp.s_star
+    gap = c_u - params.s
+    if values["band.eta"] == "auto" and gap > 0.0:
+        values["band.eta"] = 0.1 * gap
+    eta = values["band.eta"]  # still "auto" only when neither species has a band
+    if eta != "auto" and not 0.0 < eta < gap / 2.0:
+        raise ConfigError(f"band.eta={eta:g} must lie in (0, (c - s)/2 = {gap / 2.0:g}), "
+                          f"c = {c_u:g} the prey's band speed")
+    bands = tuple(theorem_band(params.s, c, eta, values["band.epsilon"], values["band.t_window"])
+                  for c in (c_u, c_v))
 
-    # Grid defaults: spacing from the kernels, horizon from the speeds
-    # and the band.
+    # Grid defaults: spacing from the kernels, horizon from the speeds.
     r_min = min(kernel1.support_radius, kernel2.support_radius)
     halo = max(kernel1.support_radius, kernel2.support_radius)
     if values["grid.dx"] == "auto":
@@ -285,8 +291,7 @@ def parse_config_text(text: str, base_dir: str = ".",
     c = max(sp.s_star, params.s) + 0.05
     support_lo = min(u_spec.center - u_spec.half_width, v_spec.center - v_spec.half_width)
     support_hi = max(u_spec.center + u_spec.half_width, v_spec.center + v_spec.half_width)
-    reach = c if band is None else max(c, band.c_hi)
-    required_x_max = max(support_hi, 0.0) + halo + reach * t_final + 10.0
+    required_x_max = max(support_hi, 0.0) + halo + c * t_final + 10.0
     # A favorable left limit (-A > 0) lets the fronts spread left as well.
     required_x_min = (support_lo - halo - c * t_final - 10.0
                       if profile.A < 0.0 else min(support_lo, 0.0) - halo - 5.0)
@@ -295,7 +300,7 @@ def parse_config_text(text: str, base_dir: str = ".",
     x_max_origin = ""
     if values["grid.x_max"] == "auto":
         values["grid.x_max"] = required_x_max
-        x_max_origin = " (auto, from solver.t_final, the speeds and the band)"
+        x_max_origin = " (auto, from solver.t_final and the speeds)"
     if values["grid.x_min"] == "auto":
         values["grid.x_min"] = required_x_min
     if values["grid.x_max"] < required_x_max - 1e-9:
@@ -322,7 +327,7 @@ def parse_config_text(text: str, base_dir: str = ".",
         profile=profile, hypotheses=hypotheses, speeds=sp, grid=grid,
         u_spec=u_spec, v_spec=v_spec, dt=dt, t_final=t_final,
         snapshot_stride=values["solver.snapshot_stride"],
-        band=band,
+        bands=bands,
         theta=values["observer.theta"], window_fraction=values["observer.window_fraction"],
         base_dir=base_dir,
     )

@@ -36,7 +36,7 @@ class ExperimentResult:
     """The one record of a run.
 
     ``u_series``/``v_series`` are the rightmost level sets, ``u_left``/``v_left``
-    the leftmost; the reports are None when the config has no band."""
+    the leftmost; a species with no band has a report that tests extinction."""
 
     config: ExperimentConfig
     trajectory: Trajectory
@@ -44,8 +44,8 @@ class ExperimentResult:
     u_series: LevelSetSeries
     v_left: LevelSetSeries
     v_series: LevelSetSeries
-    u_report: PersistenceReport | None
-    v_report: PersistenceReport | None
+    u_report: PersistenceReport
+    v_report: PersistenceReport
 
     def level_set_rows(self, species: str) -> list[tuple]:
         """``level_sets_<species>.csv``: both crossings at each snapshot."""
@@ -55,10 +55,7 @@ class ExperimentResult:
             right.times.tolist(), left.positions.tolist(), right.positions.tolist())]
 
     def persistence_rows(self) -> list[tuple]:
-        """``persistence.csv``: one row per species, ``unavailable`` with no band."""
-        if self.u_report is None:
-            nan, epsilon = float("nan"), self.config.values["band.epsilon"]
-            return [(sp, nan, epsilon, nan, "unavailable") for sp in ("u", "v")]
+        """``persistence.csv``: one row per species."""
         return [(r.species, r.eta, r.epsilon, r.band_min, r.verdict)
                 for r in (self.u_report, self.v_report)]
 
@@ -89,8 +86,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             u_series=level_set_series(traj, cfg.theta, "u", "right"),
             v_left=level_set_series(traj, cfg.theta, "v", "left"),
             v_series=level_set_series(traj, cfg.theta, "v", "right"),
-            u_report=None if cfg.band is None else frame_band_min(traj, cfg.band, "u"),
-            v_report=None if cfg.band is None else frame_band_min(traj, cfg.band, "v"))
+            u_report=frame_band_min(traj, cfg.bands[0], "u"),
+            v_report=frame_band_min(traj, cfg.bands[1], "v"))
         if out_path is not None:
             write_text(out_path / "config_echo.txt", [echo_config(cfg)])
             write_csv(out_path / "speeds.csv", SPEEDS_HEADER, [speeds_row(cfg)])

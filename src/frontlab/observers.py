@@ -2,11 +2,13 @@
 
 These measurements operationalize asymptotic statements at desk scale:
 "liminf as t -> infinity" becomes a minimum over the trailing part of the
-run, reported as an estimate, never as a proof.
+run, reported as an estimate, never as a proof.  A species with no band
+is tested for extinction by its maximum over the same part of the run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +44,10 @@ class FrameBandSpec:
     """A moving band of frame speeds [c_lo * t, c_hi * t] to scan, on the
     side the habitat edge moves to.
 
-    ``eta`` records the margin used to build the band (the theorem band
-    between the shift and the slower species speed, or a probe band ahead
-    of the front).  ``t_window`` is the trailing fraction of the run over
-    which minima are taken.
+    ``eta`` records the margin used to build the band.  A species with no
+    band has NaN ``c_lo``, ``c_hi`` and ``eta``.  ``t_window`` is the
+    trailing fraction of the run over which minima (or, with no band,
+    maxima) are taken.
     """
 
     c_lo: float
@@ -55,7 +57,7 @@ class FrameBandSpec:
     t_window: float = 0.5
 
     def __post_init__(self):
-        if not self.c_hi > self.c_lo:
+        if self.c_hi <= self.c_lo or math.isnan(self.c_lo) != math.isnan(self.c_hi):
             raise ConfigError("frame band is empty: c_hi must exceed c_lo")
         if not self.epsilon > 0.0:
             raise ConfigError("persistence threshold epsilon must be positive")
@@ -63,23 +65,13 @@ class FrameBandSpec:
             raise ConfigError("t_window must lie in (0, 1]")
 
 
-def theorem_band(s: float, s_underline: float, eta: float, epsilon: float,
+def theorem_band(s: float, c: float, eta: float, epsilon: float,
                  t_window: float = 0.5) -> FrameBandSpec:
-    """The persistence band [(s+eta)t, (s_underline-eta)t]."""
-    if not 0.0 < eta < (s_underline - s) / 2.0:
-        raise ConfigError(
-            f"band.eta={eta:g} must lie in (0, (s_underline - s)/2 = "
-            f"{(s_underline - s) / 2.0:g}) for the theorem band")
-    return FrameBandSpec(c_lo=s + eta, c_hi=s_underline - eta, eta=eta,
-                         epsilon=epsilon, t_window=t_window)
-
-
-def ahead_band(s_underline: float, eta: float, epsilon: float,
-               t_window: float = 0.5) -> FrameBandSpec:
-    """A probe band [(s_underline+eta)t, (s_underline+2*eta)t] ahead of the front."""
-    if not eta > 0.0:
-        raise ConfigError("band margin eta must be positive")
-    return FrameBandSpec(c_lo=s_underline + eta, c_hi=s_underline + 2.0 * eta, eta=eta,
+    """The persistence band [(s+eta)t, (c-eta)t] of a species with band speed
+    ``c``; none (NaN speeds and ``eta``) when ``s >= c`` or ``c`` is NaN."""
+    if not s < c:
+        return FrameBandSpec(math.nan, math.nan, math.nan, epsilon, t_window)
+    return FrameBandSpec(c_lo=s + eta, c_hi=c - eta, eta=eta,
                          epsilon=epsilon, t_window=t_window)
 
 
@@ -180,18 +172,24 @@ def _band_min_at(x: np.ndarray, values: np.ndarray, lo: float, hi: float) -> flo
 
 
 def frame_band_min(traj: Trajectory, band: FrameBandSpec, species: str) -> PersistenceReport:
-    """Minimum of a species over the moving band and the trailing window."""
+    """Minimum of a species over the moving band and the trailing window.
+
+    With no band (NaN speeds) the species is tested for extinction:
+    ``band_min`` is then its maximum over the grid and the trailing window,
+    and the verdict is ``extinct`` or ``inconclusive``.
+    """
     field = _species_field(traj, species)
     x = traj.grid.x
     t_cut = (1.0 - band.t_window) * traj.t_final
     kept = [(i, t) for i, t in enumerate(traj.times) if t >= t_cut and t > 0.0]
     if not kept:
         raise ConfigError("no snapshots fall inside the trailing window")
-    band_min = np.inf
-    for i, t in kept:
-        band_min = min(band_min, _band_min_at(x, field[i], band.c_lo * t, band.c_hi * t))
-    band_min = float(band_min)
-    if band_min >= band.epsilon:
+    has_band = not math.isnan(band.c_lo)
+    if has_band:
+        band_min = min(_band_min_at(x, field[i], band.c_lo * t, band.c_hi * t) for i, t in kept)
+    else:
+        band_min = float(field[[i for i, _ in kept]].max())
+    if has_band and band_min >= band.epsilon:
         verdict = "persists"
     elif band_min <= min(EXTINCTION_FLOOR, band.epsilon):
         verdict = "extinct"

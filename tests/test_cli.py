@@ -105,7 +105,10 @@ def test_simulate_prints_the_persistence_rows_without_a_band(tmp_path, old, new)
     assert proc.returncode == 0, proc.stderr
     table = (out / "persistence.csv").read_text()
     assert proc.stdout == table + f"bundle written to {out}\n"
-    assert table.count(",unavailable\n") == 2
+    # the prey reads its band below s*; the predator, with no band, tests extinction
+    u, v = table.splitlines()[1:]
+    assert u.startswith("u,") and u.endswith(",persists")
+    assert v == "v,nan,0.01,0,extinct"
 
 
 def test_verify_subsolution_pass_report(cfg_file):

@@ -122,9 +122,11 @@ def test_minimal_config_defaults():
     assert cfg.values["kernel1.family"] == "raised_cosine"
     assert cfg.values["solver.dt"] == pytest.approx(
         fl.dt_max(cfg.params, cfg.profile.alpha_bar))
-    # the theorem band [(s + eta)t, (s_underline - eta)t]
+    # both species share the theorem band [(s + eta)t, (s_underline - eta)t]
     eta, s_under = cfg.values["band.eta"], cfg.speeds.s_underline
-    assert (cfg.band.c_lo, cfg.band.c_hi) == (cfg.params.s + eta, s_under - eta)
+    assert eta == 0.1 * (s_under - cfg.params.s)
+    for band in cfg.bands:
+        assert (band.c_lo, band.c_hi, band.eta) == (cfg.params.s + eta, s_under - eta, eta)
 
 
 def test_speeds_computed_once_per_parse(monkeypatch):
@@ -279,8 +281,8 @@ def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
-# Valid ranges for every drawn key.  b below 1 takes the prey-only path; the
-# band is the theorem band when s is below s_underline and the ahead band when not.
+# Valid ranges for every drawn key.  b below 1 leaves the predator without a
+# band speed; s past a species' band speed leaves that species without a band.
 _RANDOM_KEYS = {
     "params.d1": _floats(0.2, 2.0), "params.d2": _floats(0.2, 2.0),
     "params.r1": _floats(0.1, 1.0), "params.r2": _floats(0.1, 1.0),
@@ -308,8 +310,16 @@ def test_echo_round_trips_for_random_valid_configs(drawn):
     again = H.parse_config_text(echoed)
     assert again.values == cfg.values
     assert H.echo_config(again) == echoed
-    # the auto grid holds the band to t_final, wherever the initial data sit
-    assert cfg.band is None or cfg.values["grid.x_max"] >= cfg.band.c_hi * cfg.t_final
+    # each band lies ahead of the habitat edge, ends below its species' band
+    # speed c, and fits the auto grid to t_final, wherever the initial data sit
+    sp, s = cfg.speeds, cfg.params.s
+    c_u = sp.s_underline if s < sp.s_underline else sp.s_star
+    for band, c in zip(cfg.bands, (c_u, sp.s_underline)):
+        if s < c:
+            assert s < band.c_lo < band.c_hi <= c
+            assert cfg.values["grid.x_max"] >= band.c_hi * cfg.t_final
+        else:
+            assert math.isnan(band.c_lo) and math.isnan(band.c_hi) and math.isnan(band.eta)
 
 
 def test_constant_one_config_mirrors_the_horizon_and_simulates():
@@ -369,7 +379,8 @@ def _left_start(center: float) -> str:
 @pytest.mark.parametrize("center", [-45.0, -60.0])
 def test_auto_grid_holds_the_band_when_the_initial_data_sit_left(center):
     cfg = H.parse_config_text(_left_start(center))
-    assert cfg.values["grid.x_max"] >= cfg.band.c_hi * cfg.t_final
+    assert cfg.bands[0] == cfg.bands[1]
+    assert cfg.values["grid.x_max"] >= cfg.bands[0].c_hi * cfg.t_final
     with pytest.raises(ConfigError, match=r"^grid\.x_max=15 too small "):
         H.parse_config_text(_left_start(center) + "grid.x_max = 15\n")
 
@@ -393,19 +404,21 @@ def test_species_dying_in_the_unfavorable_region_run_to_t_final():
     assert [r[4] for r in res.persistence_rows()] == ["extinct", "extinct"]
 
 
-def test_band_falls_back_ahead_of_front():
+def test_prey_band_reaches_toward_s_star_past_the_predator_speed():
+    # s_underline = 0.2368 < s = 0.3 < s* = 0.3902: the prey keeps a band below
+    # its own speed, and the predator has none
     cfg = H.parse_config_text(MINIMAL + "params.s = 0.3\nsolver.t_final = 20.0\n")
-    assert cfg.band is not None
-    # the probe band [(s_underline + eta)t, (s_underline + 2 eta)t]
-    eta, s_under = cfg.values["band.eta"], cfg.speeds.s_underline
-    assert (cfg.band.c_lo, cfg.band.c_hi) == (s_under + eta, s_under + 2.0 * eta)
-    assert cfg.band.c_lo > cfg.speeds.s_underline
+    sp, s = cfg.speeds, cfg.params.s
+    eta = cfg.values["band.eta"]
+    assert eta == 0.1 * (sp.s_star - s)
+    u_band, v_band = cfg.bands
+    assert (u_band.c_lo, u_band.c_hi, u_band.eta) == (s + eta, sp.s_star - eta, eta)
+    assert math.isnan(v_band.c_lo) and math.isnan(v_band.c_hi) and math.isnan(v_band.eta)
 
 
 def test_theorem_band_eta_too_wide_fails_before_the_run(monkeypatch):
     # README's exp.cfg (its habitat keys are the defaults): s_underline - s is
-    # 0.1188, so eta = 0.1 leaves an empty theorem band; it used to fall back
-    # to the ahead band [0.337t, 0.437t] without a word
+    # 0.1188, so eta = 0.1 leaves an empty theorem band
     calls = _count_calls(monkeypatch, fl.simulate)
     text = MINIMAL + "params.s = 0.118\nsolver.t_final = 50.0\nband.eta = 0.1\n"
     with pytest.raises(ConfigError, match=r"^band\.eta=0\.1 must lie in \(0, "):
@@ -413,38 +426,62 @@ def test_theorem_band_eta_too_wide_fails_before_the_run(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("eta, x_max", [(0.5, 139.6828135907367), (0.2, 79.6828135907367)])
-def test_band_past_the_speed_horizon_sets_the_grid_end_at_parse(monkeypatch, eta, x_max):
-    # s past s_underline = 0.2368: the ahead band [(s_underline + eta)t,
-    # (s_underline + 2 eta)t] reaches past the speeds' horizon, x_max = 62
+@pytest.mark.parametrize("eta", [0.5, 0.2, 0.001])
+def test_explicit_eta_past_the_prey_speed_fails_at_parse(monkeypatch, eta):
+    # s = 0.41 past s* = 0.3902: neither species has a band, so (0, (c - s)/2)
+    # is empty for every band.eta; the horizon follows from the speeds alone
     text = MINIMAL + "params.s = 0.41\nsolver.t_final = 100.0\n"
-    assert H.parse_config_text(text).values["grid.x_max"] == 62.0
+    cfg = H.parse_config_text(text)
+    assert cfg.values["grid.x_max"] == 62.0 and cfg.values["band.eta"] == "auto"
     calls = _count_calls(monkeypatch, fl.simulate)
-    with pytest.raises(ConfigError, match=r"^grid\.x_max=62 too small .* need x_max >= "):
-        H.run_experiment(H.parse_config_text(text + f"band.eta = {eta}\ngrid.x_max = 62\n"))
+    with pytest.raises(ConfigError, match=rf"^band\.eta={eta:g} must lie in \(0, "):
+        H.run_experiment(H.parse_config_text(text + f"band.eta = {eta}\n"))
     assert calls == []
-    cfg = H.parse_config_text(text + f"band.eta = {eta}\n")
-    s_under = cfg.speeds.s_underline
-    assert (cfg.band.c_lo, cfg.band.c_hi) == (s_under + eta, s_under + 2.0 * eta)
-    assert cfg.values["grid.x_max"] == pytest.approx(x_max, rel=1e-15)
-    assert cfg.grid.x[-1] >= cfg.band.c_hi * cfg.t_final
 
 
 def test_band_past_the_speed_horizon_runs_and_reports_both_verdicts():
-    cfg = H.parse_config_text(MINIMAL + "params.s = 0.41\nsolver.t_final = 100.0\n"
-                              "band.eta = 0.5\n")
+    # past s*, both rows test extinction: each species' largest value over the
+    # grid and the trailing window; the prey's front has not yet died out
+    cfg = H.parse_config_text(MINIMAL + "params.s = 0.41\nsolver.t_final = 100.0\n")
     res = H.run_experiment(cfg)
-    assert [row[0] for row in res.persistence_rows()] == ["u", "v"]
-    assert res.u_report.verdict == res.v_report.verdict == "extinct"
+    rows = res.persistence_rows()
+    assert [row[0] for row in rows] == ["u", "v"]
+    assert all(math.isnan(row[1]) for row in rows)
+    assert res.u_report.verdict == "inconclusive"
+    assert res.u_report.band_min == pytest.approx(4.19e-3, rel=1e-3)
+    assert res.v_report.verdict == "extinct"
+    assert res.v_report.band_min == pytest.approx(1.73e-9, rel=1e-2)
 
 
 def test_weak_predator_config_roundtrips_without_band():
+    # b <= 1: no predator band; the prey reads its band below s*
     text = MINIMAL.replace("params.b = 1.5", "params.b = 0.9") + "solver.t_final = 10.0\n"
     cfg = H.parse_config_text(text)
-    assert math.isnan(cfg.speeds.s_underline) and cfg.band is None
-    assert cfg.values["band.eta"] == cfg.values["subsolution.c"] == "auto"
+    sp = cfg.speeds
+    assert math.isnan(sp.s_underline) and math.isnan(cfg.bands[1].c_lo)
+    assert cfg.values["band.eta"] == 0.1 * (sp.s_star - cfg.params.s)
+    assert cfg.bands[0].c_hi == sp.s_star - cfg.values["band.eta"]
+    assert cfg.values["subsolution.c"] == "auto"
     echoed = H.echo_config(cfg)
     assert H.parse_config_text(echoed).values == cfg.values
+
+
+# README's exp.cfg at s = 0.30, between s_underline = 0.2368 and s* = 0.3902.
+S030 = (MINIMAL + "params.s = 0.30\nhabitat.family = logistic\nhabitat.A = 0.5\n"
+        "habitat.L = 2.0\nsolver.t_final = 520.0\n")
+
+
+def test_prey_persists_on_its_own_band_while_the_predator_dies_out():
+    cfg = H.parse_config_text(S030)
+    assert cfg.bands[0].c_lo == pytest.approx(0.3090, abs=5e-5)
+    assert cfg.bands[0].c_hi == pytest.approx(0.3812, abs=5e-5)
+    res = H.run_experiment(cfg)
+    (u, u_eta, _, u_min, u_verdict), (v, v_eta, _, v_min, v_verdict) = res.persistence_rows()
+    assert (u, u_verdict) == ("u", "persists")
+    assert u_eta == cfg.values["band.eta"]
+    assert u_min == pytest.approx(0.72678959626297923, rel=1e-9)
+    assert (v, v_verdict) == ("v", "extinct") and math.isnan(v_eta)
+    assert v_min == pytest.approx(1.4646894420487824e-31, rel=1e-6)
 
 
 def test_run_experiment_bundle_and_verdicts(tmp_path):
@@ -493,8 +530,9 @@ def test_run_experiment_weak_predator_speeds_row(tmp_path):
     assert float(row[0]) > 0.0          # prey speed still computed
     assert row[0] == fmt(cfg.speeds.s_star)
     assert row[2:] == ["nan"] * 3       # predator speeds undefined for b <= 1
-    verdicts = (tmp_path / "weak" / "persistence.csv").read_text()
-    assert "unavailable" in verdicts
+    u, v = (tmp_path / "weak" / "persistence.csv").read_text().splitlines()[1:]
+    assert u.startswith(f"u,{fmt(cfg.values['band.eta'])},0.01,") and u.endswith(",persists")
+    assert v == "v,nan,0.01,0,extinct"      # no predator band: v never grows
 
 
 def test_an_override_replaces_the_texts_value_and_is_validated():
@@ -531,7 +569,7 @@ def test_sweep_workers_deterministic(tmp_path):
 
 
 def test_sweep_row_is_text_of_the_members_speeds_and_persistence_rows(tmp_path):
-    # params.b = 0.9 leaves the first member without a band
+    # params.b = 0.9 leaves the first member's predator without a band
     cfg = H.parse_config_text(MINIMAL + "params.s = 0.1\nsolver.t_final = 8.0\n")
     rows = H.sweep(cfg, "b", [0.9, 1.5], workers=1, out_dir=tmp_path / "w1")
     rows2 = H.sweep(cfg, "b", [0.9, 1.5], workers=2, out_dir=tmp_path / "w2")
@@ -546,8 +584,9 @@ def test_sweep_row_is_text_of_the_members_speeds_and_persistence_rows(tmp_path):
         u, v = [r.split(",") for r in (run / "persistence.csv").read_text().splitlines()[1:]]
         assert line.split(",") == [fmt(rows[i][0]), speeds[0], speeds[2], speeds[4],
                                    u[3], v[3], u[4], v[4]]
-    assert lines[1].endswith(",nan,nan,nan,nan,unavailable,unavailable")
-    assert "unavailable" not in lines[2] and "nan" not in lines[2]
+    assert lines[1].split(",")[2:4] == ["nan", "nan"]
+    assert lines[1].endswith(",0,persists,extinct")
+    assert "nan" not in lines[2]
 
 
 def test_run_record_is_frozen_and_keeps_both_level_sets(tmp_path):

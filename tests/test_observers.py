@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -147,9 +149,26 @@ def test_frame_band_min_band_beyond_grid():
 
 def test_theorem_band_margin_validation():
     with pytest.raises(ConfigError):
-        fl.theorem_band(s=0.2, s_underline=0.3, eta=0.06, epsilon=0.01)
-    band = fl.theorem_band(s=0.2, s_underline=0.3, eta=0.04, epsilon=0.01)
+        fl.theorem_band(s=0.2, c=0.3, eta=0.06, epsilon=0.01)
+    band = fl.theorem_band(s=0.2, c=0.3, eta=0.04, epsilon=0.01)
     assert band.c_lo == pytest.approx(0.24) and band.c_hi == pytest.approx(0.26)
+    # s at or past the band speed, or a NaN band speed: no band
+    for c in (0.2, 0.1, math.nan):
+        none = fl.theorem_band(s=0.2, c=c, eta=0.04, epsilon=0.01)
+        assert math.isnan(none.c_lo) and math.isnan(none.c_hi) and math.isnan(none.eta)
+
+
+def test_frame_band_min_without_a_band_tests_extinction():
+    # no band: band_min is the largest value over the grid and the trailing
+    # window, and the verdict is never persists
+    nan = math.nan
+    none = fl.FrameBandSpec(c_lo=nan, c_hi=nan, eta=nan, epsilon=0.01)
+    for height, verdict in ((0.5, "inconclusive"), (1e-7, "extinct"), (0.0, "extinct")):
+        traj = _synthetic_trajectory(lambda x, t: np.where(x <= 0.25 * t, height, 0.0))
+        rep = fl.frame_band_min(traj, none, "u")
+        assert (rep.band_min, rep.verdict) == (height, verdict) and math.isnan(rep.eta)
+    with pytest.raises(ConfigError):
+        fl.FrameBandSpec(c_lo=0.1, c_hi=nan, eta=0.05, epsilon=0.01)
 
 
 def test_decay_sup_zero_field():
