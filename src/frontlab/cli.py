@@ -75,7 +75,8 @@ def _cmd_verify_subsolution(args) -> int:
     c = vals["subsolution.c"]
     if c == "auto":
         raise FrontLabError(
-            "subsolution.c could not be derived (needs b > 1); set it explicitly")
+            "subsolution.c could not be derived (needs b > 1 and params.s below s_underline); "
+            "set it explicitly")
     window = vals["subsolution.window"]
     amplitude = vals["subsolution.amplitude"]
     p = construct_subsolution(

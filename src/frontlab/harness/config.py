@@ -14,7 +14,8 @@ they share the paper's band; one with ``s >= c`` has no band, and its
 row tests extinction.  The auto ``band.eta`` is ``0.1*(c - s)``, ``c``
 the prey's band speed, and an explicit one must lie in ``(0, (c -
 s)/2)``, an empty interval when ``s >= s*``.  The auto
-``subsolution.c`` is ``(s + s_underline)/2`` when ``b > 1``, else "auto".
+``subsolution.c`` is ``(s + s_underline)/2`` when ``b > 1`` and ``s <
+s_underline``, else "auto"; an explicit one must exceed ``s``.
 The auto ``grid.x_max`` is ``max(support_hi, 0) + halo + c * t_final +
 10``, ``c = max(s*, s) + 0.05`` with ``s*`` the prey's speed, so every
 band ends inside it.  The auto ``grid.x_min`` mirrors it,
@@ -319,8 +320,13 @@ def parse_config_text(text: str, base_dir: str = ".",
             f"{2.0 * n_snapshots * n_points:.4g} values, more than 2**31")
     grid = grid_from_spacing(values["grid.x_min"], values["grid.x_max"], dx)
 
-    if values["subsolution.c"] == "auto" and params.b > 1.0:
+    # The sub-solution's frame runs ahead of the habitat edge, in (s, s_underline).
+    if values["subsolution.c"] == "auto" and params.b > 1.0 and params.s < sp.s_underline:
         values["subsolution.c"] = 0.5 * (params.s + sp.s_underline)
+    if values["subsolution.c"] != "auto" and not values["subsolution.c"] > params.s:
+        raise ConfigError(f"subsolution.c={values['subsolution.c']:g} must exceed "
+                          f"params.s = {params.s:g}: the frame must run ahead of the "
+                          f"habitat edge")
 
     return ExperimentConfig(
         values=values, raw_text=text, params=params, kernel1=kernel1, kernel2=kernel2,

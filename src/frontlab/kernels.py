@@ -36,17 +36,16 @@ TABULATED = "tabulated"
 # uniform panels the bump fails the split-panel check from lam*R ~ 16;
 # graded ones pass past lam*R = 128, the steepest tilt the speed and
 # decay-rate solvers evaluate.  Each kernel builds its whole-support nodes and
-# density values once (``Kernel._rule``).  A clipped integral evaluates only
-# the panels its limits cut; every integral still runs the split-panel check.
+# density values once (``Kernel._rule``).  A clipped integral is one pass over
+# all the rows its limits cut: each row's split terms are the whole-support
+# ones on the panels it keeps, zero on those it drops, and, on the panels it
+# cuts, terms from one integrand call for every row; every integral still runs
+# the split-panel check.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _UNIT_EDGES = np.sin(0.5 * np.pi * np.linspace(-1.0, 1.0, 17))
 # Largest disagreement between the rule and its split-panel repeat,
 # relative to the integral of |J * integrand|.
 _SELF_CHECK_RTOL = 1e-10
-# Terms assembled per chunk of clipped rows, which bounds the temporaries; a
-# chunk holds at least one row, so a table with more than about 340 knots
-# goes past it.
-_CHUNK_NODES = 1 << 14
 # Cells per output row of the blocked convolution (see ``Stencil.padded_block``);
 # 32 ran a little faster than 16 or 64 for stencils of 17 and 33 taps.
 BLOCK = 32
@@ -65,15 +64,20 @@ def _split_rule(edges, lo, hi):
     return _panel_rule(np.concatenate([a, a, mid], axis=1), np.concatenate([b, mid, b], axis=1))
 
 
-def _checked_sum(terms, n) -> np.ndarray:
-    """Row sums of the split terms ``terms[:, n:]``, checked against ``terms[:, :n]``."""
-    split = terms[:, n:]
-    fine = split.sum(axis=(1, 2))
-    err = np.abs(fine - terms[:, :n].sum(axis=(1, 2)))
-    if not np.all(err <= _SELF_CHECK_RTOL * np.abs(split).sum(axis=(1, 2))):
+def _certified(fine, coarse, scale) -> np.ndarray:
+    """``fine``, once every row's ``|fine - coarse|`` is within the tolerance of ``scale``."""
+    err = np.abs(fine - coarse)
+    if not np.all(err <= _SELF_CHECK_RTOL * scale):
         raise NumericFailureError(
             f"kernel quadrature failed its split-panel check (residual {np.max(err):.3e})")
     return fine
+
+
+def _checked_sum(terms, n) -> np.ndarray:
+    """Row sums of the split terms ``terms[:, n:]``, checked against ``terms[:, :n]``."""
+    split = terms[:, n:]
+    return _certified(split.sum(axis=(1, 2)), terms[:, :n].sum(axis=(1, 2)),
+                      np.abs(split).sum(axis=(1, 2)))
 
 
 def _bump_body(u):
@@ -285,9 +289,13 @@ def quad(kernel: Kernel, integrand=None, lo=None, hi=None):
     :class:`NumericFailureError` is raised when the two differ by more than
     1e-10 relative to the integral of ``|J * integrand|``.  The integrand is
     evaluated once on the kernel's whole-support rule.  A row whose limits
-    cover the support sums those terms; any other row copies the panels its
-    limits keep whole, zeroes the ones they drop and evaluates afresh only
-    the panels they cut, at most two and their halves.  Each row is checked.
+    cover the support sums those terms.  Every other row is handled in one
+    pass: its split terms copy the panels its limits keep whole from the
+    whole-support terms and are zero on the ones they drop, and the panels
+    they cut (at most two per row), with their halves, are evaluated in one
+    integrand call for all rows.  Each row's check takes its coarse sum and
+    its ``|terms|`` scale from the whole-support rule's per-panel sums over
+    the kept panels, plus the cut panels' own terms.
     """
     nodes, values, weights, n = kernel._rule
     full = (values if integrand is None else values * integrand(nodes)) * weights
@@ -305,22 +313,32 @@ def quad(kernel: Kernel, integrand=None, lo=None, hi=None):
     if whole.any():
         out[whole] = _checked_sum(full, n)
     cut = np.flatnonzero(~whole)
-    rows = max(1, _CHUNK_NODES // full.size)
-    for i in range(0, cut.size, rows):
-        k = cut[i:i + rows]
-        a, b = np.clip(edges[:-1], lo[k], hi[k]), np.clip(edges[1:], lo[k], hi[k])
-        kept = (a == edges[:-1]) & (b == edges[1:])
-        terms = np.where(np.tile(kept, 3)[..., None], full, 0.0)
-        row, j = np.nonzero(~kept & (a != b))
-        a, b = a[row, j], b[row, j]
-        mid = 0.5 * (a + b)
-        x, w = _panel_rule(np.stack([a, a, mid]), np.stack([b, mid, b]))
-        f = kernel.evaluate(x)
-        f = f if integrand is None else f * integrand(x)
-        terms[row, j + n * np.arange(3)[:, None]] = f * w
-        out[k, 0] = _checked_sum(terms, n)
+    if cut.size:
+        out[cut, 0] = _clipped_sums(kernel, integrand, full, n, lo[cut], hi[cut])
     out = out.reshape(shape)
     return out.item() if out.ndim == 0 else out
+
+
+def _clipped_sums(kernel: Kernel, integrand, full, n, lo, hi) -> np.ndarray:
+    """:func:`quad`'s checked sums for the rows ``[lo, hi]`` (column vectors)
+    that do not cover the support, from the whole-support terms ``full``."""
+    edges = kernel._edges
+    a, b = np.clip(edges[:-1], lo, hi), np.clip(edges[1:], lo, hi)
+    kept = (a == edges[:-1]) & (b == edges[1:])
+    split = np.where(np.tile(kept, 2)[..., None], full[:, n:], 0.0)
+    row, j = np.nonzero(~kept & (a != b))
+    a, b = a[row, j], b[row, j]
+    mid = 0.5 * (a + b)
+    x, w = _panel_rule(np.stack([a, a, mid]), np.stack([b, mid, b]))
+    f = kernel.evaluate(x)
+    terms = (f if integrand is None else f * integrand(x)) * w
+    split[row, j + n * np.arange(2)[:, None]] = terms[1:]
+    panel = full[0].sum(axis=1)
+    size = np.abs(full[0, n:]).sum(axis=1)
+    coarse, scale = kept @ panel[:n], kept @ (size[:n] + size[n:])
+    np.add.at(coarse, row, terms[0].sum(axis=1))
+    np.add.at(scale, row, np.abs(terms[1:]).sum(axis=(0, 2)))
+    return _certified(split.sum(axis=(1, 2)), coarse, scale)
 
 
 def exp_integral(kernel: Kernel, lam: float, weight=None) -> float:

@@ -74,7 +74,8 @@ class SystemSpeeds:
         return min(self.s_star, self.s_lower_star)
 
 
-def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100, *,
+           fb: float | None = None, full_output: bool = False):
     """Root of ``f`` in the bracket ``[xa, xb]`` by Brent's method.
 
     A step-for-step port of scipy's ``brentq.c`` (Brent 1973, *Algorithms
@@ -85,19 +86,26 @@ def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100
     is below ``delta``.  Raises ``ValueError`` for a bracket whose ends
     have the same sign or a NaN value of ``f``, and ``RuntimeError`` after
     ``maxiter`` steps.
+
+    ``fb`` is ``f(xb)`` when the caller holds it already, so ``f`` is not
+    called there again.  With ``full_output`` the result is the pair
+    ``(root, f(root))``, the value the solve last held at the root.
     """
-    def value(x: float) -> float:
-        fx = float(f(x))
+    def value(x: float, fx=None) -> float:
+        fx = float(f(x) if fx is None else fx)
         if math.isnan(fx):
             raise ValueError(f"the function value at x={x!r} is NaN")
         return fx
 
+    def result(x: float, fx: float):
+        return (x, fx) if full_output else x
+
     xpre, xcur = float(xa), float(xb)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = value(xpre), value(xcur, fb)
     if fpre == 0.0:
-        return xpre
+        return result(xpre, fpre)
     if fcur == 0.0:
-        return xcur
+        return result(xcur, fcur)
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(xa) and f(xb) must have different signs")
     xblk = fblk = spre = scur = 0.0
@@ -111,7 +119,7 @@ def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+            return result(xcur, fcur)
         stry = math.inf  # bisect unless a short enough step is found
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate
@@ -158,13 +166,15 @@ def min_speed(problem: SpeedProblem) -> SpeedResult:
     radius = problem.kernel.support_radius
     ceiling = _LAMBDA_CEILING_OVER_R / radius
     hi = 1.0 / radius
-    while not g(hi) > 0.0:
+    g_hi = g(hi)
+    while not g_hi > 0.0:
         hi *= 2.0
         if hi > ceiling:
             raise BracketFailureError(
                 f"candidate speed still decreasing at lam={0.5 * hi:g} "
                 f"(ceiling {ceiling:g}); check kernel and parameters")
-    rate = brentq(g, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
+        g_hi = g(hi)
+    rate = brentq(g, 0.0, hi, xtol=1e-14, rtol=8.9e-16, fb=g_hi)
     return SpeedResult(speed=candidate_speed(problem, rate), rate=rate)
 
 

@@ -44,6 +44,9 @@ from .speeds import brentq
 _DECAY_CEILING_OVER_R = 200.0
 # Largest |tilt_speed(decay) - frame_speed| a decay rate may leave.
 TILT_TOL = 1e-8
+# Samples of Q[wave] per block of time rows (64 KiB of floats), so that the
+# check's temporaries are reused from the heap rather than mapped afresh.
+_BLOCK_VALUES = 8192
 
 
 def max_linear_rate(params: Params, predator_level: float, prey_level: float) -> float:
@@ -164,14 +167,17 @@ def match_decay_rate(frame_speed: float, window: float, params: Params,
     ceiling = _DECAY_CEILING_OVER_R / kernel.support_radius
     f = lambda beta: tilt_speed(beta, params, kernel, window) - frame_speed
     hi = 1.0 / kernel.support_radius
-    while f(hi) < 0.0:
+    f_hi = f(hi)
+    while f_hi < 0.0:
         hi *= 2.0
         if hi > ceiling:
             raise NoRootError(
                 f"tilt speed cannot reach {frame_speed:g} below the rate ceiling "
                 f"{ceiling:g}; retry with a larger window than {window:g}")
-    beta = brentq(f, 0.0, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    resid = abs(tilt_speed(beta, params, kernel, window) - frame_speed)
+        f_hi = f(hi)
+    beta, f_beta = brentq(f, 0.0, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200,
+                          fb=f_hi, full_output=True)
+    resid = abs(f_beta)
     if resid > TILT_TOL:
         raise NumericFailureError(
             f"decay-rate solve left a residual {resid:.3e} above {TILT_TOL:g}")
@@ -232,7 +238,12 @@ def verify_subsolution(p: SubsolutionParams, params: Params, kernel: Kernel,
     shrunk by one sample spacing (the wave is merely continuous at the
     window edge) crossed with ``n_time >= 2`` times in [0, t_check], ends
     included: Q[wave] is concave in ``amplitude*e^(gamma t)``, so its
-    minimum over the times lies at an end.
+    minimum over the times lies at an end.  Neither minimum builds the
+    ``n_time x n_space`` grid.  L[wave] is the positive growth factor times a
+    profile in z, and rounding a product by a positive factor is monotone,
+    so its minimum is the smallest of the factor times the profile's
+    minimum, bit for bit.  Q[wave] is taken over blocks of time rows of at
+    most ``_BLOCK_VALUES`` samples.
     """
     if n_time < 2:
         raise ValueError(f"n_time must be at least 2 to hold both ends of [0, t_check], got {n_time}")
@@ -254,16 +265,17 @@ def verify_subsolution(p: SubsolutionParams, params: Params, kernel: Kernel,
     # L[wave](z, t) = amplitude*exp(gamma*t) * linear_part(z): one sweep in z.
     linear_part = params.d1 * conv + (m - gamma) * g + c * gp
     growth = p.amplitude * np.exp(gamma * tgrid)          # (n_time,)
-    lin = growth[:, None] * linear_part[None, :]
+    min_linear = (growth * linear_part.min()).min()
     # Q[wave] adds the damped reaction, quadratic in the wave value.
     reaction_lin = (params.d1 * conv - params.d1 * g
                     + params.r1 * (1.0 - params.a * p.predator_level) * g
                     - gamma * g + c * gp)
-    qvals = (growth[:, None] * reaction_lin[None, :]
-             - params.r1 * (growth[:, None] * g[None, :]) ** 2)
+    rows = max(1, _BLOCK_VALUES // n_space)
+    blocks = (growth[i:i + rows, None] for i in range(0, n_time, rows))
+    min_reaction = np.min([(G * reaction_lin - params.r1 * (G * g) ** 2).min() for G in blocks])
     return SubsolutionReport(amplitude_margin=float(amplitude_margin),
                              tilt_residual=float(tilt_residual),
-                             min_linear=float(lin.min()), min_reaction=float(qvals.min()))
+                             min_linear=float(min_linear), min_reaction=float(min_reaction))
 
 
 def wave_peak_factor(decay: float, window: float) -> float:

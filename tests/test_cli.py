@@ -129,6 +129,21 @@ def test_verify_subsolution_fail_strict_exit(cfg_file, tmp_path):
     assert relaxed.returncode == 0
 
 
+def test_verify_subsolution_past_s_underline_names_subsolution_c(tmp_path):
+    # s = 0.30 > s_underline = 0.2368: no frame speed lies in (s, s_underline),
+    # so none is derived, and an explicit one at or below s fails at parse
+    path = tmp_path / "s030.cfg"
+    path.write_text(CFG.replace("params.s = 0.1\n", "params.s = 0.30\n"))
+    proc = run_cli("verify-subsolution", str(path))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "subsolution.c could not be derived (needs b > 1 and params.s below" in proc.stderr
+    with path.open("a") as fh:
+        fh.write("subsolution.c = 0.25\n")
+    proc = run_cli("speeds", str(path))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "subsolution.c=0.25 must exceed params.s" in proc.stderr
+
+
 def test_verify_subsolution_fail_line_names_the_rows_marked_false(tmp_path):
     bad = tmp_path / "amp.cfg"
     bad.write_text(CFG + "subsolution.amplitude = 0.5\n")

@@ -484,6 +484,28 @@ def test_prey_persists_on_its_own_band_while_the_predator_dies_out():
     assert v_min == pytest.approx(1.4646894420487824e-31, rel=1e-6)
 
 
+@pytest.mark.parametrize("s, auto", [(0.118, True), (0.30, False), (0.41, False)])
+def test_auto_subsolution_speed_lies_between_the_shift_and_s_underline(s, auto):
+    # the frame must run ahead of the habitat edge and below s_underline; past
+    # s_underline = 0.2368 (README's exp.cfg at s = 0.30, or beyond s*) no
+    # frame speed is derived, and the echo keeps "auto"
+    cfg = H.parse_config_text(MINIMAL + f"params.s = {s}\nsolver.t_final = 20.0\n")
+    c = cfg.values["subsolution.c"]
+    if auto:
+        assert c == 0.5 * (s + cfg.speeds.s_underline) and s < c < cfg.speeds.s_underline
+    else:
+        assert c == "auto" and "\nsubsolution.c = auto\n" in H.echo_config(cfg)
+
+
+@pytest.mark.parametrize("c", ["0.25", "0.3", "0.1"])
+def test_explicit_subsolution_speed_at_or_below_the_shift_fails_at_parse(c):
+    text = MINIMAL + "params.s = 0.30\nsolver.t_final = 20.0\n"
+    with pytest.raises(ConfigError, match=rf"^subsolution\.c={c} must exceed params\.s = 0\.3"):
+        H.parse_config_text(text + f"subsolution.c = {c}\n")
+    cfg = H.parse_config_text(text + "subsolution.c = 0.31\n")
+    assert cfg.values["subsolution.c"] == 0.31
+
+
 def test_run_experiment_bundle_and_verdicts(tmp_path):
     cfg = H.parse_config_text(DESK + "solver.t_final = 40.0\ninitial.v_height = 0.0\n")
     res = H.run_experiment(cfg, out_dir=tmp_path / "run")

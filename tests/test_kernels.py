@@ -303,21 +303,26 @@ def test_failed_quadrature_leaves_the_rule_intact():
 
 def _clipped_reference(kernel, integrand, lo, hi):
     """The clipped integral with every row's panels built afresh: the rule on
-    the support clipped to each row, then the same checked sum."""
+    the support clipped to each row, then the same checked sum.  Rows go one
+    at a time, so a reference for many rows of a long table stays small."""
     edges = kernel._edges
     lo, hi = np.broadcast_arrays(np.asarray(edges[0] if lo is None else lo, dtype=float),
                                  np.asarray(edges[-1] if hi is None else hi, dtype=float))
-    nodes, weights = _split_rule(edges, np.maximum(lo.reshape(-1, 1), edges[0]),
-                                 np.minimum(hi.reshape(-1, 1), edges[-1]))
-    f = kernel.evaluate(nodes)
-    f = f if integrand is None else f * integrand(nodes)
-    return _checked_sum(f * weights, edges.size - 1).reshape(lo.shape)
+    sums = []
+    for a, b in zip(np.maximum(lo.reshape(-1, 1, 1), edges[0]),
+                    np.minimum(hi.reshape(-1, 1, 1), edges[-1])):
+        nodes, weights = _split_rule(edges, a, b)
+        f = kernel.evaluate(nodes)
+        f = f if integrand is None else f * integrand(nodes)
+        sums.append(_checked_sum(f * weights, edges.size - 1))
+    return np.concatenate(sums).reshape(lo.shape)
 
 
 def _limits(kernel):
     """(lo, hi) pairs that put the limits on every kind of place."""
     e, r = kernel._edges, kernel.support_radius
     inner = lambda t: e[6] + t * (e[7] - e[6])
+    z = np.linspace(-2.0 * r, 2.0 * r, 514)[1:-1]  # the window convolution's grid
     return [
         (e[4], e[-5]),                                # on panel edges
         (0.5 * (e[4] + e[5]), 0.5 * (e[-6] + e[-5])),  # on split midpoints
@@ -328,6 +333,8 @@ def _limits(kernel):
         (-3.0 * r, 3.0 * r),                          # covering it
         (None, 0.3 * r), (-0.4 * r, None),            # one-sided
         (np.array([[-3.0], [-0.6], [0.1]]) * r, np.array([-0.5, 0.2, 0.9, 4.0]) * r),
+        # a window sliding across the support: 512 rows in one pass, half cut
+        (z - 2.0 * r, z + 2.0 * r),
     ]
 
 
@@ -349,11 +356,8 @@ def test_clipped_quad_gives_the_bits_of_fresh_panels(make, integrand):
 
 
 def test_window_convolution_evaluates_only_the_cut_panels(monkeypatch):
-    kernel = fl.raised_cosine(1.0)
-    base = dict(d1=1.0, d2=1.0, r1=0.5, r2=0.4, a=0.5, b=1.5)
-    s_under = fl.system_speeds(fl.Params(**base), kernel, kernel).s_underline
-    params = fl.Params(**base, s=0.5 * s_under)
-    p = fl.construct_subsolution(params, 0.5 * (params.s + s_under), kernel=kernel)
+    # Two integrand calls: the whole-support rule, then every cut panel of
+    # every cut row, at most two per row with their halves.
     sizes = []
 
     def counting_quad(kernel, integrand, lo, hi):
@@ -363,10 +367,17 @@ def test_window_convolution_evaluates_only_the_cut_panels(monkeypatch):
         return quad(kernel, counted, lo=lo, hi=hi)
 
     monkeypatch.setattr(subsolution, "quad", counting_quad)
-    R, r = p.window, kernel.support_radius
-    dz = 2.0 * R / 513
-    z = np.linspace(-R + dz, R - dz, 512)
-    subsolution._window_convolution(kernel, p, z)
-    cutting = np.count_nonzero((z - R > -r) | (z + R < r))
-    assert 0 < cutting < z.size
-    assert 768 < sum(sizes) <= 768 + 96 * cutting
+    base = dict(d1=1.0, d2=1.0, r1=0.5, r2=0.4, a=0.5, b=1.5)
+    for kernel in fl.raised_cosine(1.0), fl.smooth_bump(1.0), fl.tabulated(*_rc_table(n=201)):
+        s_under = fl.system_speeds(fl.Params(**base), kernel, kernel).s_underline
+        params = fl.Params(**base, s=0.5 * s_under)
+        p = fl.construct_subsolution(params, 0.5 * (params.s + s_under), kernel=kernel)
+        R, r = p.window, kernel.support_radius
+        dz = 2.0 * R / 513
+        z = np.linspace(-R + dz, R - dz, 512)
+        sizes.clear()
+        subsolution._window_convolution(kernel, p, z)
+        cutting = np.count_nonzero((z - R > -r) | (z + R < r))
+        assert 0 < cutting < z.size
+        assert len(sizes) == 2 and sizes[0] == 48 * (kernel._edges.size - 1), kernel.family
+        assert 0 < sizes[1] <= 96 * cutting

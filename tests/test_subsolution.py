@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -239,6 +240,52 @@ def test_window_convolution_against_pointwise_quadrature(kernel):
                           min(R, zi + rj), epsabs=1e-17, epsrel=1e-13, limit=200)[0]
            for zi in z]
     np.testing.assert_allclose(_window_convolution(kernel, p, z), ref, rtol=1e-13)
+
+
+def _grid_minima(p, params, kernel, n_space, n_time, t_check=10.0):
+    """min L[wave] and min Q[wave] from the whole n_time x n_space grid."""
+    R, gamma = p.window, p.growth_rate(params)
+    dz = 2.0 * R / (n_space + 1)
+    z = np.linspace(-R + dz, R - dz, n_space)
+    growth = p.amplitude * np.exp(gamma * np.linspace(0.0, t_check, n_time))[:, None]
+    g = np.exp(-p.decay * z) * np.cos(0.5 * np.pi * z / R)
+    gp = np.exp(-p.decay * z) * (-p.decay * np.cos(0.5 * np.pi * z / R)
+                                 - (0.5 * np.pi / R) * np.sin(0.5 * np.pi * z / R))
+    conv = _window_convolution(kernel, p, z)
+    lin = growth * (params.d1 * conv + (p.linear_rate - gamma) * g + p.frame_speed * gp)
+    reaction_lin = (params.d1 * conv - params.d1 * g
+                    + params.r1 * (1.0 - params.a * p.predator_level) * g
+                    - gamma * g + p.frame_speed * gp)
+    q = growth * reaction_lin - params.r1 * (growth * g) ** 2
+    return lin.min(), q.min()
+
+
+_RC201 = np.linspace(-1.0, 1.0, 201)
+
+
+@pytest.mark.parametrize("kernel", [
+    fl.raised_cosine(1.0), fl.smooth_bump(1.0),
+    fl.tabulated(_RC201, np.where(np.abs(_RC201) < 1.0, 0.5 * (1.0 + np.cos(np.pi * _RC201)), 0.0)),
+], ids=["raised_cosine", "smooth_bump", "tabulated"])
+def test_verify_minima_give_the_bits_of_the_whole_grid(kernel):
+    # min L is the smallest growth factor times min_z of L's profile, and
+    # min Q is taken block by block (n_space 3000 leaves a short last block):
+    # both keep the bits of the whole grid's minimum, for the constructed
+    # wave, with min Q < 0 (amplitude 0.5) and with min L < 0 (a frame past
+    # the amplitude bound).
+    params, p = _wave_for(kernel)
+    waves = [p, dataclasses.replace(p, amplitude=0.5),
+             dataclasses.replace(p, frame_speed=1.5 * p.frame_speed)]
+    signs = []
+    for wave in waves:
+        for n_space in (16, 512, 3000):
+            for n_time in (2, 7, 64):
+                rep = fl.verify_subsolution(wave, params, kernel, n_space=n_space, n_time=n_time)
+                ref = _grid_minima(wave, params, kernel, n_space, n_time)
+                got = (rep.min_linear, rep.min_reaction)
+                assert np.array(got).tobytes() == np.array(ref).tobytes(), (n_space, n_time)
+        signs.append((rep.min_linear > 0.0, rep.min_reaction > 0.0))
+    assert signs == [(True, True), (True, False), (False, False)]
 
 
 @pytest.mark.parametrize("frac", [0.4, 0.6])
