@@ -59,7 +59,7 @@ def _speed_error(p: Params, sp: SystemSpeeds) -> float:
     """Bound on the quadrature error of ``sp.s_underline``.
 
     A speed is ``c = (d*(M - 1) + r*k)/lam`` at its minimizing rate, and
-    ``quad`` certifies ``M`` to the relative error ``_SELF_CHECK_RTOL`` (the
+    ``exp_integral`` certifies ``M`` to the relative error ``_SELF_CHECK_RTOL`` (the
     tilted density is positive), so ``|dc| <= _SELF_CHECK_RTOL * d*M/lam``
     with ``d*M = c*lam - r*k + d``.  An error in the rate moves ``c`` only to
     second order, since ``c`` is stationary there.

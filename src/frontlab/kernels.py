@@ -36,16 +36,20 @@ TABULATED = "tabulated"
 # uniform panels the bump fails the split-panel check from lam*R ~ 16;
 # graded ones pass past lam*R = 128, the steepest tilt the speed and
 # decay-rate solvers evaluate.  Each kernel builds its whole-support nodes and
-# density values once (``Kernel._rule``).  A clipped integral is one pass over
-# all the rows its limits cut: each row's split terms are the whole-support
-# ones on the panels it keeps, zero on those it drops, and, on the panels it
-# cuts, terms from one integrand call for every row; every integral still runs
-# the split-panel check.
+# density values once (``Kernel._rule``).  ``quad`` sums each panel first,
+# so a clipped integral adds the whole-support sums of the panels it keeps to
+# fresh sums on the (at most two) panels it cuts.  A tilt integral of
+# ``J(y) * exp(lam*y) * w(y)`` is one ``exp_integral`` pass over a table of
+# the rule's terms times each weight (``weight_table``; the kernel's own
+# holds ``1, y, y**2``).  Every integral runs the split-panel check.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _UNIT_EDGES = np.sin(0.5 * np.pi * np.linspace(-1.0, 1.0, 17))
 # Largest disagreement between the rule and its split-panel repeat,
 # relative to the integral of |J * integrand|.
 _SELF_CHECK_RTOL = 1e-10
+# Newton passes (``exp_integral`` calls) one speed or decay-rate solve may
+# take; the analytic families' speed solves take 33 at r*k/d = 1e8, the most.
+MAX_PASSES = 64
 # Cells per output row of the blocked convolution (see ``Stencil.padded_block``);
 # 32 ran a little faster than 16 or 64 for stencils of 17 and 33 taps.
 BLOCK = 32
@@ -57,27 +61,35 @@ def _panel_rule(a, b):
     return (0.5 * (a + b))[..., None] + half[..., None] * _GL_NODES, half[..., None] * _GL_WEIGHTS
 
 
-def _split_rule(edges, lo, hi):
-    """:func:`_panel_rule` on ``edges`` clipped to each ``[lo, hi]`` row, then on the halves."""
-    a, b = np.clip(edges[:-1], lo, hi), np.clip(edges[1:], lo, hi)
+def _split_rule(a, b):
+    """:func:`_panel_rule` on the panels ``[a, b]`` (``(..., n)``), then on their halves."""
     mid = 0.5 * (a + b)
-    return _panel_rule(np.concatenate([a, a, mid], axis=1), np.concatenate([b, mid, b], axis=1))
+    return _panel_rule(np.concatenate([a, a, mid], axis=-1), np.concatenate([b, mid, b], axis=-1))
 
 
-def _certified(fine, coarse, scale) -> np.ndarray:
-    """``fine``, once every row's ``|fine - coarse|`` is within the tolerance of ``scale``."""
-    err = np.abs(fine - coarse)
-    if not np.all(err <= _SELF_CHECK_RTOL * scale):
-        raise NumericFailureError(
-            f"kernel quadrature failed its split-panel check (residual {np.max(err):.3e})")
+def _panel_sums(terms, n):
+    """Per-panel sums of the rule's terms ``(..., 3n, 16)``: the coarse
+    panels', the split ones' (each panel's two halves added) and the split
+    ones' ``|terms|``, each ``(..., n)``."""
+    s = terms.sum(axis=-1)
+    size = np.abs(terms[..., n:, :]).sum(axis=-1)
+    return s[..., :n], s[..., n:2 * n] + s[..., 2 * n:], size[..., :n] + size[..., n:]
+
+
+def _checked_panels(coarse, fine, size) -> np.ndarray:
+    """Row sums of the split panel sums ``fine`` (:func:`_panel_sums`), once
+    each lies within ``_SELF_CHECK_RTOL`` times the row sum of ``size`` of
+    the row sum of ``coarse``."""
+    fine = fine.sum(axis=-1)
+    err = np.abs(fine - coarse.sum(axis=-1))
+    if not (err <= _SELF_CHECK_RTOL * size.sum(axis=-1)).all():
+        raise _check_failure(np.max(err))
     return fine
 
 
-def _checked_sum(terms, n) -> np.ndarray:
-    """Row sums of the split terms ``terms[:, n:]``, checked against ``terms[:, :n]``."""
-    split = terms[:, n:]
-    return _certified(split.sum(axis=(1, 2)), terms[:, :n].sum(axis=(1, 2)),
-                      np.abs(split).sum(axis=(1, 2)))
+def _check_failure(residual) -> NumericFailureError:
+    return NumericFailureError(
+        f"kernel quadrature failed its split-panel check (residual {residual:.3e})")
 
 
 def _bump_body(u):
@@ -168,18 +180,28 @@ class Kernel:
         the scaled weights and the panel count, built on first use.  The
         arrays are one read-only block, since every later integrand reads them."""
         edges = self._edges
-        nodes, weights = _split_rule(edges, edges[:1, None], edges[-1:, None])
+        nodes, weights = _split_rule(edges[None, :-1], edges[None, 1:])
         rule = np.stack([nodes, self.evaluate(nodes), weights])
         rule.flags.writeable = False
         return (*rule, edges.size - 1)
 
+    @cached_property
+    def _moments(self) -> np.ndarray:
+        """The weight table of ``1, y, y**2`` (:func:`weight_table`), built on first use."""
+        return weight_table(self, lambda y: (np.ones_like(y), y, y * y))
+
+    @cached_property
+    def _tilt_nodes(self) -> np.ndarray:
+        """The rule's nodes in the blocks of a weight table, ``(5, 16n)``."""
+        return self._rule[0].reshape(3, -1)[[0, 1, 2, 1, 2]]
+
     def mgf(self, lam: float) -> float:
         """Moment generating function ``integral of J(y) * exp(lam*y)``.
 
-        Computed by :func:`quad`, the Gauss-Legendre panel rule that
-        certifies a relative error of 1e-10 or raises.
+        Read from the tilt pass :func:`exp_integral`, which certifies a
+        relative error of 1e-10 or raises.
         """
-        return exp_integral(self, lam)
+        return exp_integral(self, lam)[0]
 
     def discretize(self, dx: float) -> Stencil:
         """Symmetric quadrature weights for ``J * w`` at grid spacing ``dx``.
@@ -288,19 +310,18 @@ def quad(kernel: Kernel, integrand=None, lo=None, hi=None):
     rule repeated: the split result is returned, and
     :class:`NumericFailureError` is raised when the two differ by more than
     1e-10 relative to the integral of ``|J * integrand|``.  The integrand is
-    evaluated once on the kernel's whole-support rule.  A row whose limits
-    cover the support sums those terms.  Every other row is handled in one
-    pass: its split terms copy the panels its limits keep whole from the
-    whole-support terms and are zero on the ones they drop, and the panels
-    they cut (at most two per row), with their halves, are evaluated in one
-    integrand call for all rows.  Each row's check takes its coarse sum and
-    its ``|terms|`` scale from the whole-support rule's per-panel sums over
-    the kept panels, plus the cut panels' own terms.
+    evaluated once on the kernel's whole-support rule, and its terms are
+    summed panel by panel.  A row whose limits cover the support adds those
+    panel sums.  Every other row adds the panel sums of the panels its
+    limits keep whole to fresh sums on the panels they cut (at most two per
+    row, with their halves), which one integrand call evaluates for all
+    rows; its check runs on the same panel sums.
     """
     nodes, values, weights, n = kernel._rule
     full = (values if integrand is None else values * integrand(nodes)) * weights
+    panels = _panel_sums(full, n)
     if lo is None and hi is None:
-        return _checked_sum(full, n).item()
+        return _checked_panels(*panels).item()
     edges = kernel._edges
     lo = np.asarray(edges[0] if lo is None else lo, dtype=float)
     hi = np.asarray(edges[-1] if hi is None else hi, dtype=float)
@@ -311,50 +332,59 @@ def quad(kernel: Kernel, integrand=None, lo=None, hi=None):
     whole = (lo == edges[0]) & (hi == edges[-1])
     out = np.empty(whole.shape, full.dtype)
     if whole.any():
-        out[whole] = _checked_sum(full, n)
+        out[whole] = _checked_panels(*panels)
     cut = np.flatnonzero(~whole)
     if cut.size:
-        out[cut, 0] = _clipped_sums(kernel, integrand, full, n, lo[cut], hi[cut])
+        out[cut, 0] = _clipped_sums(kernel, integrand, panels, lo[cut], hi[cut])
     out = out.reshape(shape)
     return out.item() if out.ndim == 0 else out
 
 
-def _clipped_sums(kernel: Kernel, integrand, full, n, lo, hi) -> np.ndarray:
+def _clipped_sums(kernel: Kernel, integrand, panels, lo, hi) -> np.ndarray:
     """:func:`quad`'s checked sums for the rows ``[lo, hi]`` (column vectors)
-    that do not cover the support, from the whole-support terms ``full``."""
+    that do not cover the support, from the whole-support panel sums ``panels``."""
     edges = kernel._edges
     a, b = np.clip(edges[:-1], lo, hi), np.clip(edges[1:], lo, hi)
     kept = (a == edges[:-1]) & (b == edges[1:])
-    split = np.where(np.tile(kept, 2)[..., None], full[:, n:], 0.0)
+    rows = [np.where(kept, sums, 0.0) for sums in panels]
     row, j = np.nonzero(~kept & (a != b))
-    a, b = a[row, j], b[row, j]
-    mid = 0.5 * (a + b)
-    x, w = _panel_rule(np.stack([a, a, mid]), np.stack([b, mid, b]))
+    x, w = _split_rule(a[row, j, None], b[row, j, None])
     f = kernel.evaluate(x)
     terms = (f if integrand is None else f * integrand(x)) * w
-    split[row, j + n * np.arange(2)[:, None]] = terms[1:]
-    panel = full[0].sum(axis=1)
-    size = np.abs(full[0, n:]).sum(axis=1)
-    coarse, scale = kept @ panel[:n], kept @ (size[:n] + size[n:])
-    np.add.at(coarse, row, terms[0].sum(axis=1))
-    np.add.at(scale, row, np.abs(terms[1:]).sum(axis=(0, 2)))
-    return _certified(split.sum(axis=(1, 2)), coarse, scale)
+    for sums, fresh in zip(rows, _panel_sums(terms, 1)):
+        sums[row, j] = fresh[:, 0]
+    return _checked_panels(*rows)
 
 
-def exp_integral(kernel: Kernel, lam: float, weight=None) -> float:
-    """``integral of J(y) * exp(lam*y) * weight(y)`` over the support.
+def weight_table(kernel: Kernel, weights) -> np.ndarray:
+    """The table :func:`exp_integral` tilts: row ``k`` holds the rule's terms
+    of ``integral of J(y) * w_k(y)``, for the weights ``weights(nodes)``, in
+    five blocks: coarse panels, left halves, right halves, and the
+    magnitudes of both halves.  Slicing the first axis selects weights."""
+    nodes, values, w, _ = kernel._rule
+    terms = np.stack([(values * w * row).reshape(3, -1) for row in weights(nodes)])
+    return np.concatenate([terms, np.abs(terms[:, 1:])], axis=1)
 
-    ``weight`` is an optional smooth elementwise callable (default 1).
-    Computed by :func:`quad`, which raises :class:`NumericFailureError`
-    when the accuracy target (relative 1e-10) cannot be certified.
-    """
-    if not np.isfinite(lam):
+
+def exp_integral(kernel: Kernel, lam: float, table=None) -> list[float]:
+    """``integral of J(y) * exp(lam*y) * w(y)`` over the support, as a list
+    over the weights ``w`` of ``table`` (:func:`weight_table`; default the
+    kernel's ``1, y, y**2``).  One pass: ``exp(lam*nodes)`` times the table,
+    one sum per block, and the split-panel check on every weight
+    (:class:`NumericFailureError` past relative 1e-10)."""
+    if not math.isfinite(lam):
         raise ValueError("tilt rate must be finite")
-    if weight is None:
-        return quad(kernel, lambda y: np.exp(lam * y))
-    return quad(kernel, lambda y: np.exp(lam * y) * weight(y))
+    table = kernel._moments if table is None else table
+    out = []
+    for coarse, left, right, left_size, right_size in (
+            np.exp(lam * kernel._tilt_nodes) * table).sum(axis=-1).tolist():
+        fine = left + right
+        if not abs(fine - coarse) <= _SELF_CHECK_RTOL * (left_size + right_size):
+            raise _check_failure(abs(fine - coarse))
+        out.append(fine)
+    return out
 
 
 def tilted_mean(kernel: Kernel, lam: float) -> float:
     """``integral of y * J(y) * exp(lam*y)``: first moment of the tilted kernel."""
-    return exp_integral(kernel, lam, weight=lambda y: y)
+    return exp_integral(kernel, lam)[1]

@@ -8,9 +8,15 @@ is the infimum over decay rates ``lam > 0`` of
 
 where ``M`` is the kernel's moment generating function.  Its derivative
 vanishes where ``g(lam) = d * (lam*M'(lam) - M(lam) + 1) - r*k`` does.
-``g(0) = -r*k`` and ``g'(lam) = d * lam * M''(lam) > 0``, so for ``k > 0``
-the minimizer is the only root of an increasing function: a bracket
-found by doubling and one bracketing root solve give it.
+``g(0) = -r*k``, ``g' = d * lam * M'' > 0`` and ``g'' = d * (M'' + lam*M''')
+> 0`` (``M''' >= 0`` for ``lam >= 0``, ``J`` being symmetric), so for ``k >
+0`` the minimizer is the only root of an increasing convex function, and
+Newton's method descends to it monotonically from any point on its right.
+By Jensen's inequality on ``y**2``, ``lam*M' - M + 1 = sum over k >= 1 of
+(2k-1)/(2k)! * lam**(2k) * integral of J(y) y**(2k) >= cosh(lam*sigma) - 1``
+with ``sigma**2 = M''(0)``, so ``lam0 = acosh(1 + r*k/d) / sigma`` is such a
+point.  Each step reads ``M``, ``M'`` and ``M''`` from one tilt pass
+(:func:`kernels.exp_integral`).
 
 The system's speeds are the prey's, ``(d1, r1, k = 1, J1)``, and the
 predator's over saturated prey, ``(d2, r2, k = b - 1, J2)``.  The predator
@@ -24,11 +30,12 @@ import math
 from dataclasses import dataclass
 
 from .dynamics import Params
-from .errors import BracketFailureError
-from .kernels import Kernel, exp_integral
+from .errors import BracketFailureError, NumericFailureError
+from .kernels import MAX_PASSES, Kernel, exp_integral
 
-# Doubling past this ceiling signals a kernel/parameter pathology: the
-# tilted mass grows like exp(lam * R), so real minimizers sit far below.
+# A candidate speed still decreasing at this rate signals a kernel/parameter
+# pathology: the tilted mass grows like exp(lam * R), so real minimizers sit
+# far below.
 _LAMBDA_CEILING_OVER_R = 50.0
 
 
@@ -42,12 +49,12 @@ class SpeedProblem:
     kernel: Kernel
 
     def __post_init__(self):
-        if not self.d > 0.0:
-            raise ValueError("diffusion coefficient d must be positive")
-        if not self.r > 0.0:
-            raise ValueError("growth rate r must be positive")
-        if self.k < 0.0:
-            raise ValueError("carrying level k must be nonnegative")
+        if not (math.isfinite(self.d) and self.d > 0.0):
+            raise ValueError(f"diffusion coefficient d must be finite and positive, got {self.d!r}")
+        if not (math.isfinite(self.r) and self.r > 0.0):
+            raise ValueError(f"growth rate r must be finite and positive, got {self.r!r}")
+        if not (math.isfinite(self.k) and self.k >= 0.0):
+            raise ValueError(f"carrying level k must be finite and nonnegative, got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -74,73 +81,6 @@ class SystemSpeeds:
         return min(self.s_star, self.s_lower_star)
 
 
-def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100, *,
-           fb: float | None = None, full_output: bool = False):
-    """Root of ``f`` in the bracket ``[xa, xb]`` by Brent's method.
-
-    A step-for-step port of scipy's ``brentq.c`` (Brent 1973, *Algorithms
-    for Minimization without Derivatives*, ch. 4), so it returns the same
-    float: each step interpolates or extrapolates through the last points,
-    bisects when that step is not short enough, and moves at least
-    ``delta = (xtol + rtol*|x|)/2``; the solve stops once half the bracket
-    is below ``delta``.  Raises ``ValueError`` for a bracket whose ends
-    have the same sign or a NaN value of ``f``, and ``RuntimeError`` after
-    ``maxiter`` steps.
-
-    ``fb`` is ``f(xb)`` when the caller holds it already, so ``f`` is not
-    called there again.  With ``full_output`` the result is the pair
-    ``(root, f(root))``, the value the solve last held at the root.
-    """
-    def value(x: float, fx=None) -> float:
-        fx = float(f(x) if fx is None else fx)
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x!r} is NaN")
-        return fx
-
-    def result(x: float, fx: float):
-        return (x, fx) if full_output else x
-
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = value(xpre), value(xcur, fb)
-    if fpre == 0.0:
-        return result(xpre, fpre)
-    if fcur == 0.0:
-        return result(xcur, fcur)
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(xa) and f(xb) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return result(xcur, fcur)
-        stry = math.inf  # bisect unless a short enough step is found
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                denom = dblk * dpre * (fblk - fpre)
-                # An underflowed denominator gives C an infinite step: a bisection.
-                if denom != 0.0:
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / denom
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"Brent's method did not converge in {maxiter} steps; last x={xcur!r}")
-
-
 def candidate_speed(problem: SpeedProblem, lam: float) -> float:
     """Speed of the exponential profile with decay rate ``lam``."""
     if not lam > 0.0:
@@ -154,28 +94,32 @@ def min_speed(problem: SpeedProblem) -> SpeedResult:
 
     For ``k == 0`` the infimum is 0, approached as ``lam -> 0``, and is
     unattained: ``rate`` is None.  Otherwise the minimizer is the root of
-    the tangency function ``g`` (module docstring), bracketed by doubling
-    from ``1/R`` and solved by Brent's method to a tolerance of 1e-14.
+    the tangency function ``g``, found by Newton's method from the right
+    (module docstring).  It stops when the next step is below ``1e-14 +
+    8.9e-16*lam`` or rounding leaves ``g <= 0``; the rate is the last one
+    evaluated and the speed comes from the same pass.  A start at the
+    ceiling ``50/R`` where ``g <= 0`` raises :class:`BracketFailureError`.
     """
     if problem.k == 0.0:
         return SpeedResult(speed=0.0, rate=None)
-    d, growth = problem.d, problem.r * problem.k
-    # lam*M'(lam) - M(lam) + 1 = integral of J(y) * (exp(lam*y)*(lam*y - 1) + 1).
-    g = lambda lam: d * (exp_integral(problem.kernel, lam, weight=lambda y: lam * y - 1.0)
-                         + 1.0) - growth
-    radius = problem.kernel.support_radius
-    ceiling = _LAMBDA_CEILING_OVER_R / radius
-    hi = 1.0 / radius
-    g_hi = g(hi)
-    while not g_hi > 0.0:
-        hi *= 2.0
-        if hi > ceiling:
+    d, growth, kernel = problem.d, problem.r * problem.k, problem.kernel
+    ceiling = _LAMBDA_CEILING_OVER_R / kernel.support_radius
+    x = growth / d
+    sigma = math.sqrt(exp_integral(kernel, 0.0)[2])
+    # acosh(1 + x), without rounding 1 + x
+    lam = min(math.log1p(x + math.sqrt(x * (x + 2.0))) / sigma, ceiling)
+    for _ in range(MAX_PASSES):
+        m, m1, m2 = exp_integral(kernel, lam)
+        g = d * (lam * m1 - m + 1.0) - growth
+        if lam == ceiling and not g > 0.0:
             raise BracketFailureError(
-                f"candidate speed still decreasing at lam={0.5 * hi:g} "
-                f"(ceiling {ceiling:g}); check kernel and parameters")
-        g_hi = g(hi)
-    rate = brentq(g, 0.0, hi, xtol=1e-14, rtol=8.9e-16, fb=g_hi)
-    return SpeedResult(speed=candidate_speed(problem, rate), rate=rate)
+                f"candidate speed still decreasing at the rate ceiling lam={ceiling:g}; "
+                "check kernel and parameters")
+        step = g / (d * lam * m2)
+        if not step > 1e-14 + 8.9e-16 * lam:
+            return SpeedResult(speed=(d * (m - 1.0) + growth) / lam, rate=lam)
+        lam -= step
+    raise NumericFailureError(f"speed minimization did not converge in {MAX_PASSES} passes")
 
 
 def system_speeds(params: Params, kernel1: Kernel, kernel2: Kernel) -> SystemSpeeds:

@@ -38,10 +38,10 @@ import numpy as np
 
 from .dynamics import Params
 from .errors import NoRootError, NumericFailureError
-from .kernels import Kernel, exp_integral, quad, tilted_mean
-from .speeds import brentq
+from .kernels import MAX_PASSES, Kernel, exp_integral, quad, tilted_mean, weight_table
 
-_DECAY_CEILING_OVER_R = 200.0
+# The steepest tilt the decay-rate solve evaluates (see the kernels module).
+_DECAY_CEILING_OVER_R = 128.0
 # Largest |tilt_speed(decay) - frame_speed| a decay rate may leave.
 TILT_TOL = 1e-8
 # Samples of Q[wave] per block of time rows (64 KiB of floats), so that the
@@ -129,9 +129,10 @@ def amplitude_speed_bound(decay: float, linear_rate: float, gamma: float,
     if not decay > 0.0:
         raise ValueError("decay rate must be positive")
     if window is None:
-        integral = exp_integral(kernel, decay)
+        integral = kernel.mgf(decay)
     else:
-        integral = exp_integral(kernel, decay, weight=lambda y: np.cos(0.5 * np.pi * y / window))
+        table = weight_table(kernel, lambda y: [np.cos(0.5 * np.pi * y / window)])
+        integral = exp_integral(kernel, decay, table)[0]
     return (linear_rate - gamma + params.d1 * integral) / decay
 
 
@@ -147,40 +148,59 @@ def tilt_speed(decay: float, params: Params, kernel: Kernel,
         raise ValueError("decay rate must be nonnegative")
     if window is None:
         return params.d1 * tilted_mean(kernel, decay)
-    sine = exp_integral(kernel, decay, weight=lambda y: np.sin(0.5 * np.pi * y / window))
-    return (2.0 * window * params.d1 / np.pi) * sine
+    table = weight_table(kernel, lambda y: [np.sin(0.5 * np.pi * y / window)])
+    return (2.0 * window * params.d1 / np.pi) * exp_integral(kernel, decay, table)[0]
 
 
 def match_decay_rate(frame_speed: float, window: float, params: Params,
                      kernel: Kernel) -> float:
     """Solve ``tilt_speed(decay) == frame_speed`` for the decay rate.
 
-    The tilt speed is zero at decay 0 and increasing without bound, so a
-    bracketing solve applies; the bracket grows by doubling.  Raises
-    :class:`NoRootError` when the speed is unreachable below the rate
-    ceiling (a larger window reaches any speed at a smaller rate).
+    With ``q = pi/(2*window)`` the tilt speed is ``(2*window*d1/pi)`` times
+    ``sum over k of decay**(2k+1)/(2k+1)! * a_k``, ``a_k = integral of J(y)
+    y**(2k+1) sin(q*y) > 0`` (``sin(q*y)`` has the sign of ``y`` when the
+    window exceeds half the support): increasing and convex, and by Jensen
+    at least ``(2*window*d1/pi) * a_0 * sinh(decay*tau)/tau``, ``tau**2 =
+    a_1/a_0``.  Newton's method starts where that bound meets the frame
+    speed, right of the root, and stops as :func:`speeds.min_speed` does, at
+    ``1e-13 + 8.9e-16*decay``.  Raises :class:`NoRootError` when the speed
+    is unreachable below the rate ceiling (a larger window reaches any
+    speed at a smaller rate).
     """
-    if frame_speed < 0.0:
-        raise ValueError("frame speed must be nonnegative")
+    if not (math.isfinite(frame_speed) and frame_speed >= 0.0):
+        raise ValueError(f"frame_speed must be finite and nonnegative, got {frame_speed!r}")
+    if not (math.isfinite(window) and window > 0.5 * kernel.support_radius):
+        raise ValueError(f"window must be finite and exceed half the kernel support "
+                         f"({0.5 * kernel.support_radius:g}), got {window!r}")
     if frame_speed == 0.0:
         return 0.0
     ceiling = _DECAY_CEILING_OVER_R / kernel.support_radius
-    f = lambda beta: tilt_speed(beta, params, kernel, window) - frame_speed
-    hi = 1.0 / kernel.support_radius
-    f_hi = f(hi)
-    while f_hi < 0.0:
-        hi *= 2.0
-        if hi > ceiling:
+    q, scale = 0.5 * np.pi / window, 2.0 * window * params.d1 / np.pi
+
+    def sine_weights(y):
+        sine = np.sin(q * y)
+        return sine, y * sine, y ** 3 * sine
+
+    table = weight_table(kernel, sine_weights)
+    a0, a1 = exp_integral(kernel, 0.0, table[1:])
+    tau = math.sqrt(a1 / a0)
+    beta = min(math.asinh(frame_speed * tau / (scale * a0)) / tau, ceiling)
+    for _ in range(MAX_PASSES):
+        tilt, slope = (scale * v for v in exp_integral(kernel, beta, table[:2]))
+        resid = tilt - frame_speed
+        if beta == ceiling and resid < 0.0:
             raise NoRootError(
                 f"tilt speed cannot reach {frame_speed:g} below the rate ceiling "
                 f"{ceiling:g}; retry with a larger window than {window:g}")
-        f_hi = f(hi)
-    beta, f_beta = brentq(f, 0.0, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200,
-                          fb=f_hi, full_output=True)
-    resid = abs(f_beta)
-    if resid > TILT_TOL:
+        step = resid / slope
+        if not step > 1e-13 + 8.9e-16 * beta:
+            break
+        beta -= step
+    else:
+        raise NumericFailureError(f"decay-rate solve did not converge in {MAX_PASSES} passes")
+    if abs(resid) > TILT_TOL:
         raise NumericFailureError(
-            f"decay-rate solve left a residual {resid:.3e} above {TILT_TOL:g}")
+            f"decay-rate solve left a residual {abs(resid):.3e} above {TILT_TOL:g}")
     return beta
 
 
@@ -216,17 +236,20 @@ class SubsolutionReport:
                    self.min_linear, self.min_reaction)
 
 
-def _window_convolution(kernel: Kernel, p: SubsolutionParams, z: np.ndarray) -> np.ndarray:
-    """(J * wave)(z) / (amplitude * exp(gamma*t)) for window coordinates z.
+def _window_convolution(kernel: Kernel, p: SubsolutionParams, z: np.ndarray):
+    """(J * wave)(z) / (amplitude * exp(gamma*t)) for window coordinates z,
+    and ``integral of J(s) exp(k*s)`` over the whole support.
 
     On the window the wave profile is ``Re exp(-k*y)`` with
     ``k = decay + i*pi/(2*window)``, so the convolution is
     ``Re[exp(-k*z) * integral of J(s) exp(k*s)]`` over ``|z - s| < window``:
-    one kernel integral whose limits vary with z.
+    one kernel integral whose limits vary with z, and one more row on the
+    whole support: the cosine and sine integrals of the speed conditions.
     """
     k = complex(p.decay, 0.5 * math.pi / p.window)
-    tilted = quad(kernel, lambda s: np.exp(k * s), lo=z - p.window, hi=z + p.window)
-    return (np.exp(-k * z) * tilted).real
+    tilted = quad(kernel, lambda s: np.exp(k * s), lo=np.append(z - p.window, -np.inf),
+                  hi=np.append(z + p.window, np.inf))
+    return (np.exp(-k * z) * tilted[:-1]).real, tilted[-1]
 
 
 def verify_subsolution(p: SubsolutionParams, params: Params, kernel: Kernel,
@@ -234,6 +257,9 @@ def verify_subsolution(p: SubsolutionParams, params: Params, kernel: Kernel,
                        t_check: float = 10.0) -> SubsolutionReport:
     """Check the two scalar speed conditions and pointwise positivity.
 
+    The amplitude margin and the tilt residual read the cosine and sine
+    integrals of :func:`amplitude_speed_bound` and :func:`tilt_speed` from
+    the whole-support row of the window convolution's kernel integral.
     Positivity of L[wave] and Q[wave] is sampled on a window-frame grid
     shrunk by one sample spacing (the wave is merely continuous at the
     window edge) crossed with ``n_time >= 2`` times in [0, t_check], ends
@@ -249,10 +275,6 @@ def verify_subsolution(p: SubsolutionParams, params: Params, kernel: Kernel,
         raise ValueError(f"n_time must be at least 2 to hold both ends of [0, t_check], got {n_time}")
     validate_params(p, params, kernel)
     gamma = p.growth_rate(params)
-    bound = amplitude_speed_bound(p.decay, p.linear_rate, gamma, params, kernel, p.window)
-    amplitude_margin = bound - p.frame_speed
-    tilt_residual = abs(tilt_speed(p.decay, params, kernel, p.window) - p.frame_speed)
-
     R, beta, c, m = p.window, p.decay, p.frame_speed, p.linear_rate
     dz = 2.0 * R / (n_space + 1)
     z = np.linspace(-R + dz, R - dz, n_space)
@@ -260,7 +282,9 @@ def verify_subsolution(p: SubsolutionParams, params: Params, kernel: Kernel,
     g = np.exp(-beta * z) * np.cos(0.5 * np.pi * z / R)
     gp = np.exp(-beta * z) * (-beta * np.cos(0.5 * np.pi * z / R)
                               - (0.5 * np.pi / R) * np.sin(0.5 * np.pi * z / R))
-    conv = _window_convolution(kernel, p, z)
+    conv, tilted = _window_convolution(kernel, p, z)
+    amplitude_margin = (m - gamma + params.d1 * tilted.real) / beta - c
+    tilt_residual = abs((2.0 * R * params.d1 / np.pi) * tilted.imag - c)
 
     # L[wave](z, t) = amplitude*exp(gamma*t) * linear_part(z): one sweep in z.
     linear_part = params.d1 * conv + (m - gamma) * g + c * gp

@@ -69,7 +69,7 @@ solver.t_final = 100
 solver.snapshot_stride = 8
 
 # [band]
-band.eta = 0.023682813590736696
+band.eta = 0.023682813590736707
 band.epsilon = 0.01
 band.t_window = 0.5
 
@@ -78,7 +78,7 @@ observer.theta = 0.10000000000000001
 observer.window_fraction = 0.5
 
 # [subsolution]
-subsolution.c = 0.11841406795368348
+subsolution.c = 0.11841406795368353
 subsolution.delta1 = 0.050000000000000003
 subsolution.delta2 = 0.050000000000000003
 subsolution.rate_offset = 0.01

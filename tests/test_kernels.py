@@ -9,7 +9,8 @@ from scipy import integrate
 import frontlab as fl
 from frontlab import subsolution
 from frontlab.errors import InvalidKernelError, NumericFailureError, ResolutionError
-from frontlab.kernels import _checked_sum, _split_rule, exp_integral, quad, tilted_mean
+from frontlab.kernels import (_checked_panels, _panel_sums, _split_rule, exp_integral, quad,
+                              tilted_mean)
 
 from conftest import raised_cosine_mgf_closed
 
@@ -265,12 +266,18 @@ def test_quad_split_panel_check_raises():
 def test_whole_support_rule_gives_the_bits_of_explicit_limits(make):
     # Without limits quad reads the kernel's cached rule; with the limits set to
     # the support ends it builds the same panels afresh.  Same bits either way.
+    # The tilt pass multiplies the same terms in another order: it agrees with
+    # quad to 1e-15 of the integral of |J * integrand|.
     kernel = make()
     r = kernel.support_radius
     for lam in (-5.0, 0.0, 0.5, 2.3, 16.4, 128.0 / r):
-        assert exp_integral(kernel, lam) == quad(kernel, lambda s: np.exp(lam * s), lo=-r, hi=r)
-        assert tilted_mean(kernel, lam) == quad(kernel, lambda s: np.exp(lam * s) * s,
-                                                lo=-r, hi=r)
+        powers = [lambda s, k=k: np.exp(lam * s) * s ** k for k in range(3)]
+        ref = [quad(kernel, f) for f in powers]
+        assert ref == [quad(kernel, f, lo=-r, hi=r) for f in powers]
+        size = [quad(kernel, lambda s, f=f: np.abs(f(s))) for f in powers]
+        got = np.array(exp_integral(kernel, lam))
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.array(size)), lam
+        assert (kernel.mgf(lam), tilted_mean(kernel, lam)) == tuple(got[:2])
     wave = lambda s: np.exp((1 + 2j) * s)
     assert quad(kernel, wave) == quad(kernel, wave, lo=-r, hi=r)
     assert quad(kernel) == quad(kernel, lo=-r, hi=r)
@@ -311,10 +318,10 @@ def _clipped_reference(kernel, integrand, lo, hi):
     sums = []
     for a, b in zip(np.maximum(lo.reshape(-1, 1, 1), edges[0]),
                     np.minimum(hi.reshape(-1, 1, 1), edges[-1])):
-        nodes, weights = _split_rule(edges, a, b)
+        nodes, weights = _split_rule(np.clip(edges[:-1], a, b), np.clip(edges[1:], a, b))
         f = kernel.evaluate(nodes)
         f = f if integrand is None else f * integrand(nodes)
-        sums.append(_checked_sum(f * weights, edges.size - 1))
+        sums.append(_checked_panels(*_panel_sums(f * weights, edges.size - 1)))
     return np.concatenate(sums).reshape(lo.shape)
 
 

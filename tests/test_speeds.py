@@ -5,8 +5,8 @@ import pytest
 from scipy import integrate, optimize
 
 import frontlab as fl
+from frontlab import speeds
 from frontlab.errors import BracketFailureError
-from frontlab.speeds import brentq
 
 from conftest import raised_cosine_mgf_closed
 
@@ -178,73 +178,72 @@ def test_benchmark_speeds(bench_speeds):
     assert bench_speeds.s_underline == bench_speeds.s_lower_star
 
 
-def _tangency(lam, kernel=fl.raised_cosine(1.0)):
-    """min_speed's tangency function for d = 1, r*k = 0.5."""
-    return fl.exp_integral(kernel, lam, weight=lambda y: lam * y - 1.0) + 1.0 - 0.5
-
-
-_ROOT_FUNCTIONS = {
-    "cubic": lambda x: x ** 3 - 2.0 * x - 5.0,
-    "exp": lambda x: math.exp(x) - 3.0,
-    "cos": lambda x: math.cos(x) - x,
-    "flat_fifth_power": lambda x: (x - 1.1) ** 5,
-    "steep_tanh": lambda x: math.tanh(20.0 * (x - 0.77)),
-    "sign_step": lambda x: math.copysign(1.0, x - 0.123),
-    # extrapolation denominators underflow to 0: C takes an infinite step, a bisection
-    "tiny_scale": lambda x: 1e-200 * (x - 0.4),
-    "huge_scale": lambda x: 1e200 * (x - 0.4),
-    "nan_past_one": lambda x: x - 0.5 if x < 1.0 else math.nan,
-    "tangency": _tangency,
+# The acceptance parameters' speeds and rates, computed offline with mpmath at
+# 40 digits: the closed-form raised-cosine MGF, and the smooth bump's by
+# tanh-sinh quadrature, each minimized through the root of the tangency
+# function.
+_REFERENCES = {
+    "raised_cosine": (0.3901927818055424224442, 2.284627535587791374228,
+                      0.2368281359073670389904, 1.58961728753968327869),
+    "smooth_bump": (0.4259084956006128271404, 2.112888491343852797463,
+                    0.259496105778354136847, 1.459366168210998728105),
 }
-_BRACKETS = [(0.0, 3.0), (-1.0, 2.0), (2.5, -0.5), (0.1, 5.0), (0.4, 1.0)]
-_TOLERANCES = [
-    (1e-14, 8.9e-16, 100),   # min_speed
-    (1e-13, 8.9e-16, 200),   # match_decay_rate
-    (2e-12, 8.881784197001252e-16, 100),   # scipy's defaults
-    (1e-3, 1e-6, 100),
-    (5e-324, 8.9e-16, 500),
-    (1e-14, 8.9e-16, 3),     # too few steps for most brackets
-]
 
 
-def _outcome(solve, f, xa, xb, xtol, rtol, maxiter):
-    try:
-        return solve(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc)
+@pytest.mark.parametrize("family", sorted(_REFERENCES))
+def test_speeds_and_rates_match_40_digit_references(family, bench_params):
+    kernel = getattr(fl, family)(1.0)
+    sp = fl.system_speeds(bench_params, kernel, kernel)
+    got = (sp.s_star, sp.rate1, sp.s_lower_star, sp.rate2)
+    for value, ref in zip(got, _REFERENCES[family]):
+        assert abs(value - ref) <= 1e-15 * ref, (value, ref)
 
 
-@pytest.mark.parametrize("name", sorted(_ROOT_FUNCTIONS))
-def test_brentq_matches_scipy_bit_for_bit(name):
-    f = _ROOT_FUNCTIONS[name]
-    for xa, xb in _BRACKETS:
-        for xtol, rtol, maxiter in _TOLERANCES:
-            want = _outcome(optimize.brentq, f, xa, xb, xtol, rtol, maxiter)
-            got = _outcome(brentq, f, xa, xb, xtol, rtol, maxiter)
-            # repr tells every float apart, -0.0 from 0.0 too
-            assert repr(got) == repr(want), (xa, xb, xtol, rtol, maxiter)
+def _passes(monkeypatch, module):
+    """The tilt rates of every ``exp_integral`` pass ``module`` makes."""
+    rates = []
+    original = module.exp_integral
+
+    def recording(kernel, lam, table=None):
+        rates.append(lam)
+        return original(kernel, lam, table)
+
+    monkeypatch.setattr(module, "exp_integral", recording)
+    return rates
 
 
-def test_brentq_grid_reaches_every_outcome():
-    seen = {type(_outcome(brentq, f, xa, xb, *tol)) for f in _ROOT_FUNCTIONS.values()
-            for xa, xb in _BRACKETS for tol in _TOLERANCES}
-    assert seen == {float, type}
-    outcomes = {_outcome(brentq, f, 0.0, 3.0, *tol) for f in _ROOT_FUNCTIONS.values()
-                for tol in _TOLERANCES}
-    assert {ValueError, RuntimeError} <= outcomes
+@pytest.mark.parametrize("family", sorted(_REFERENCES))
+@pytest.mark.parametrize("r, k", [(0.5, 1.0), (0.4, 0.5)])
+def test_min_speed_takes_few_passes_all_right_of_the_root(monkeypatch, family, r, k):
+    # one pass for the variance at lam = 0, then Newton from the right
+    rates = _passes(monkeypatch, speeds)
+    res = fl.min_speed(fl.SpeedProblem(d=1.0, r=r, k=k, kernel=getattr(fl, family)(1.0)))
+    assert len(rates) <= 8 and rates[0] == 0.0
+    assert rates[-1] == res.rate
+    assert all(lam >= res.rate for lam in rates[1:])
 
 
-def test_brentq_root_at_an_endpoint_returns_it():
-    for xa, xb, root in ((1.0, 3.0, 1.0), (-2.0, 1.0, 1.0)):
-        got = brentq(lambda x: x - 1.0, xa, xb, xtol=1e-14, rtol=8.9e-16)
-        assert got == root == optimize.brentq(lambda x: x - 1.0, xa, xb)
+@pytest.mark.parametrize("k", [1.0, 1e-9])
+def test_min_speed_converges_under_the_cap_far_from_the_start(monkeypatch, k):
+    # r*k/d = 50 puts the root at lam*R ~ 7 and the start far to its right;
+    # r*k/d = 5e-8 puts it in the rounding noise of M near lam = 0
+    rates = _passes(monkeypatch, speeds)
+    kernel = fl.raised_cosine(0.5)
+    res = fl.min_speed(fl.SpeedProblem(d=0.1, r=5.0, k=k, kernel=kernel))
+    assert len(rates) <= speeds.MAX_PASSES
+    if k == 1.0:
+        assert 6.5 < res.rate * 0.5 < 7.5
+        assert abs(0.1 * fl.tilted_mean(kernel, res.rate) - res.speed) <= 1e-12 * res.speed
+    else:
+        # the small-rate limit: speed = sqrt(2*d*r*k*sigma^2), sigma^2 = R^2 (1/3 - 2/pi^2)
+        sigma2 = 0.25 * (1.0 / 3.0 - 2.0 / math.pi ** 2)
+        assert res.speed == pytest.approx(math.sqrt(2.0 * 0.1 * 5.0 * k * sigma2), rel=1e-3)
 
 
-def test_brentq_same_sign_bracket_raises():
-    with pytest.raises(ValueError, match="different signs"):
-        brentq(lambda x: x * x + 1.0, -1.0, 2.0, xtol=1e-14, rtol=8.9e-16)
-
-
-def test_brentq_exhausted_maxiter_raises():
-    with pytest.raises(RuntimeError, match="3 steps"):
-        brentq(lambda x: math.cos(x) - x, 0.0, 3.0, xtol=1e-14, rtol=8.9e-16, maxiter=3)
+@pytest.mark.parametrize("field", ["d", "r", "k"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_speed_problem_rejects_non_finite_inputs(unit_kernel, field, value):
+    args = dict(d=1.0, r=1.0, k=1.0, kernel=unit_kernel)
+    args[field] = value
+    with pytest.raises(ValueError, match=rf"\b{field} must be finite"):
+        fl.SpeedProblem(**args)

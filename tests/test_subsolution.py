@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate
 
 import frontlab as fl
+from frontlab import subsolution
 from frontlab.errors import NoRootError
 from frontlab.subsolution import TILT_TOL, _window_convolution, wave_peak_factor
 
@@ -71,10 +72,10 @@ def test_amplitude_bound_rejects_nonpositive_decay(bench, unit_kernel):
 
 def test_cos_weighted_integral_below_mgf(bench_params, unit_kernel):
     # window = support radius puts the cosine weight in [0, 1] on the support
-    from frontlab.kernels import exp_integral
+    from frontlab.kernels import exp_integral, weight_table
+    cosine = weight_table(unit_kernel, lambda y: [np.cos(0.5 * np.pi * y / 1.0)])
     for beta in (0.3, 1.0, 2.0):
-        weighted = exp_integral(unit_kernel, beta,
-                                weight=lambda y: np.cos(0.5 * np.pi * y / 1.0))
+        weighted = exp_integral(unit_kernel, beta, cosine)[0]
         assert weighted <= unit_kernel.mgf(beta) + 1e-12
 
 
@@ -119,6 +120,36 @@ def test_match_decay_rate_unreachable_speed(bench_params, unit_kernel):
         fl.match_decay_rate(1e90, 0.51, bench_params, unit_kernel)
 
 
+@pytest.mark.parametrize("kernel", [fl.raised_cosine(1.0), fl.smooth_bump(1.0)],
+                         ids=["raised_cosine", "smooth_bump"])
+@pytest.mark.parametrize("frac", [0.3, 0.5, 0.7])
+def test_match_decay_rate_takes_few_passes_all_right_of_the_root(monkeypatch, kernel, frac):
+    # one pass at decay 0 for the start, then Newton from the right
+    params, p = _wave_for(kernel, frac)
+    rates = []
+    original = subsolution.exp_integral
+
+    def recording(kernel, lam, table=None):
+        rates.append(lam)
+        return original(kernel, lam, table)
+
+    monkeypatch.setattr(subsolution, "exp_integral", recording)
+    beta = fl.match_decay_rate(p.frame_speed, p.window, params, kernel)
+    assert beta == p.decay
+    assert len(rates) <= 8 and rates[0] == 0.0
+    assert rates[-1] == beta
+    assert all(b >= beta for b in rates[1:])
+
+
+@pytest.mark.parametrize("frame_speed, window, name", [
+    (math.nan, 10.0, "frame_speed"), (math.inf, 10.0, "frame_speed"),
+    (0.1, math.nan, "window"), (0.1, math.inf, "window"), (0.1, 0.5, "window"),
+])
+def test_match_decay_rate_names_a_bad_input(bench_params, unit_kernel, frame_speed, window, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        fl.match_decay_rate(frame_speed, window, bench_params, unit_kernel)
+
+
 def test_verify_subsolution_passes_on_bench(bench, unit_kernel):
     params, c, p = bench
     rep = fl.verify_subsolution(p, params, unit_kernel)
@@ -131,6 +162,21 @@ def test_verify_subsolution_passes_on_bench(bench, unit_kernel):
     peak = (wave_peak_factor(p.decay, p.window) * p.amplitude
             * math.exp(p.growth_rate(params) * 10.0))
     assert peak <= p.prey_level
+
+
+@pytest.mark.parametrize("kernel", [fl.raised_cosine(1.0), fl.smooth_bump(1.0)],
+                         ids=["raised_cosine", "smooth_bump"])
+def test_verify_margins_match_the_bound_and_tilt_speed(kernel):
+    # verify reads the cosine and sine integrals from the window pass's
+    # whole-support row; the table passes of amplitude_speed_bound and
+    # tilt_speed compute them on their own
+    params, p = _wave_for(kernel)
+    rep = fl.verify_subsolution(p, params, kernel)
+    gamma = p.growth_rate(params)
+    bound = fl.amplitude_speed_bound(p.decay, p.linear_rate, gamma, params, kernel, p.window)
+    tilt = fl.tilt_speed(p.decay, params, kernel, p.window)
+    assert abs(rep.amplitude_margin - (bound - p.frame_speed)) <= 1e-14
+    assert abs(rep.tilt_residual - abs(tilt - p.frame_speed)) <= 1e-14
 
 
 def test_report_ok_and_failures_follow_its_rows(bench, unit_kernel):
@@ -239,7 +285,7 @@ def test_window_convolution_against_pointwise_quadrature(kernel):
     ref = [integrate.quad(lambda y: kernel.evaluate(zi - y) * g(y), max(-R, zi - rj),
                           min(R, zi + rj), epsabs=1e-17, epsrel=1e-13, limit=200)[0]
            for zi in z]
-    np.testing.assert_allclose(_window_convolution(kernel, p, z), ref, rtol=1e-13)
+    np.testing.assert_allclose(_window_convolution(kernel, p, z)[0], ref, rtol=1e-13)
 
 
 def _grid_minima(p, params, kernel, n_space, n_time, t_check=10.0):
@@ -251,7 +297,7 @@ def _grid_minima(p, params, kernel, n_space, n_time, t_check=10.0):
     g = np.exp(-p.decay * z) * np.cos(0.5 * np.pi * z / R)
     gp = np.exp(-p.decay * z) * (-p.decay * np.cos(0.5 * np.pi * z / R)
                                  - (0.5 * np.pi / R) * np.sin(0.5 * np.pi * z / R))
-    conv = _window_convolution(kernel, p, z)
+    conv = _window_convolution(kernel, p, z)[0]
     lin = growth * (params.d1 * conv + (p.linear_rate - gamma) * g + p.frame_speed * gp)
     reaction_lin = (params.d1 * conv - params.d1 * g
                     + params.r1 * (1.0 - params.a * p.predator_level) * g
