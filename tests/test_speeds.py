@@ -5,8 +5,8 @@ import pytest
 from scipy import integrate, optimize
 
 import frontlab as fl
-from frontlab import speeds
-from frontlab.errors import BracketFailureError
+from frontlab import speeds, subsolution
+from frontlab.errors import BracketFailureError, NumericFailureError
 
 from conftest import raised_cosine_mgf_closed
 
@@ -247,3 +247,14 @@ def test_speed_problem_rejects_non_finite_inputs(unit_kernel, field, value):
     args[field] = value
     with pytest.raises(ValueError, match=rf"\b{field} must be finite"):
         fl.SpeedProblem(**args)
+
+
+def test_brentq_exhausted_maxiter_raises(monkeypatch, bench_params, unit_kernel):
+    # a root solve that runs out of steps raises rather than return its last iterate;
+    # r*k/d = 50 starts min_speed far right of its root, so 3 passes do not reach it
+    monkeypatch.setattr(speeds, "MAX_PASSES", 3)
+    monkeypatch.setattr(subsolution, "MAX_PASSES", 3)
+    with pytest.raises(NumericFailureError, match="speed minimization did not converge in 3 passes"):
+        fl.min_speed(fl.SpeedProblem(d=0.1, r=5.0, k=1.0, kernel=fl.raised_cosine(0.5)))
+    with pytest.raises(NumericFailureError, match="decay-rate solve did not converge in 3 passes"):
+        fl.match_decay_rate(1.0, 10.0, bench_params, unit_kernel)
