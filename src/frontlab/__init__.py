@@ -13,17 +13,14 @@ from .habitat import (HabitatProfile, HabitatValidation, constant_one,
                       logistic, piecewise_linear)
 from .habitat import validate as validate_habitat
 from .hypotheses import HypothesisReport, check_hypotheses
-from .kernels import (Kernel, Stencil, exp_integral,
-                      load_tabulated, raised_cosine, smooth_bump, tabulated,
-                      tilted_mean)
+from .kernels import (Kernel, Stencil, exp_integral, load_tabulated, raised_cosine,
+                      smooth_bump, tabulated)
 from .observers import (FrameBandSpec, LevelSetSeries, PersistenceReport,
                         SpeedEstimate, decay_sup, estimate_speed, frame_band_min,
                         level_set_position, level_set_series, theorem_band)
-from .speeds import (SpeedProblem, SpeedResult, SystemSpeeds, candidate_speed,
-                     min_speed, system_speeds)
+from .speeds import SpeedProblem, SpeedResult, SystemSpeeds, min_speed, system_speeds
 from .subsolution import (SubsolutionParams, SubsolutionReport,
                           amplitude_speed_bound, construct_subsolution,
-                          match_decay_rate, max_linear_rate, tilt_speed,
-                          verify_subsolution, wave_profile)
+                          match_decay_rate, max_linear_rate, verify_subsolution)
 
 __version__ = "0.1.0"

@@ -15,7 +15,9 @@ row tests extinction.  The auto ``band.eta`` is ``0.1*(c - s)``, ``c``
 the prey's band speed, and an explicit one must lie in ``(0, (c -
 s)/2)``, an empty interval when ``s >= s*``.  The auto
 ``subsolution.c`` is ``(s + s_underline)/2`` when ``b > 1`` and ``s <
-s_underline``, else "auto"; an explicit one must exceed ``s``.
+s_underline``, else "auto"; an explicit one must exceed ``s``.  An
+explicit ``subsolution.window`` must exceed half of ``kernel1``'s support
+radius, the kernel the sub-solution is built on.
 The auto ``grid.x_max`` is ``max(support_hi, 0) + halo + c * t_final +
 10``, ``c = max(s*, s) + 0.05`` with ``s*`` the prey's speed, so every
 band ends inside it.  The auto ``grid.x_min`` mirrors it,
@@ -327,6 +329,11 @@ def parse_config_text(text: str, base_dir: str = ".",
         raise ConfigError(f"subsolution.c={values['subsolution.c']:g} must exceed "
                           f"params.s = {params.s:g}: the frame must run ahead of the "
                           f"habitat edge")
+    window, half_support = values["subsolution.window"], 0.5 * kernel1.support_radius
+    if window != "auto" and not window > half_support:
+        raise ConfigError(f"subsolution.window={window:g} must exceed half of kernel1's "
+                          f"support radius, {half_support:g}, so dispersal cannot jump "
+                          f"across it")
 
     return ExperimentConfig(
         values=values, raw_text=text, params=params, kernel1=kernel1, kernel2=kernel2,

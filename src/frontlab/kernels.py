@@ -195,14 +195,6 @@ class Kernel:
         """The rule's nodes in the blocks of a weight table, ``(5, 16n)``."""
         return self._rule[0].reshape(3, -1)[[0, 1, 2, 1, 2]]
 
-    def mgf(self, lam: float) -> float:
-        """Moment generating function ``integral of J(y) * exp(lam*y)``.
-
-        Read from the tilt pass :func:`exp_integral`, which certifies a
-        relative error of 1e-10 or raises.
-        """
-        return exp_integral(self, lam)[0]
-
     def discretize(self, dx: float) -> Stencil:
         """Symmetric quadrature weights for ``J * w`` at grid spacing ``dx``.
 
@@ -384,7 +376,3 @@ def exp_integral(kernel: Kernel, lam: float, table=None) -> list[float]:
         out.append(fine)
     return out
 
-
-def tilted_mean(kernel: Kernel, lam: float) -> float:
-    """``integral of y * J(y) * exp(lam*y)``: first moment of the tilted kernel."""
-    return exp_integral(kernel, lam)[1]

@@ -10,12 +10,13 @@ where ``M`` is the kernel's moment generating function.  Its derivative
 vanishes where ``g(lam) = d * (lam*M'(lam) - M(lam) + 1) - r*k`` does.
 ``g(0) = -r*k``, ``g' = d * lam * M'' > 0`` and ``g'' = d * (M'' + lam*M''')
 > 0`` (``M''' >= 0`` for ``lam >= 0``, ``J`` being symmetric), so for ``k >
-0`` the minimizer is the only root of an increasing convex function, and
-Newton's method descends to it monotonically from any point on its right.
-By Jensen's inequality on ``y**2``, ``lam*M' - M + 1 = sum over k >= 1 of
-(2k-1)/(2k)! * lam**(2k) * integral of J(y) y**(2k) >= cosh(lam*sigma) - 1``
-with ``sigma**2 = M''(0)``, so ``lam0 = acosh(1 + r*k/d) / sigma`` is such a
-point.  Each step reads ``M``, ``M'`` and ``M''`` from one tilt pass
+0``, which :class:`SpeedProblem` requires, the minimizer is the only root
+of an increasing convex function, and Newton's method descends to it
+monotonically from any point on its right.  By Jensen's inequality on
+``y**2``, ``lam*M' - M + 1 = sum over k >= 1 of (2k-1)/(2k)! * lam**(2k) *
+integral of J(y) y**(2k) >= cosh(lam*sigma) - 1`` with ``sigma**2 =
+M''(0)``, so ``lam0 = acosh(1 + r*k/d) / sigma`` is such a point.  Each
+step reads ``M``, ``M'`` and ``M''`` from one tilt pass
 (:func:`kernels.exp_integral`).
 
 The system's speeds are the prey's, ``(d1, r1, k = 1, J1)``, and the
@@ -53,16 +54,16 @@ class SpeedProblem:
             raise ValueError(f"diffusion coefficient d must be finite and positive, got {self.d!r}")
         if not (math.isfinite(self.r) and self.r > 0.0):
             raise ValueError(f"growth rate r must be finite and positive, got {self.r!r}")
-        if not (math.isfinite(self.k) and self.k >= 0.0):
-            raise ValueError(f"carrying level k must be finite and nonnegative, got {self.k!r}")
+        if not (math.isfinite(self.k) and self.k > 0.0):
+            raise ValueError(f"carrying level k must be finite and positive, got {self.k!r}")
 
 
 @dataclass(frozen=True)
 class SpeedResult:
-    """Minimized speed and its minimizing decay rate (None when unattained)."""
+    """Minimized speed and its minimizing decay rate."""
 
     speed: float
-    rate: float | None
+    rate: float
 
 
 @dataclass(frozen=True)
@@ -81,27 +82,16 @@ class SystemSpeeds:
         return min(self.s_star, self.s_lower_star)
 
 
-def candidate_speed(problem: SpeedProblem, lam: float) -> float:
-    """Speed of the exponential profile with decay rate ``lam``."""
-    if not lam > 0.0:
-        raise ValueError("decay rate lam must be positive")
-    m = problem.kernel.mgf(lam)
-    return (problem.d * (m - 1.0) + problem.r * problem.k) / lam
-
-
 def min_speed(problem: SpeedProblem) -> SpeedResult:
     """Minimize the candidate speed over decay rates.
 
-    For ``k == 0`` the infimum is 0, approached as ``lam -> 0``, and is
-    unattained: ``rate`` is None.  Otherwise the minimizer is the root of
-    the tangency function ``g``, found by Newton's method from the right
-    (module docstring).  It stops when the next step is below ``1e-14 +
-    8.9e-16*lam`` or rounding leaves ``g <= 0``; the rate is the last one
-    evaluated and the speed comes from the same pass.  A start at the
-    ceiling ``50/R`` where ``g <= 0`` raises :class:`BracketFailureError`.
+    The minimizer is the root of the tangency function ``g``, found by
+    Newton's method from the right (module docstring).  It stops when the
+    next step is below ``1e-14 + 8.9e-16*lam`` or rounding leaves ``g <=
+    0``; the rate is the last one evaluated and the speed comes from the
+    same pass.  A start at the ceiling ``50/R`` where ``g <= 0`` raises
+    :class:`BracketFailureError`.
     """
-    if problem.k == 0.0:
-        return SpeedResult(speed=0.0, rate=None)
     d, growth, kernel = problem.d, problem.r * problem.k, problem.kernel
     ceiling = _LAMBDA_CEILING_OVER_R / kernel.support_radius
     x = growth / d

@@ -17,10 +17,10 @@ and the damped reaction operator
 the wave is a strict sub-solution (Q[w] > L[w] > 0) whenever two scalar
 conditions on the decay rate hold: the frame speed must stay below the
 amplitude speed bound (cosine component) and must exactly match the tilt
-speed (sine component).  Both conditions, their infinite-window limits,
-and the pointwise positivity of L[w] and Q[w] are verified numerically
-here; the time derivative of the wave is taken from its closed form, so
-no time-discretization noise enters the strict positivity check.
+speed (sine component).  Both conditions and the pointwise positivity of
+L[w] and Q[w] are verified numerically here; the time derivative of the
+wave is taken from its closed form, so no time-discretization noise
+enters the strict positivity check.
 
 :class:`SubsolutionReport` holds the four measured quantities only;
 :meth:`SubsolutionReport.rows` applies the one pass rule per clause
@@ -38,11 +38,11 @@ import numpy as np
 
 from .dynamics import Params
 from .errors import NoRootError, NumericFailureError
-from .kernels import MAX_PASSES, Kernel, exp_integral, quad, tilted_mean, weight_table
+from .kernels import MAX_PASSES, Kernel, exp_integral, quad, weight_table
 
 # The steepest tilt the decay-rate solve evaluates (see the kernels module).
 _DECAY_CEILING_OVER_R = 128.0
-# Largest |tilt_speed(decay) - frame_speed| a decay rate may leave.
+# Largest |tilt speed - frame speed| a decay rate may leave (see match_decay_rate).
 TILT_TOL = 1e-8
 # Samples of Q[wave] per block of time rows (64 KiB of floats), so that the
 # check's temporaries are reused from the heap rather than mapped afresh.
@@ -101,71 +101,33 @@ def validate_params(p: SubsolutionParams, params: Params, kernel: Kernel) -> Non
             f"({kernel.support_radius / 2.0:g}) so dispersal cannot jump across it")
 
 
-def wave_profile(p: SubsolutionParams, params: Params, x, t: float):
-    """The windowed wave at position(s) ``x`` and time ``t``."""
-    gamma = p.growth_rate(params)
-    z = np.asarray(x, dtype=float) - p.frame_speed * t
-    inside = np.abs(z) < p.window
-    zc = np.clip(z, -p.window, p.window)
-    vals = np.where(
-        inside,
-        p.amplitude * math.exp(gamma * t) * np.exp(-p.decay * zc)
-        * np.cos(0.5 * np.pi * zc / p.window),
-        0.0,
-    )
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(vals)
-    return vals
-
-
 def amplitude_speed_bound(decay: float, linear_rate: float, gamma: float,
-                          params: Params, kernel: Kernel,
-                          window: float | None = None) -> float:
-    """Largest frame speed the cosine (amplitude) balance tolerates.
-
-    ``window=None`` gives the infinite-window limit, where the weighted
-    integral becomes the kernel moment generating function.
-    """
+                          params: Params, kernel: Kernel, window: float) -> float:
+    """Largest frame speed the cosine (amplitude) balance tolerates:
+    ``(linear_rate - gamma + d1 * integral of J(y) exp(decay*y)
+    cos(pi*y/(2*window))) / decay``."""
     if not decay > 0.0:
         raise ValueError("decay rate must be positive")
-    if window is None:
-        integral = kernel.mgf(decay)
-    else:
-        table = weight_table(kernel, lambda y: [np.cos(0.5 * np.pi * y / window)])
-        integral = exp_integral(kernel, decay, table)[0]
-    return (linear_rate - gamma + params.d1 * integral) / decay
-
-
-def tilt_speed(decay: float, params: Params, kernel: Kernel,
-               window: float | None = None) -> float:
-    """Frame speed induced by the sine (tilt) component of the wave.
-
-    At this exact speed the odd component of the windowed balance
-    vanishes.  ``window=None`` gives the infinite-window limit
-    ``d1 * integral of y * exp(decay*y) * J(y)``.
-    """
-    if decay < 0.0:
-        raise ValueError("decay rate must be nonnegative")
-    if window is None:
-        return params.d1 * tilted_mean(kernel, decay)
-    table = weight_table(kernel, lambda y: [np.sin(0.5 * np.pi * y / window)])
-    return (2.0 * window * params.d1 / np.pi) * exp_integral(kernel, decay, table)[0]
+    table = weight_table(kernel, lambda y: [np.cos(0.5 * np.pi * y / window)])
+    return (linear_rate - gamma + params.d1 * exp_integral(kernel, decay, table)[0]) / decay
 
 
 def match_decay_rate(frame_speed: float, window: float, params: Params,
                      kernel: Kernel) -> float:
-    """Solve ``tilt_speed(decay) == frame_speed`` for the decay rate.
+    """Solve ``tilt speed == frame_speed`` for the decay rate.
 
-    With ``q = pi/(2*window)`` the tilt speed is ``(2*window*d1/pi)`` times
-    ``sum over k of decay**(2k+1)/(2k+1)! * a_k``, ``a_k = integral of J(y)
-    y**(2k+1) sin(q*y) > 0`` (``sin(q*y)`` has the sign of ``y`` when the
-    window exceeds half the support): increasing and convex, and by Jensen
-    at least ``(2*window*d1/pi) * a_0 * sinh(decay*tau)/tau``, ``tau**2 =
-    a_1/a_0``.  Newton's method starts where that bound meets the frame
-    speed, right of the root, and stops as :func:`speeds.min_speed` does, at
-    ``1e-13 + 8.9e-16*decay``.  Raises :class:`NoRootError` when the speed
-    is unreachable below the rate ceiling (a larger window reaches any
-    speed at a smaller rate).
+    The tilt speed is the frame speed at which the sine component of the
+    windowed balance vanishes.  With ``q = pi/(2*window)`` it is
+    ``(2*window*d1/pi) * integral of J(y) exp(decay*y) sin(q*y)``, that is
+    ``(2*window*d1/pi)`` times ``sum over k of decay**(2k+1)/(2k+1)! *
+    a_k``, ``a_k = integral of J(y) y**(2k+1) sin(q*y) > 0`` (``sin(q*y)``
+    has the sign of ``y`` when the window exceeds half the support):
+    increasing and convex, and by Jensen at least ``(2*window*d1/pi) * a_0
+    * sinh(decay*tau)/tau``, ``tau**2 = a_1/a_0``.  Newton's method starts
+    where that bound meets the frame speed, right of the root, and stops as
+    :func:`speeds.min_speed` does, at ``1e-13 + 8.9e-16*decay``.  Raises
+    :class:`NoRootError` when the speed is unreachable below the rate
+    ceiling (a larger window reaches any speed at a smaller rate).
     """
     if not (math.isfinite(frame_speed) and frame_speed >= 0.0):
         raise ValueError(f"frame_speed must be finite and nonnegative, got {frame_speed!r}")
@@ -258,8 +220,8 @@ def verify_subsolution(p: SubsolutionParams, params: Params, kernel: Kernel,
     """Check the two scalar speed conditions and pointwise positivity.
 
     The amplitude margin and the tilt residual read the cosine and sine
-    integrals of :func:`amplitude_speed_bound` and :func:`tilt_speed` from
-    the whole-support row of the window convolution's kernel integral.
+    integrals of :func:`amplitude_speed_bound` and :func:`match_decay_rate`
+    from the whole-support row of the window convolution's kernel integral.
     Positivity of L[wave] and Q[wave] is sampled on a window-frame grid
     shrunk by one sample spacing (the wave is merely continuous at the
     window edge) crossed with ``n_time >= 2`` times in [0, t_check], ends

@@ -13,6 +13,22 @@ def raised_cosine_mgf_closed(lam: float, radius: float = 1.0) -> float:
     return math.pi ** 2 * math.sinh(lam * r) / (r * lam * (r * r * lam * lam + math.pi ** 2))
 
 
+def mgf(kernel, lam: float) -> float:
+    """The kernel's moment generating function ``integral of J(y) exp(lam*y)``."""
+    return fl.exp_integral(kernel, lam)[0]
+
+
+def infinite_window_bound(decay, linear_rate, gamma, params, kernel):
+    """The amplitude speed bound as the window grows: the cosine weight tends to 1."""
+    return (linear_rate - gamma + params.d1 * mgf(kernel, decay)) / decay
+
+
+def infinite_window_tilt(decay, params, kernel):
+    """The tilt speed as the window grows: the sine weight tends to ``y*pi/(2*window)``,
+    leaving ``d1 * integral of y J(y) exp(decay*y)``."""
+    return params.d1 * fl.exp_integral(kernel, decay)[1]
+
+
 @pytest.fixture(scope="session")
 def unit_kernel():
     return fl.raised_cosine(1.0)

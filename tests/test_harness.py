@@ -210,11 +210,29 @@ def test_prey_speed_computed_once_per_weak_predator_config(monkeypatch, tmp_path
     ("solver.t_final", "1e308"),
     ("grid.x_max", "1e12"),
     ("initial.v_height", "3"),
+    ("subsolution.window", "0.4"),
 ])
 def test_out_of_range_key_rejected_and_named(key, value):
     with pytest.raises(ConfigError) as err:
         H.parse_config_text(DESK + f"{key} = {value}\n")
     assert key in str(err.value)
+
+
+def test_subsolution_window_must_exceed_half_of_kernel1s_radius(tmp_path):
+    # the sub-solution is built on kernel1, so kernel2's radius does not count,
+    # and a table's radius is its outermost knot
+    x = np.linspace(-2.0, 2.0, 201)
+    np.savetxt(tmp_path / "rc2.txt", np.c_[x, (1.0 + np.cos(0.5 * np.pi * x)) / 4.0])
+    table = DESK + "kernel1.family = tabulated\nkernel1.file = rc2.txt\n"
+    for text, window in ((DESK + "kernel2.radius = 3.0\n", "0.5"),
+                         (DESK + "kernel1.radius = 3.0\n", "1.4"), (table, "1")):
+        with pytest.raises(ConfigError, match=rf"^subsolution\.window={window} must exceed "
+                                              "half of kernel1's support radius"):
+            H.parse_config_text(text + f"subsolution.window = {window}\n", base_dir=str(tmp_path))
+    for text, window in ((DESK + "kernel2.radius = 3.0\n", 0.51), (table, 1.01)):
+        cfg = H.parse_config_text(text + f"subsolution.window = {window}\n",
+                                  base_dir=str(tmp_path))
+        assert cfg.values["subsolution.window"] == window
 
 
 # Candidate values per kind; the table decides which are out of range.

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 import frontlab as fl
 
+from conftest import mgf
+
 
 def _ok(rep) -> dict:
     """Each clause's ``ok`` as ``hypotheses.csv`` prints it."""
@@ -51,8 +53,8 @@ def test_shift_margin_subtracts_the_quadrature_error_bound(bench_speeds, unit_ke
     s = sp.s_underline - 1e-6
     params = fl.Params(d1=1, d2=1, r1=0.5, r2=0.4, a=0.5, b=1.5, s=s)
     rep = fl.check_hypotheses(params, fl.logistic(0.5, 1.0), unit_kernel, unit_kernel)
-    tol = 1e-10 * max(unit_kernel.mgf(sp.rate1) / sp.rate1,
-                      unit_kernel.mgf(sp.rate2) / sp.rate2)
+    tol = 1e-10 * max(mgf(unit_kernel, sp.rate1) / sp.rate1,
+                      mgf(unit_kernel, sp.rate2) / sp.rate2)
     assert 0.0 < tol < 1e-9
     assert rep.s_margin == pytest.approx(sp.s_underline - s - tol, rel=0.0, abs=1e-15)
     assert _ok(rep)["shift_below_speeds"]

@@ -8,7 +8,7 @@ import frontlab as fl
 from frontlab import speeds, subsolution
 from frontlab.errors import BracketFailureError, NumericFailureError
 
-from conftest import raised_cosine_mgf_closed
+from conftest import mgf, raised_cosine_mgf_closed
 
 
 def dense_scan_speed(d, r, k, lam_max=10.0, step=1e-3, radius=1.0):
@@ -18,38 +18,34 @@ def dense_scan_speed(d, r, k, lam_max=10.0, step=1e-3, radius=1.0):
     return float(((d * (m - 1.0) + r * k) / lams).min())
 
 
+def candidate_speed(problem, lam):
+    """The speed of the exponential profile with decay rate ``lam``."""
+    return (problem.d * (mgf(problem.kernel, lam) - 1.0) + problem.r * problem.k) / lam
+
+
 def test_candidate_speed_example(unit_kernel):
     pr = fl.SpeedProblem(d=1.0, r=1.0, k=1.0, kernel=unit_kernel)
-    got = fl.candidate_speed(pr, 1.0)
+    got = candidate_speed(pr, 1.0)
     expected = (raised_cosine_mgf_closed(1.0) - 1.0 + 1.0) / 1.0
     assert got == pytest.approx(expected, rel=1e-10)
     assert got == pytest.approx(1.0671, abs=1e-4)
 
 
-def test_candidate_speed_rejects_nonpositive_rate(unit_kernel):
-    pr = fl.SpeedProblem(d=1.0, r=1.0, k=1.0, kernel=unit_kernel)
-    with pytest.raises(ValueError):
-        fl.candidate_speed(pr, 0.0)
-    with pytest.raises(ValueError):
-        fl.candidate_speed(pr, -1.0)
-
-
 def test_candidate_speed_vanishes_without_growth(unit_kernel):
     # k = 0: the symmetric tilted mass is 1 + O(lam^2), so the speed ~ lam.
-    pr = fl.SpeedProblem(d=1.0, r=1.0, k=0.0, kernel=unit_kernel)
-    assert fl.candidate_speed(pr, 1e-4) <= 1e-3
+    assert (mgf(unit_kernel, 1e-4) - 1.0) / 1e-4 <= 1e-3
 
 
 def test_candidate_speed_increasing_in_k(unit_kernel):
     lo = fl.SpeedProblem(d=1.0, r=1.0, k=0.5, kernel=unit_kernel)
     hi = fl.SpeedProblem(d=1.0, r=1.0, k=1.5, kernel=unit_kernel)
     for lam in (0.5, 1.0, 3.0):
-        assert fl.candidate_speed(hi, lam) > fl.candidate_speed(lo, lam)
+        assert candidate_speed(hi, lam) > candidate_speed(lo, lam)
 
 
 def test_min_speed_benchmark_value(unit_kernel):
     res = fl.min_speed(fl.SpeedProblem(d=1.0, r=1.0, k=1.0, kernel=unit_kernel))
-    assert res.rate is not None
+    assert res.rate > 0.0
     assert res.speed == pytest.approx(0.582, abs=5e-4)
     assert res.rate == pytest.approx(2.90, abs=0.02)
     assert res.speed == pytest.approx(dense_scan_speed(1.0, 1.0, 1.0), abs=1e-4)
@@ -59,15 +55,15 @@ def test_min_speed_local_minimality_postcondition(unit_kernel):
     pr = fl.SpeedProblem(d=1.0, r=1.0, k=1.0, kernel=unit_kernel)
     res = fl.min_speed(pr)
     delta = 1e-5 * res.rate
-    assert fl.candidate_speed(pr, res.rate + delta) >= res.speed - 1e-10
-    assert fl.candidate_speed(pr, res.rate - delta) >= res.speed - 1e-10
-    assert res.speed == pytest.approx(fl.candidate_speed(pr, res.rate), abs=0.0)
+    assert candidate_speed(pr, res.rate + delta) >= res.speed - 1e-10
+    assert candidate_speed(pr, res.rate - delta) >= res.speed - 1e-10
+    assert res.speed == pytest.approx(candidate_speed(pr, res.rate), abs=0.0)
 
 
 def test_min_speed_zero_carrying_level(unit_kernel):
-    res = fl.min_speed(fl.SpeedProblem(d=1.0, r=1.0, k=0.0, kernel=unit_kernel))
-    assert res.speed == 0.0
-    assert res.rate is None
+    # no growth, no front: the infimum 0 is unattained, so the problem is refused
+    with pytest.raises(ValueError, match="carrying level k must be finite and positive"):
+        fl.SpeedProblem(d=1.0, r=1.0, k=0.0, kernel=unit_kernel)
 
 
 def test_min_speed_monotone_in_k(unit_kernel):
@@ -79,13 +75,13 @@ def test_min_speed_monotone_in_k(unit_kernel):
 def test_min_speed_candidate_grows_past_minimizer(unit_kernel):
     res = fl.min_speed(fl.SpeedProblem(d=1.0, r=1.0, k=1.0, kernel=unit_kernel))
     pr = fl.SpeedProblem(d=1.0, r=1.0, k=1.0, kernel=unit_kernel)
-    assert fl.candidate_speed(pr, 4.0 * res.rate) > res.speed
+    assert candidate_speed(pr, 4.0 * res.rate) > res.speed
 
 
 def test_min_speed_tiny_k_goes_to_zero(unit_kernel):
     # the minimizer falls far below the first bracket end 1/R
     res = fl.min_speed(fl.SpeedProblem(d=1.0, r=1.0, k=1e-9, kernel=unit_kernel))
-    assert res.rate is not None
+    assert res.rate > 0.0
     assert 0.0 < res.speed < 1e-4
 
 
@@ -98,7 +94,7 @@ def test_min_speed_tiny_k_goes_to_zero(unit_kernel):
 def test_min_speed_rate_is_tangent(d, r, k, kernel):
     # At the minimizer the candidate speed equals its tangent slope d*M'(rate).
     res = fl.min_speed(fl.SpeedProblem(d=d, r=r, k=k, kernel=kernel))
-    assert abs(d * fl.tilted_mean(kernel, res.rate) - res.speed) <= 1e-12 * res.speed
+    assert abs(d * fl.exp_integral(kernel, res.rate)[1] - res.speed) <= 1e-12 * res.speed
 
 
 _REFERENCE_DENSITIES = {
@@ -233,7 +229,7 @@ def test_min_speed_converges_under_the_cap_far_from_the_start(monkeypatch, k):
     assert len(rates) <= speeds.MAX_PASSES
     if k == 1.0:
         assert 6.5 < res.rate * 0.5 < 7.5
-        assert abs(0.1 * fl.tilted_mean(kernel, res.rate) - res.speed) <= 1e-12 * res.speed
+        assert abs(0.1 * fl.exp_integral(kernel, res.rate)[1] - res.speed) <= 1e-12 * res.speed
     else:
         # the small-rate limit: speed = sqrt(2*d*r*k*sigma^2), sigma^2 = R^2 (1/3 - 2/pi^2)
         sigma2 = 0.25 * (1.0 / 3.0 - 2.0 / math.pi ** 2)

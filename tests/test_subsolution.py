@@ -8,7 +8,26 @@ from scipy import integrate
 import frontlab as fl
 from frontlab import subsolution
 from frontlab.errors import NoRootError
+from frontlab.kernels import exp_integral, weight_table
 from frontlab.subsolution import TILT_TOL, _window_convolution, wave_peak_factor
+
+from conftest import infinite_window_bound, infinite_window_tilt, mgf
+
+
+def wave_profile(p, params, x, t: float):
+    """The windowed wave at positions ``x`` and time ``t``."""
+    z = np.asarray(x, dtype=float) - p.frame_speed * t
+    zc = np.clip(z, -p.window, p.window)
+    return np.where(np.abs(z) < p.window,
+                    p.amplitude * math.exp(p.growth_rate(params) * t) * np.exp(-p.decay * zc)
+                    * np.cos(0.5 * np.pi * zc / p.window), 0.0)
+
+
+def tilt_speed(decay, params, kernel, window):
+    """The frame speed at which the wave's sine component balances:
+    ``(2*window*d1/pi) * integral of J(y) exp(decay*y) sin(pi*y/(2*window))``."""
+    table = weight_table(kernel, lambda y: [np.sin(0.5 * np.pi * y / window)])
+    return (2.0 * window * params.d1 / np.pi) * exp_integral(kernel, decay, table)[0]
 
 
 @pytest.fixture(scope="module")
@@ -31,17 +50,17 @@ def test_max_linear_rate_value(bench_params):
 def test_wave_profile_center_edges_growth(bench, bench_params, unit_kernel):
     params, c, p = bench
     eta = p.amplitude
-    assert fl.wave_profile(p, params, c * 0.0, 0.0) == pytest.approx(eta, rel=1e-12)
+    assert wave_profile(p, params, c * 0.0, 0.0) == pytest.approx(eta, rel=1e-12)
     t1 = 7.3
-    assert fl.wave_profile(p, params, c * t1, t1) == pytest.approx(
+    assert wave_profile(p, params, c * t1, t1) == pytest.approx(
         eta * math.exp(p.growth_rate(params) * t1), rel=1e-12)
     # e-folding time of the amplitude
     te = 1.0 / (params.r1 * params.a * p.predator_level)
-    assert fl.wave_profile(p, params, c * te, te) == pytest.approx(math.e * eta, rel=1e-12)
+    assert wave_profile(p, params, c * te, te) == pytest.approx(math.e * eta, rel=1e-12)
     # continuity at the window edges
     for sign in (-1.0, 1.0):
-        assert fl.wave_profile(p, params, sign * p.window, 0.0) == 0.0
-        assert abs(fl.wave_profile(p, params, sign * (p.window - 1e-9), 0.0)) < 1e-9
+        assert wave_profile(p, params, sign * p.window, 0.0) == 0.0
+        assert abs(wave_profile(p, params, sign * (p.window - 1e-9), 0.0)) < 1e-9
 
 
 def test_amplitude_bound_matches_limit_at_huge_window(bench, unit_kernel):
@@ -50,8 +69,7 @@ def test_amplitude_bound_matches_limit_at_huge_window(bench, unit_kernel):
     for beta in (0.5, 1.2, 2.5):
         fin = fl.amplitude_speed_bound(beta, p.linear_rate, gamma, params,
                                        unit_kernel, window=1e6)
-        inf = fl.amplitude_speed_bound(beta, p.linear_rate, gamma, params,
-                                       unit_kernel, window=None)
+        inf = infinite_window_bound(beta, p.linear_rate, gamma, params, unit_kernel)
         assert fin == pytest.approx(inf, abs=1e-6)
 
 
@@ -67,33 +85,32 @@ def test_amplitude_bound_blows_up_at_small_decay(bench, unit_kernel):
 def test_amplitude_bound_rejects_nonpositive_decay(bench, unit_kernel):
     params, _, p = bench
     with pytest.raises(ValueError):
-        fl.amplitude_speed_bound(0.0, p.linear_rate, 0.0, params, unit_kernel)
+        fl.amplitude_speed_bound(0.0, p.linear_rate, 0.0, params, unit_kernel, p.window)
 
 
 def test_cos_weighted_integral_below_mgf(bench_params, unit_kernel):
     # window = support radius puts the cosine weight in [0, 1] on the support
-    from frontlab.kernels import exp_integral, weight_table
     cosine = weight_table(unit_kernel, lambda y: [np.cos(0.5 * np.pi * y / 1.0)])
     for beta in (0.3, 1.0, 2.0):
         weighted = exp_integral(unit_kernel, beta, cosine)[0]
-        assert weighted <= unit_kernel.mgf(beta) + 1e-12
+        assert weighted <= mgf(unit_kernel, beta) + 1e-12
 
 
 def test_tilt_speed_zero_at_zero_decay(bench_params, unit_kernel):
-    assert fl.tilt_speed(0.0, bench_params, unit_kernel, window=7.0) == pytest.approx(0.0, abs=1e-12)
-    assert fl.tilt_speed(0.0, bench_params, unit_kernel, window=None) == pytest.approx(0.0, abs=1e-12)
+    assert tilt_speed(0.0, bench_params, unit_kernel, window=7.0) == pytest.approx(0.0, abs=1e-12)
+    assert infinite_window_tilt(0.0, bench_params, unit_kernel) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tilt_speed_matches_limit_at_huge_window(bench_params, unit_kernel):
     for beta in (0.4, 1.0, 2.2):
-        fin = fl.tilt_speed(beta, bench_params, unit_kernel, window=1e6)
-        inf = fl.tilt_speed(beta, bench_params, unit_kernel, window=None)
+        fin = tilt_speed(beta, bench_params, unit_kernel, window=1e6)
+        inf = infinite_window_tilt(beta, bench_params, unit_kernel)
         assert fin == pytest.approx(inf, abs=1e-6)
 
 
 def test_tilt_speed_increasing_in_decay(bench_params, unit_kernel):
     betas = np.linspace(0.0, 3.0, 13)
-    vals = [fl.tilt_speed(b, bench_params, unit_kernel, window=9.0) for b in betas]
+    vals = [tilt_speed(b, bench_params, unit_kernel, window=9.0) for b in betas]
     assert np.all(np.diff(vals) > 0.0)
 
 
@@ -106,13 +123,13 @@ def test_match_decay_rate_against_dense_scan(bench_params, unit_kernel):
     beta = fl.match_decay_rate(c, window, bench_params, unit_kernel)
     # independent oracle: bisect a dense sample of the tilt response
     grid = np.linspace(0.0, 4.0, 4001)
-    vals = np.array([fl.tilt_speed(b, bench_params, unit_kernel, window) for b in grid])
+    vals = np.array([tilt_speed(b, bench_params, unit_kernel, window) for b in grid])
     i = int(np.searchsorted(vals, c))
     frac = (c - vals[i - 1]) / (vals[i] - vals[i - 1])
     beta_scan = grid[i - 1] + frac * (grid[i] - grid[i - 1])
     assert beta == pytest.approx(beta_scan, abs=1e-5)
     # postcondition replay
-    assert abs(fl.tilt_speed(beta, bench_params, unit_kernel, window) - c) <= 1e-8
+    assert abs(tilt_speed(beta, bench_params, unit_kernel, window) - c) <= 1e-8
 
 
 def test_match_decay_rate_unreachable_speed(bench_params, unit_kernel):
@@ -174,7 +191,7 @@ def test_verify_margins_match_the_bound_and_tilt_speed(kernel):
     rep = fl.verify_subsolution(p, params, kernel)
     gamma = p.growth_rate(params)
     bound = fl.amplitude_speed_bound(p.decay, p.linear_rate, gamma, params, kernel, p.window)
-    tilt = fl.tilt_speed(p.decay, params, kernel, p.window)
+    tilt = tilt_speed(p.decay, params, kernel, p.window)
     assert abs(rep.amplitude_margin - (bound - p.frame_speed)) <= 1e-14
     assert abs(rep.tilt_residual - abs(tilt - p.frame_speed)) <= 1e-14
 
@@ -222,8 +239,8 @@ def test_bound_derivative_identity(bench, unit_kernel):
     params, _, p = bench
     gamma = p.growth_rate(params)
     m = p.linear_rate
-    A = lambda b: fl.amplitude_speed_bound(b, m, gamma, params, unit_kernel, None)
-    B = lambda b: fl.tilt_speed(b, params, unit_kernel, None)
+    A = lambda b: infinite_window_bound(b, m, gamma, params, unit_kernel)
+    B = lambda b: infinite_window_tilt(b, params, unit_kernel)
     for beta in np.linspace(0.3, 4.0, 12):
         h = 1e-5 * beta
         fd = (A(beta + h) - A(beta - h)) / (2.0 * h)
@@ -238,8 +255,8 @@ def test_optimal_decay_rate_tangency_and_ordering(bench, unit_kernel):
     # so its minimizer is that problem's tangency rate
     bstar = fl.min_speed(fl.SpeedProblem(d=params.d1, r=m - gamma + params.d1, k=1.0,
                                           kernel=unit_kernel)).rate
-    A = lambda b: fl.amplitude_speed_bound(b, m, gamma, params, unit_kernel, None)
-    B = lambda b: fl.tilt_speed(b, params, unit_kernel, None)
+    A = lambda b: infinite_window_bound(b, m, gamma, params, unit_kernel)
+    B = lambda b: infinite_window_tilt(b, params, unit_kernel)
     assert abs(A(bstar) - B(bstar)) <= 1e-6
     # it is a minimum of the bound
     assert A(0.9 * bstar) > A(bstar)
@@ -256,13 +273,13 @@ def test_simulation_stays_above_wave(bench, unit_kernel):
     prof = fl.constant_one()
     grid = fl.grid_from_spacing(-p.window - 8.0, p.window + 8.0, 1.0 / 16.0)
     x = grid.x
-    u0 = fl.wave_profile(p, params, x, 0.0)
+    u0 = wave_profile(p, params, x, 0.0)
     init = fl.State(u=u0.copy(), v=np.zeros_like(u0))
     traj = fl.simulate(params, prof, unit_kernel, unit_kernel, grid, init,
                        dt=fl.dt_max(params, prof.alpha_bar), t_final=5.0,
                        snapshot_stride=5, boundary_monitor="none")
     for i, t in enumerate(traj.times):
-        wave = fl.wave_profile(p, params, x, float(t))
+        wave = wave_profile(p, params, x, float(t))
         assert float((traj.u[i] - wave).min()) >= -1e-8
 
 
