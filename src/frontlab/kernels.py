@@ -92,6 +92,12 @@ def _check_failure(residual) -> NumericFailureError:
         f"kernel quadrature failed its split-panel check (residual {residual:.3e})")
 
 
+def _clamp(x, lo, hi):
+    """``np.clip(x, lo, hi)``'s arithmetic without its call overhead (a zero
+    may come out with the other sign, which no caller can tell apart)."""
+    return np.minimum(np.maximum(x, lo), hi)
+
+
 def _bump_body(u):
     """``exp(-1/(1 - u**2))`` on (-1, 1), zero elsewhere."""
     with np.errstate(divide="ignore", over="ignore"):
@@ -158,9 +164,9 @@ class Kernel:
         r = self.support_radius
         inside = np.abs(xs) <= r
         if self.family == RAISED_COSINE:
-            vals = np.where(inside, (1.0 + np.cos(np.pi * np.clip(xs, -r, r) / r)) / (2.0 * r), 0.0)
+            vals = np.where(inside, (1.0 + np.cos(np.pi * _clamp(xs, -r, r) / r)) / (2.0 * r), 0.0)
         elif self.family == SMOOTH_BUMP:
-            vals = _bump_body(np.clip(xs / r, -1.0, 1.0)) / (r * _BUMP_INTEGRAL)
+            vals = _bump_body(_clamp(xs / r, -1.0, 1.0)) / (r * _BUMP_INTEGRAL)
         elif self.family == TABULATED:
             vals = np.where(inside, np.interp(xs, self.table_x, self.table_density,
                                               left=0.0, right=0.0), 0.0)
@@ -170,8 +176,9 @@ class Kernel:
             return float(vals)
         return vals
 
-    @property
+    @cached_property
     def _edges(self) -> np.ndarray:
+        """The panel breakpoints: the table's knots, or ``R*_UNIT_EDGES``."""
         return self.table_x if self.family == TABULATED else self.support_radius * _UNIT_EDGES
 
     @cached_property
@@ -317,17 +324,18 @@ def quad(kernel: Kernel, integrand=None, lo=None, hi=None):
     edges = kernel._edges
     lo = np.asarray(edges[0] if lo is None else lo, dtype=float)
     hi = np.asarray(edges[-1] if hi is None else hi, dtype=float)
-    shape = np.broadcast_shapes(lo.shape, hi.shape)
+    if lo.shape != hi.shape:
+        lo, hi = np.broadcast_arrays(lo, hi)
+    shape = lo.shape
     # Limits beyond the support change nothing, so clamp them to it.
-    lo = np.maximum(np.broadcast_to(lo, shape).ravel(), edges[0])[:, None]
-    hi = np.minimum(np.broadcast_to(hi, shape).ravel(), edges[-1])[:, None]
-    whole = (lo == edges[0]) & (hi == edges[-1])
-    out = np.empty(whole.shape, full.dtype)
-    if whole.any():
-        out[whole] = _checked_panels(*panels)
-    cut = np.flatnonzero(~whole)
+    lo = np.maximum(lo.ravel(), edges[0])
+    hi = np.minimum(hi.ravel(), edges[-1])
+    cut = np.flatnonzero((lo != edges[0]) | (hi != edges[-1]))
+    out = np.empty(lo.shape, full.dtype)
+    if cut.size < out.size:
+        out[:] = _checked_panels(*panels)
     if cut.size:
-        out[cut, 0] = _clipped_sums(kernel, integrand, panels, lo[cut], hi[cut])
+        out[cut] = _clipped_sums(kernel, integrand, panels, lo[cut, None], hi[cut, None])
     out = out.reshape(shape)
     return out.item() if out.ndim == 0 else out
 
@@ -336,8 +344,9 @@ def _clipped_sums(kernel: Kernel, integrand, panels, lo, hi) -> np.ndarray:
     """:func:`quad`'s checked sums for the rows ``[lo, hi]`` (column vectors)
     that do not cover the support, from the whole-support panel sums ``panels``."""
     edges = kernel._edges
-    a, b = np.clip(edges[:-1], lo, hi), np.clip(edges[1:], lo, hi)
-    kept = (a == edges[:-1]) & (b == edges[1:])
+    left, right = edges[:-1], edges[1:]
+    a, b = _clamp(left, lo, hi), _clamp(right, lo, hi)
+    kept = (a == left) & (b == right)
     rows = [np.where(kept, sums, 0.0) for sums in panels]
     row, j = np.nonzero(~kept & (a != b))
     x, w = _split_rule(a[row, j, None], b[row, j, None])
@@ -354,7 +363,8 @@ def weight_table(kernel: Kernel, weights) -> np.ndarray:
     five blocks: coarse panels, left halves, right halves, and the
     magnitudes of both halves.  Slicing the first axis selects weights."""
     nodes, values, w, _ = kernel._rule
-    terms = np.stack([(values * w * row).reshape(3, -1) for row in weights(nodes)])
+    terms = values * w * np.array(weights(nodes))
+    terms = terms.reshape(len(terms), 3, -1)
     return np.concatenate([terms, np.abs(terms[:, 1:])], axis=1)
 
 
@@ -363,13 +373,15 @@ def exp_integral(kernel: Kernel, lam: float, table=None) -> list[float]:
     over the weights ``w`` of ``table`` (:func:`weight_table`; default the
     kernel's ``1, y, y**2``).  One pass: ``exp(lam*nodes)`` times the table,
     one sum per block, and the split-panel check on every weight
-    (:class:`NumericFailureError` past relative 1e-10)."""
+    (:class:`NumericFailureError` past relative 1e-10).  At ``lam == 0``
+    the tilt is exactly 1, so the table is summed as it stands."""
     if not math.isfinite(lam):
         raise ValueError("tilt rate must be finite")
     table = kernel._moments if table is None else table
+    if lam != 0.0:
+        table = np.exp(lam * kernel._tilt_nodes) * table
     out = []
-    for coarse, left, right, left_size, right_size in (
-            np.exp(lam * kernel._tilt_nodes) * table).sum(axis=-1).tolist():
+    for coarse, left, right, left_size, right_size in table.sum(axis=-1).tolist():
         fine = left + right
         if not abs(fine - coarse) <= _SELF_CHECK_RTOL * (left_size + right_size):
             raise _check_failure(abs(fine - coarse))

@@ -44,9 +44,6 @@ from .kernels import MAX_PASSES, Kernel, exp_integral, quad, weight_table
 _DECAY_CEILING_OVER_R = 128.0
 # Largest |tilt speed - frame speed| a decay rate may leave (see match_decay_rate).
 TILT_TOL = 1e-8
-# Samples of Q[wave] per block of time rows (64 KiB of floats), so that the
-# check's temporaries are reused from the heap rather than mapped afresh.
-_BLOCK_VALUES = 8192
 
 
 def max_linear_rate(params: Params, predator_level: float, prey_level: float) -> float:
@@ -209,8 +206,8 @@ def _window_convolution(kernel: Kernel, p: SubsolutionParams, z: np.ndarray):
     whole support: the cosine and sine integrals of the speed conditions.
     """
     k = complex(p.decay, 0.5 * math.pi / p.window)
-    tilted = quad(kernel, lambda s: np.exp(k * s), lo=np.append(z - p.window, -np.inf),
-                  hi=np.append(z + p.window, np.inf))
+    tilted = quad(kernel, lambda s: np.exp(k * s), lo=np.concatenate([z - p.window, [-np.inf]]),
+                  hi=np.concatenate([z + p.window, [np.inf]]))
     return (np.exp(-k * z) * tilted[:-1]).real, tilted[-1]
 
 
@@ -224,14 +221,13 @@ def verify_subsolution(p: SubsolutionParams, params: Params, kernel: Kernel,
     from the whole-support row of the window convolution's kernel integral.
     Positivity of L[wave] and Q[wave] is sampled on a window-frame grid
     shrunk by one sample spacing (the wave is merely continuous at the
-    window edge) crossed with ``n_time >= 2`` times in [0, t_check], ends
-    included: Q[wave] is concave in ``amplitude*e^(gamma t)``, so its
-    minimum over the times lies at an end.  Neither minimum builds the
-    ``n_time x n_space`` grid.  L[wave] is the positive growth factor times a
-    profile in z, and rounding a product by a positive factor is monotone,
-    so its minimum is the smallest of the factor times the profile's
-    minimum, bit for bit.  Q[wave] is taken over blocks of time rows of at
-    most ``_BLOCK_VALUES`` samples.
+    window edge) at the two times ``t = 0`` and ``t = t_check`` only.
+    L[wave] is the growth factor ``G = amplitude*e^(gamma t)`` times a
+    profile in z, and Q[wave] adds ``-r1*(G*g)**2``: both are concave in
+    ``G``, so over [0, t_check] each minimum lies at an end, and the tests
+    check that the two ends give the bits of a grid of ``n_time`` times.
+    ``n_time`` is still validated (at least 2, so that a grid holds both
+    ends) but changes no number.
     """
     if n_time < 2:
         raise ValueError(f"n_time must be at least 2 to hold both ends of [0, t_check], got {n_time}")
@@ -240,25 +236,23 @@ def verify_subsolution(p: SubsolutionParams, params: Params, kernel: Kernel,
     R, beta, c, m = p.window, p.decay, p.frame_speed, p.linear_rate
     dz = 2.0 * R / (n_space + 1)
     z = np.linspace(-R + dz, R - dz, n_space)
-    tgrid = np.linspace(0.0, t_check, n_time)
-    g = np.exp(-beta * z) * np.cos(0.5 * np.pi * z / R)
-    gp = np.exp(-beta * z) * (-beta * np.cos(0.5 * np.pi * z / R)
-                              - (0.5 * np.pi / R) * np.sin(0.5 * np.pi * z / R))
+    envelope, angle = np.exp(-beta * z), 0.5 * np.pi * z / R
+    cosine = np.cos(angle)
+    g = envelope * cosine
+    gp = envelope * (-beta * cosine - (0.5 * np.pi / R) * np.sin(angle))
     conv, tilted = _window_convolution(kernel, p, z)
     amplitude_margin = (m - gamma + params.d1 * tilted.real) / beta - c
     tilt_residual = abs((2.0 * R * params.d1 / np.pi) * tilted.imag - c)
 
-    # L[wave](z, t) = amplitude*exp(gamma*t) * linear_part(z): one sweep in z.
+    # The growth factor at t = 0 and t = t_check, as a column.
+    growth = p.amplitude * np.exp(gamma * np.array([[0.0], [t_check]]))
     linear_part = params.d1 * conv + (m - gamma) * g + c * gp
-    growth = p.amplitude * np.exp(gamma * tgrid)          # (n_time,)
     min_linear = (growth * linear_part.min()).min()
     # Q[wave] adds the damped reaction, quadratic in the wave value.
     reaction_lin = (params.d1 * conv - params.d1 * g
                     + params.r1 * (1.0 - params.a * p.predator_level) * g
                     - gamma * g + c * gp)
-    rows = max(1, _BLOCK_VALUES // n_space)
-    blocks = (growth[i:i + rows, None] for i in range(0, n_time, rows))
-    min_reaction = np.min([(G * reaction_lin - params.r1 * (G * g) ** 2).min() for G in blocks])
+    min_reaction = (growth * reaction_lin - params.r1 * (growth * g) ** 2).min()
     return SubsolutionReport(amplitude_margin=float(amplitude_margin),
                              tilt_residual=float(tilt_residual),
                              min_linear=float(min_linear), min_reaction=float(min_reaction))

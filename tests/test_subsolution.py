@@ -7,6 +7,7 @@ from scipy import integrate
 
 import frontlab as fl
 from frontlab import subsolution
+from frontlab.cli import main
 from frontlab.errors import NoRootError
 from frontlab.kernels import exp_integral, weight_table
 from frontlab.subsolution import TILT_TOL, _window_convolution, wave_peak_factor
@@ -226,6 +227,15 @@ def test_verify_needs_both_ends_of_the_time_interval(bench, unit_kernel):
         fl.verify_subsolution(p, params, unit_kernel, n_time=1)
 
 
+def test_verify_report_does_not_depend_on_n_time(bench, unit_kernel):
+    # the check reads t = 0 and t = t_check only: a million time rows give
+    # the bits of two
+    params, _, p = bench
+    reports = [fl.verify_subsolution(p, params, unit_kernel, n_time=n) for n in (2, 64, 10**6)]
+    bits = [np.array(dataclasses.astuple(rep)).tobytes() for rep in reports]
+    assert bits[1:] == bits[:1] * 2
+
+
 def test_verify_rejects_small_window(bench, unit_kernel):
     params, c, p = bench
     bad = fl.SubsolutionParams(window=0.4, decay=p.decay, amplitude=p.amplitude,
@@ -351,6 +361,28 @@ def test_verify_minima_give_the_bits_of_the_whole_grid(kernel):
     assert signs == [(True, True), (True, False), (False, False)]
 
 
+def test_verify_minima_give_the_bits_of_the_whole_grid_on_random_waves():
+    # Seeded random waves: kernel family and radius, shift, amplitude, frame
+    # speed, t_check and both grid sizes.  The two ends of [0, t_check] give
+    # the bits of the whole grid's minima, of either sign.
+    rng = np.random.default_rng(7)
+    signs = set()
+    for case in range(200):
+        kernel = (fl.raised_cosine, fl.smooth_bump)[case % 2](rng.uniform(0.5, 2.0))
+        params, p = _wave_for(kernel, rng.uniform(0.3, 0.7))
+        wave = dataclasses.replace(p, amplitude=p.amplitude * 10.0 ** rng.uniform(-1.0, 2.5),
+                                   frame_speed=p.frame_speed * rng.uniform(0.8, 1.6))
+        t_check = rng.uniform(1.0, 50.0)
+        n_space, n_time = int(rng.integers(16, 600)), int(rng.integers(2, 201))
+        rep = fl.verify_subsolution(wave, params, kernel, n_space=n_space, n_time=n_time,
+                                    t_check=t_check)
+        ref = _grid_minima(wave, params, kernel, n_space, n_time, t_check)
+        got = (rep.min_linear, rep.min_reaction)
+        assert np.array(got).tobytes() == np.array(ref).tobytes(), (case, n_space, n_time)
+        signs.add((rep.min_linear > 0.0, rep.min_reaction > 0.0))
+    assert {(True, True), (True, False), (False, False)} <= signs
+
+
 @pytest.mark.parametrize("frac", [0.4, 0.6])
 def test_verify_subsolution_tabulated_kernel(frac):
     # A raised cosine sampled at 201 points, as a kernel file would give it.
@@ -363,3 +395,72 @@ def test_verify_subsolution_tabulated_kernel(frac):
     assert rep.ok, rep.failures
     assert rep.ok == all(ok for *_, ok in rep.rows())
     assert rep.tilt_residual <= 1e-8
+
+
+# README's exp.cfg, as the CLI example gives it.
+_EXP_CFG = """\
+params.d1 = 1.0
+params.d2 = 1.0
+params.r1 = 0.5
+params.r2 = 0.4
+params.a = 0.5
+params.b = 1.5
+params.s = 0.118
+habitat.family = logistic
+habitat.A = 0.5
+habitat.L = 2.0
+solver.t_final = 520.0
+"""
+
+# What `frontlab verify-subsolution` prints on exp.cfg, every float at %.17g,
+# per kernel family of both species.
+_VERIFY_PINS = {
+    "raised_cosine": (
+        'clause,value,ok\n'
+        'frame_speed,0.17741406795368353,true\n'
+        'window,10,true\n'
+        'decay_rate,1.2526924950287519,true\n'
+        'amplitude_margin,0.25750924298111416,true\n'
+        'tilt_residual,3.8857805861880479e-16,true\n'
+        'min_linear,9.1396919900264233e-14,true\n'
+        'min_reaction,9.2817167849525446e-14,true\n'
+        'PASS worst_margin=9.1396919900264233e-14\n'
+    ),
+    "smooth_bump": (
+        'clause,value,ok\n'
+        'frame_speed,0.18874805288917701,true\n'
+        'window,10,true\n'
+        'decay_rate,1.1157281950056255,true\n'
+        'amplitude_margin,0.29481306103660099,true\n'
+        'tilt_residual,2.7755575615628914e-17,true\n'
+        'min_linear,1.4367723779815361e-12,true\n'
+        'min_reaction,1.4562577781866241e-12,true\n'
+        'PASS worst_margin=1.4367723779815361e-12\n'
+    ),
+    "tabulated": (
+        'clause,value,ok\n'
+        'frame_speed,0.17742185939350982,true\n'
+        'window,10,true\n'
+        'decay_rate,1.2525858421042364,true\n'
+        'amplitude_margin,0.25753469582959609,true\n'
+        'tilt_residual,3.3306690738754696e-16,true\n'
+        'min_linear,9.1589933807414583e-14,true\n'
+        'min_reaction,9.3013087997030398e-14,true\n'
+        'PASS worst_margin=9.1589933807414583e-14\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_VERIFY_PINS))
+def test_verify_subsolution_cli_prints_the_pinned_rows(family, tmp_path, capsys):
+    text = _EXP_CFG
+    if family != "raised_cosine":
+        text += "".join(f"kernel{i}.family = {family}\n" for i in (1, 2))
+    if family == "tabulated":
+        # a raised cosine of radius 1 sampled at 201 points
+        x = np.linspace(-1.0, 1.0, 201)
+        np.savetxt(tmp_path / "rc201.txt", np.c_[x, (1.0 + np.cos(np.pi * x)) / 2.0])
+        text += "".join(f"kernel{i}.file = rc201.txt\n" for i in (1, 2))
+    (tmp_path / "exp.cfg").write_text(text)
+    assert main(["verify-subsolution", str(tmp_path / "exp.cfg"), "--strict"]) == 0
+    assert capsys.readouterr().out == _VERIFY_PINS[family]
